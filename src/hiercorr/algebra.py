@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from scipy.special import logsumexp
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -310,26 +311,30 @@ def relative_entropy(rho, sigma) -> float:
     return val
 
 
-def _gibbs(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    ew = np.exp(w - w.max())
-    ew /= ew.sum()
-    out = (v * ew) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+def gibbs_with_log_partition(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(a) / tr exp(a) of a hermitian matrix, and log tr exp(a).
+
+    The spectrum is normalized through log-sum-exp, so no eigenvalue
+    overflows; the matrix is rebuilt in one pass over the eigenvectors.
+    """
+    w, u = np.linalg.eigh(a)
+    lz = float(logsumexp(w))
+    return (u * np.exp(w - lz)) @ u.conj().T, lz
 
 
 def gibbs_map(a):
-    """Normalized exponential exp(a) / tr exp(a), spectrum shifted for stability.
+    """Normalized exponential exp(a) / tr exp(a), symmetrized.
 
     Accepts a HermitianObservable (returns a State) or a plain hermitian
     ndarray (returns an ndarray).
     """
-    if isinstance(a, HermitianObservable):
-        return State(a.shape, _gibbs(a.matrix))
-    mat = np.asarray(a, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+    observable = isinstance(a, HermitianObservable)
+    mat = a.matrix if observable else np.asarray(a, dtype=complex)
+    if not observable and np.max(np.abs(mat - mat.conj().T)) > 1e-10:
         raise ValueError("gibbs_map needs a hermitian operand")
-    return _gibbs(mat)
+    out = gibbs_with_log_partition(mat)[0]
+    out = 0.5 * (out + out.conj().T)
+    return State(a.shape, out) if observable else out
 
 
 def matrix_fourier_basis(n: int) -> list[np.ndarray]:

@@ -36,7 +36,15 @@ from .hierarchy import (
     numerical_basis_rank,
 )
 from .algebra import hermitize_basis, matrix_fourier_basis
-from .maxent import INTERIOR_TOL, ConvergenceError, divergence_from_model, maxent_project, multi_information
+from .maxent import (
+    INTERIOR_TOL,
+    METHODS,
+    ConvergenceError,
+    correlation_decomposition,
+    divergence_from_model,
+    maxent_project,
+    multi_information,
+)
 from .maximizers import search_local_maximizers
 from .twoqubit import (
     bell_from_lambda,
@@ -164,29 +172,14 @@ def _cmd_ck(args, scale):
 
 def _cmd_decompose(args, scale):
     rho = hio.load_state(args.state)
-    n = rho.shape.N
-    kw = {}
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    c = []
-    residuals = []
-    ok = True
-    for k in range(1, n + 1):
-        if k == n:
-            c.append(0.0)
-            residuals.append(0.0)
-            continue
-        res = divergence_from_model(rho, hypergraph_k(n, k), **kw)
-        c.append(res.divergence)
-        residuals.append(res.residual)
-        ok = ok and res.converged
-    increments = {str(k): (c[k - 2] - c[k - 1]) / scale for k in range(2, n + 1)}
+    kw = {} if args.tol is None else {"tol": args.tol}
+    dec = correlation_decomposition(rho, **kw)
     results = {
-        "c": [v / scale for v in c],
-        "C": increments,
-        "total": c[0] / scale,
+        "c": [v / scale for v in dec["c"]],
+        "C": {str(k): v / scale for k, v in dec["C"].items()},
+        "total": dec["total"] / scale,
     }
-    return results, {"residuals": residuals}, 0 if ok else 3
+    return results, {"residuals": dec["residuals"]}, 0 if dec["converged"] else 3
 
 
 def _cmd_multiinfo(args, scale):
@@ -230,7 +223,6 @@ def _cmd_feasibility(args, scale):
     shape = _parse_shape(args)
     if not shape.all_classical:
         raise ShapeError("feasibility analysis needs a classical shape")
-    imat = build_interaction_matrix(shape, args.k)
     if args.exhaustive:
         max_size = args.max_size if args.max_size is not None else shape.dim
         report = enumerate_feasibility(shape, args.k, max_size=max_size)
@@ -238,7 +230,7 @@ def _cmd_feasibility(args, scale):
     if not args.support:
         raise ShapeError("give --support or --exhaustive")
     configs = _parse_configs(args.support, shape)
-    feasible = is_k_feasible(imat, configs)
+    feasible = is_k_feasible(build_interaction_matrix(shape, args.k), configs)
     results = {"k": args.k, "support": ["".join(str(d) for d in c) for c in configs],
                "feasible": feasible}
     return results, {}, 0
@@ -406,14 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", required=True)
     sp.add_argument("--hypergraph")
     sp.add_argument("--k", type=int)
-    sp.add_argument("--method", default="auto",
-                    choices=["auto", "exact", "product", "ipf", "dual", "primal"])
+    sp.add_argument("--method", default="auto", choices=METHODS)
 
     sp = sub.add_parser("ck", parents=[common], help="order-k correlation")
     sp.add_argument("--state", required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--method", default="auto",
-                    choices=["auto", "exact", "product", "ipf", "dual", "primal"])
+    sp.add_argument("--method", default="auto", choices=METHODS)
 
     sp = sub.add_parser("decompose", parents=[common], help="full correlation ladder")
     sp.add_argument("--state", required=True)
@@ -482,10 +472,7 @@ def main(argv=None) -> int:
         )
     try:
         results, diagnostics, code = _DISPATCH[args.command](args, scale)
-    except (ShapeError, HypergraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GuardExceeded, MemoryError) as exc:
+    except (ShapeError, HypergraphError, ValueError, GuardExceeded, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -24,7 +24,6 @@ import dataclasses
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp, xlogy
 
 from .algebra import (
     ShapeError,
@@ -32,6 +31,7 @@ from .algebra import (
     SystemShape,
     algebra_mask,
     expectation_values,
+    gibbs_with_log_partition,
     hermitian_realvec,
     marginal,
     realvec_hermitian,
@@ -79,10 +79,8 @@ class GibbsParameters:
         return np.tensordot(self.theta, stack[1:], axes=(0, 0))
 
     def state(self, model: HierarchicalModel) -> State:
-        a = self.hamiltonian(model)
-        w, u = np.linalg.eigh(a)
-        p = np.exp(w - logsumexp(w))
-        return State(model.shape, _clean((u * p) @ u.conj().T, model.shape))
+        pi, _ = gibbs_with_log_partition(self.hamiltonian(model))
+        return State(model.shape, _clean(pi, model.shape))
 
 
 @dataclasses.dataclass
@@ -95,11 +93,6 @@ class ProjectionResult:
     iterations: int
     theta: GibbsParameters | None = None
     diagnostics: dict = dataclasses.field(default_factory=dict)
-
-
-def _entropy(mat: np.ndarray) -> float:
-    w = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
-    return float(-xlogy(w, w).sum())
 
 
 def _clean(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
@@ -150,73 +143,93 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
     return red, c, free_mats, defect
 
 
+# ---------------------------------------------------------------- face loop
+
+
+def _face_loop(start, cuts, relative, defect_rtol, solve_face, stack, b, tol, best=None):
+    """Re-solve a boundary projection on faces cut from the spectrum of start.
+
+    Each cut keeps the eigenvectors of start above it (times the largest
+    eigenvalue when relative); None keeps the whole space in the standard
+    basis.  Cuts keeping no vector, or as many as a face already tried, are
+    skipped, as are faces whose compressed constraints miss the moments by
+    more than defect_rtol.  solve_face(q, red, c, free) returns a solution in
+    q's coordinates, or None, and its iterations.  Lifts are checked against
+    the full constraints; the lowest residual wins, stopping at tol.
+
+    best, a full-space record (matrix, residual, round, rank, iterations)
+    already in hand, marks the full rank as tried.  Returns the best record
+    (None if there is none) and the iterations spent on faces.
+    """
+    d = start.shape[0]
+    w, u = np.linalg.eigh(start)
+    scale = max(float(w[-1]), 1e-300) if relative else 1.0
+    bound = defect_rtol * max(1.0, float(np.max(np.abs(b))))
+    tried = {0} if best is None else {0, d}
+    total = 0
+    for rounds, cut in enumerate(cuts, start=1):
+        q = np.eye(d, dtype=complex) if cut is None else u[:, w > cut * scale]
+        r = q.shape[1]
+        if cut is not None and r in tried:
+            continue
+        tried.add(r)
+        cdirs = np.einsum("ia,kij,jb->kab", q.conj(), stack, q)
+        red, c, free, defect = _reduce_constraints(cdirs, b)
+        if defect > bound:
+            continue  # cut too deep, this face cannot carry the moments
+        face, nit = solve_face(q, red, c, free)
+        total += nit
+        if face is None:
+            continue
+        pi = q @ face @ q.conj().T
+        resid = _residual(pi, stack, b)
+        if best is None or resid < best[1]:
+            best = (pi, resid, rounds, r, nit)
+        if best[1] <= tol:
+            break
+    return best, total
+
+
 # ---------------------------------------------------------------- dual route
 
 
 def _dual_minimize(dirs: np.ndarray, targets: np.ndarray, gtol: float, maxiter: int):
-    theta0 = np.zeros(dirs.shape[0])
-
     def fg(theta):
-        a = np.tensordot(theta, dirs, axes=(0, 0))
-        w, u = np.linalg.eigh(a)
-        lz = float(logsumexp(w))
-        p = np.exp(w - lz)
-        pi = (u * p) @ u.conj().T
+        pi, lz = gibbs_with_log_partition(np.tensordot(theta, dirs, axes=(0, 0)))
         return lz - theta @ targets, expectation_values(pi, dirs) - targets
 
     res = minimize(
         fg,
-        theta0,
+        np.zeros(dirs.shape[0]),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": maxiter, "maxfun": 4 * maxiter, "ftol": 1e-18, "gtol": gtol},
     )
-    a = np.tensordot(res.x, dirs, axes=(0, 0))
-    w, u = np.linalg.eigh(a)
-    lz = float(logsumexp(w))
-    pi = (u * np.exp(w - lz)) @ u.conj().T
+    pi, lz = gibbs_with_log_partition(np.tensordot(res.x, dirs, axes=(0, 0)))
     return res.x, lz, pi, int(res.nit)
 
 
-def _dual_solve(rho: State, model: HierarchicalModel, tol: float, maxiter: int):
-    stack = model.basis_matrices()
-    b = expectation_values(rho.matrix, stack)
-    d = rho.shape.dim
-
+def _dual_solve(stack: np.ndarray, b: np.ndarray, tol: float, maxiter: int):
+    d = stack.shape[1]
     theta, lz, pi, nit = _dual_minimize(stack[1:], b[1:], 0.1 * tol, maxiter)
     resid = _residual(pi, stack, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
-    total_it = nit
     if resid <= tol and info["theta_max"] <= THETA_BLOWUP:
-        return pi, resid, total_it, info, GibbsParameters(theta.copy(), lz)
+        return pi, nit, info, GibbsParameters(theta.copy(), lz)
 
     # boundary regime: the optimum has a kernel and the parameters diverge.
     # Peel off the eigenspace the iterate is abandoning and re-solve on the
-    # remaining support; constraints are always re-checked on the full space.
-    best = (pi, resid)
-    prev_r = d
-    for rounds, delta in enumerate(PEEL_SCHEDULE, start=1):
-        w, u = np.linalg.eigh(best[0])
-        keep = w > delta * max(float(w[-1]), 1e-300)
-        r = int(keep.sum())
-        if r == 0 or r == prev_r:
-            continue
-        q = u[:, keep]
-        cdirs = np.einsum("ia,kij,jb->kab", q.conj(), stack, q)
-        red, c, _, defect = _reduce_constraints(cdirs, b)
-        if defect > 1e-8 * max(1.0, float(np.max(np.abs(b)))):
-            continue  # cut too deep, this support cannot carry the moments
-        prev_r = r
-        theta_c, _, tau, nit = _dual_minimize(red, c, 0.1 * tol, maxiter)
-        pi_c = q @ tau @ q.conj().T
-        resid_c = _residual(pi_c, stack, b)
-        total_it += nit
-        if resid_c < best[1]:
-            best = (pi_c, resid_c)
-            info.update(rounds=rounds, support_dim=r)
-        if best[1] <= tol:
-            break
-    return best[0], best[1], total_it, info, None
+    # remaining support.
+    def solve_face(q, red, c, free):
+        _, _, tau, face_it = _dual_minimize(red, c, 0.1 * tol, maxiter)
+        return tau, face_it
+
+    best, face_its = _face_loop(
+        pi, PEEL_SCHEDULE, True, 1e-8, solve_face, stack, b, tol, best=(pi, resid, 0, d, nit)
+    )
+    pi, _, rounds, rank, _ = best
+    info.update(rounds=rounds, support_dim=rank)
+    return pi, nit + face_its, info, None
 
 
 # -------------------------------------------------------------- primal route
@@ -266,14 +279,15 @@ def _entropy_ascent(tau, stack, b, maxiter: int, gtol: float = 1e-9):
         gn = float(np.linalg.norm(gt))
         if gn <= gtol:
             break
-        ent = _entropy(tau)
+        ent = von_neumann_entropy(tau)
         alpha = 1.0 / max(1.0, gn)
         moved = False
         for _ in range(40):
             cand = _affine_psd_repair(tau + alpha * gt, stack, b)
             # entropy is blind to clipped negative eigenvalues, so staying
             # essentially inside the cone is part of the acceptance test
-            if float(np.linalg.eigvalsh(cand)[0]) >= -1e-12 and _entropy(cand) > ent + 1e-14:
+            inside = float(np.linalg.eigvalsh(cand)[0]) >= -1e-12
+            if inside and von_neumann_entropy(cand) > ent + 1e-14:
                 tau, moved = cand, True
                 break
             alpha *= 0.5
@@ -332,14 +346,14 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
             pencil = root.conj().T @ v @ root
             lmin = float(np.linalg.eigvalsh(0.5 * (pencil + pencil.conj().T))[0])
             t = 1.0 if lmin >= -1e-14 else min(1.0, 0.99 / (-lmin))
-            phi0 = _entropy(tau) + (mu * lw.sum() if mu > 0.0 else 0.0)
+            phi0 = von_neumann_entropy(tau) + (mu * lw.sum() if mu > 0.0 else 0.0)
             accepted = False
             for _ in range(30):
                 cand = tau + t * v
                 cand = 0.5 * (cand + cand.conj().T)
                 wc = np.linalg.eigvalsh(cand)
                 if wc[0] > 0.0:
-                    phic = _entropy(cand) + (mu * np.log(wc).sum() if mu > 0.0 else 0.0)
+                    phic = von_neumann_entropy(cand) + (mu * np.log(wc).sum() if mu > 0.0 else 0.0)
                     if phic >= phi0 + 1e-4 * t * slope:
                         tau, accepted = cand, True
                         break
@@ -349,67 +363,40 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
     return tau, total
 
 
-def _primal_solve(rho: State, model: HierarchicalModel, tol: float, maxiter: int):
-    stack = model.basis_matrices()
-    b = expectation_values(rho.matrix, stack)
-    d = rho.shape.dim
-
+def _primal_solve(rho_mat: np.ndarray, stack: np.ndarray, b: np.ndarray, tol: float, maxiter: int):
+    d = rho_mat.shape[0]
     # the euclidean projection of rho onto the model span carries the same
     # moments, so any PSD blend of the two is a feasible starting point
     q = np.tensordot(b, stack, axes=(0, 0))
-    tau = _max_psd_blend(rho.matrix, q)
+    tau = _max_psd_blend(rho_mat, q)
     tau, ascent_iters = _entropy_ascent(tau, stack, b, maxiter)
-
-    w, u = np.linalg.eigh(tau)
     info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": d}
-    best = None
-    for snap in SNAP_SCHEDULE:
-        if snap is None:
-            qmat = np.eye(d, dtype=complex)
-            r = d
-        else:
-            keep = w > snap
-            r = int(keep.sum())
-            if r == 0:
-                continue
-            qmat = u[:, keep]
-        cdirs = np.einsum("ia,kij,jb->kab", qmat.conj(), stack, qmat)
-        red, c, free, defect = _reduce_constraints(cdirs, b)
-        if defect > 1e-7 * max(1.0, float(np.max(np.abs(b)))):
-            continue
-        tau_c = qmat.conj().T @ tau @ qmat
-        # exact affine projection within the compressed space
-        x = hermitian_realvec(tau_c)
+
+    def solve_face(qmat, red, c, free):
+        r = qmat.shape[1]
         rv = hermitian_realvec(red)
-        x = x - rv.T @ (rv @ x - c)
-        tau_c = realvec_hermitian(x, r)
-        wmin = float(np.linalg.eigvalsh(tau_c)[0])
-        if wmin <= 1e-13:
-            for _ in range(6):
-                wc, uc = np.linalg.eigh(tau_c)
-                tau_c = (uc * np.clip(wc, 1e-12, None)) @ uc.conj().T
-                x = hermitian_realvec(tau_c)
-                x = x - rv.T @ (rv @ x - c)
-                tau_c = realvec_hermitian(x, r)
-                wmin = float(np.linalg.eigvalsh(tau_c)[0])
-                if wmin > 1e-13:
-                    break
-        if wmin <= 1e-13:
-            continue
-        mus = (1e-2, 1e-4, 1e-6, 1e-8, 0.0)
-        tau_c, nit = _newton_polish(tau_c, free, mus)
-        pi = qmat @ tau_c @ qmat.conj().T
-        resid = _residual(pi, stack, b)
-        if best is None or resid < best[1]:
-            best = (pi, resid)
-            info.update(newton_iters=nit, support_dim=r)
-        if resid <= tol:
-            break
+
+        def affine(mat):  # exact affine projection within the compressed space
+            x = hermitian_realvec(mat)
+            return realvec_hermitian(x - rv.T @ (rv @ x - c), r)
+
+        # Newton needs a positive definite start: clip and re-project a few times
+        tau_c = affine(qmat.conj().T @ tau @ qmat)
+        for _ in range(7):
+            if float(np.linalg.eigvalsh(tau_c)[0]) > 1e-13:
+                return _newton_polish(tau_c, free, (1e-2, 1e-4, 1e-6, 1e-8, 0.0))
+            wc, uc = np.linalg.eigh(tau_c)
+            tau_c = affine((uc * np.clip(wc, 1e-12, None)) @ uc.conj().T)
+        return None, 0
+
+    best, _ = _face_loop(tau, SNAP_SCHEDULE, False, 1e-7, solve_face, stack, b, tol)
     if best is None:
         # no support candidate admitted an interior start; report the raw
         # ascent iterate rather than failing outright
-        best = (tau, _residual(tau, stack, b))
-    return best[0], best[1], ascent_iters + info["newton_iters"], info
+        return tau, ascent_iters, info, None
+    pi, _, _, rank, newton_iters = best
+    info.update(newton_iters=newton_iters, support_dim=rank)
+    return pi, ascent_iters + newton_iters, info, None
 
 
 # ----------------------------------------------------------------- ipf route
@@ -439,10 +426,7 @@ def _ipf_solve(rho: State, model: HierarchicalModel, tol: float, maxiter: int):
         )
         if gap <= 0.1 * tol:
             break
-    pi = np.diag(q.reshape(-1).astype(complex))
-    stack = model.basis_matrices()
-    b = expectation_values(rho.matrix, stack)
-    return pi, _residual(pi, stack, b), sweeps, {"sweeps": sweeps}
+    return np.diag(q.reshape(-1).astype(complex)), sweeps, {"sweeps": sweeps}, None
 
 
 # --------------------------------------------------------------- public API
@@ -496,17 +480,16 @@ def _run(rho, model, method, tol, boundary_tol, max_iter) -> ProjectionResult:
     b = expectation_values(rho.matrix, stack)
     theta = None
     if method == "exact":
-        pi_mat, resid, iters, info = rho.matrix.copy(), 0.0, 0, {}
+        pi_mat, iters, info = rho.matrix.copy(), 0, {}
     elif method == "product":
-        mats = [marginal(rho, (i,)).matrix for i in range(1, rho.shape.N + 1)]
-        pi_mat = tensor(*mats)
-        resid, iters, info = _residual(pi_mat, stack, b), 0, {}
+        pi_mat = tensor(*[marginal(rho, (i,)).matrix for i in range(1, rho.shape.N + 1)])
+        iters, info = 0, {}
     elif method == "ipf":
-        pi_mat, resid, iters, info = _ipf_solve(rho, model, tol, max_iter or 20000)
+        pi_mat, iters, info, theta = _ipf_solve(rho, model, tol, max_iter or 20000)
     elif method == "dual":
-        pi_mat, resid, iters, info, theta = _dual_solve(rho, model, tol, max_iter or 2000)
+        pi_mat, iters, info, theta = _dual_solve(stack, b, tol, max_iter or 2000)
     else:
-        pi_mat, resid, iters, info = _primal_solve(rho, model, tol, max_iter or 400)
+        pi_mat, iters, info, theta = _primal_solve(rho.matrix, stack, b, tol, max_iter or 400)
 
     pi = State(rho.shape, _clean(pi_mat, rho.shape))
     resid = _residual(pi.matrix, stack, b)
@@ -562,12 +545,21 @@ def irreducible_correlation(rho: State, k: int, **kw) -> float:
 def correlation_decomposition(rho: State, **kw) -> dict:
     """All orders at once: c_k for k = 1..N and their increments.
 
-    The increments sum to c_1, the total correlation.
+    The increments sum to c_1, the total correlation.  "residuals" holds the
+    moment residual of each order's projection (0.0 at k = N, which needs
+    none) and "converged" whether every projection converged.
     """
     n = rho.shape.N
-    c = [k_party_correlation(rho, k, **kw) for k in range(1, n + 1)]
+    runs = [divergence_from_model(rho, hypergraph_k(n, k), **kw) for k in range(1, n)]
+    c = [r.divergence for r in runs] + [0.0]
     incr = {k: c[k - 2] - c[k - 1] for k in range(2, n + 1)}
-    return {"c": c, "C": incr, "total": c[0]}
+    return {
+        "c": c,
+        "C": incr,
+        "total": c[0],
+        "residuals": [r.residual for r in runs] + [0.0],
+        "converged": all(r.converged for r in runs),
+    }
 
 
 def multi_information(rho: State) -> float:

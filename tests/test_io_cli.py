@@ -165,6 +165,15 @@ class TestCLI:
         assert abs(c[0] - 3 * LOG2) < 1e-6
         assert abs(rep["results"]["C"]["3"] - LOG2) < 1e-3
 
+    def test_decompose_unreachable_tolerance_exits_3(self, ghz_file, capsys):
+        # the order-1 product projection has full support and ~1e-17 of
+        # rounding in its moments, which misses an interior tolerance of 1e-300
+        code = main(["decompose", "--state", ghz_file, "--tol", "1e-300"])
+        rep = _report(capsys)
+        assert code == 3
+        assert len(rep["diagnostics"]["residuals"]) == 3
+        assert rep["diagnostics"]["residuals"][-1] == 0.0
+
     def test_feasibility_exhaustive(self, capsys):
         code = main(["feasibility", "--shape", "2,2,2", "--k", "2", "--exhaustive"])
         rep = _report(capsys)

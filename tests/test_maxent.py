@@ -125,6 +125,42 @@ class TestBoundaryCases:
         assert res.divergence < 1e-9
         assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
 
+    def test_auto_retries_primal_when_dual_misses(self):
+        # rank-2 state whose pairwise projection the dual leaves at residual
+        # ~1e-4 after its whole iteration budget
+        sh = SystemShape.qubits(3)
+        rho = random_density(sh, np.random.default_rng(4), rank=2)
+        model = build_model(sh, hypergraph_k(3, 2))
+        dual = maxent_project(rho, model, method="dual")
+        assert not dual.converged
+        assert 1e-5 < dual.residual < 1e-3
+        res = maxent_project(rho, model)
+        assert res.method == "primal"
+        assert res.converged
+        assert res.residual < 1e-9
+
+    def test_dual_peels_onto_two_point_support(self):
+        sh = SystemShape.bits(3)
+        rho = uniform_on(sh, [(0, 0, 0), (1, 0, 0)])
+        model = build_model(sh, hypergraph_k(3, 2))
+        res = maxent_project(rho, model, method="dual")
+        assert res.converged
+        assert res.diagnostics["rounds"] == 1
+        assert res.diagnostics["support_dim"] == 2
+
+    def test_parity_triple_is_its_own_projection(self):
+        # the pairwise marginals of uniform on {100, 010, 001} force q(000) = 0,
+        # so the state already lies in the closure of the pairwise family
+        sh = SystemShape.bits(3)
+        rho = uniform_on(sh, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        model = build_model(sh, hypergraph_k(3, 2))
+        for method in ("dual", "primal"):
+            res = maxent_project(rho, model, method=method)
+            assert res.converged, method
+            assert res.divergence <= 1e-9, method
+            assert res.state.matrix[0, 0].real <= 1e-9, method
+            assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-7, method
+
     def test_ghz_correlation_ladder(self):
         ghz = ghz_state(3)
         assert abs(multi_information(ghz) - 3 * LOG2) < 1e-12
@@ -135,6 +171,9 @@ class TestBoundaryCases:
         assert abs(irreducible_correlation(ghz, 3) - LOG2) < 1e-6
         dec = correlation_decomposition(ghz)
         assert abs(sum(dec["C"].values()) - dec["total"]) < 1e-9
+        assert dec["converged"]
+        assert len(dec["residuals"]) == 3 and dec["residuals"][-1] == 0.0
+        assert max(dec["residuals"]) <= 1e-5
 
 
 class TestCorrelationQuantities:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import logsumexp
@@ -26,6 +26,8 @@ PSD_ATOL = -1e-10
 SUPPORT_RTOL = 1e-10
 # admissible mass of rho on the kernel of sigma before divergence is infinite
 KERNEL_MASS_TOL = 1e-10
+# entrywise distance at which hermitize_basis pairs an element with an adjoint
+ADJOINT_MATCH_TOL = 1e-9
 
 
 class ShapeError(ValueError):
@@ -116,16 +118,20 @@ class SystemShape:
         return cls(sizes, (QUANTUM,) * len(sizes))
 
 
+@lru_cache(maxsize=32)
 def algebra_mask(shape: SystemShape) -> np.ndarray:
     """Boolean (d, d) mask of entries an element of the algebra may populate.
 
     Classical units force block-diagonality: an entry survives only where the
-    classical components of its row and column multi-index agree.
+    classical components of its row and column multi-index agree.  The mask
+    is built once per shape and shared, so it is read-only.
     """
     blocks = []
     for n, kind in zip(shape.sizes, shape.kinds):
         blocks.append(np.eye(n, dtype=bool) if kind == CLASSICAL else np.ones((n, n), dtype=bool))
-    return reduce(np.kron, blocks)
+    mask = reduce(np.kron, blocks)
+    mask.setflags(write=False)
+    return mask
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -133,13 +139,29 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(mat, dtype=complex)
 
 
-def _check_in_algebra(matrix: np.ndarray, shape: SystemShape, what: str) -> None:
-    mask = algebra_mask(shape)
-    off = np.max(np.abs(matrix[~mask])) if (~mask).any() else 0.0
-    if off > HERMITIAN_ATOL:
-        raise ShapeError(
-            f"{what} has weight {off:.2e} outside the classical block structure"
-        )
+def _algebra_element(matrix, shape: SystemShape, what: str) -> np.ndarray:
+    """Read-only hermitian complex copy of a (d, d) element of the algebra.
+
+    Raises ShapeError when the matrix has the wrong size, is not hermitian,
+    or has weight outside the classical block structure.
+    """
+    mat = np.array(matrix, dtype=complex)
+    d = shape.dim
+    if mat.shape != (d, d):
+        raise ShapeError(f"{what} matrix is {mat.shape}, shape demands ({d}, {d})")
+    adj = mat.conj().T
+    herm = np.max(np.abs(mat - adj))
+    if herm > HERMITIAN_ATOL:
+        raise ShapeError(f"{what} is not hermitian: max deviation {herm:.2e}")
+    if not shape.all_quantum:
+        off = np.max(np.abs(mat[~algebra_mask(shape)]), initial=0.0)
+        if off > HERMITIAN_ATOL:
+            raise ShapeError(
+                f"{what} has weight {off:.2e} outside the classical block structure"
+            )
+    mat = 0.5 * (mat + adj)
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -150,22 +172,13 @@ class State:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.shape.dim
-        if mat.shape != (d, d):
-            raise ShapeError(f"state matrix is {mat.shape}, shape demands ({d}, {d})")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITIAN_ATOL:
-            raise ShapeError(f"state is not hermitian: max deviation {herm:.2e}")
+        mat = _algebra_element(self.matrix, self.shape, "state")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * d):
+        if abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * self.shape.dim):
             raise ShapeError(f"state trace is {tr!r}, expected 1")
         wmin = float(np.linalg.eigvalsh(mat)[0])
         if wmin < PSD_ATOL:
             raise ShapeError(f"state has eigenvalue {wmin:.2e} below {PSD_ATOL:.0e}")
-        _check_in_algebra(mat, self.shape, "state")
-        mat = 0.5 * (mat + mat.conj().T)
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -207,17 +220,7 @@ class HermitianObservable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.shape.dim
-        if mat.shape != (d, d):
-            raise ShapeError(f"observable matrix is {mat.shape}, shape demands ({d}, {d})")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITIAN_ATOL:
-            raise ShapeError(f"observable is not hermitian: max deviation {herm:.2e}")
-        _check_in_algebra(mat, self.shape, "observable")
-        mat = 0.5 * (mat + mat.conj().T)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _algebra_element(self.matrix, self.shape, "observable"))
 
 
 def tensor(*operators) -> np.ndarray:
@@ -363,7 +366,7 @@ def matrix_fourier_basis(n: int) -> list[np.ndarray]:
     return out
 
 
-def hermitize_basis(basis, match_tol: float = 1e-9) -> list[np.ndarray]:
+def hermitize_basis(basis) -> list[np.ndarray]:
     """Turn an adjoint-closed orthonormal matrix basis into a self-adjoint one.
 
     Fixed points of the adjoint (up to sign) are kept (multiplied by i when
@@ -379,10 +382,10 @@ def hermitize_basis(basis, match_tol: float = 1e-9) -> list[np.ndarray]:
             continue
         used[i] = True
         Ead = E.conj().T
-        if np.max(np.abs(Ead - E)) < match_tol:
+        if np.max(np.abs(Ead - E)) < ADJOINT_MATCH_TOL:
             out.append(E.copy())
             continue
-        if np.max(np.abs(Ead + E)) < match_tol:
+        if np.max(np.abs(Ead + E)) < ADJOINT_MATCH_TOL:
             out.append(1j * E)
             continue
         partner = None
@@ -390,8 +393,8 @@ def hermitize_basis(basis, match_tol: float = 1e-9) -> list[np.ndarray]:
             if used[j]:
                 continue
             if (
-                np.max(np.abs(mats[j] - Ead)) < match_tol
-                or np.max(np.abs(mats[j] + Ead)) < match_tol
+                np.max(np.abs(mats[j] - Ead)) < ADJOINT_MATCH_TOL
+                or np.max(np.abs(mats[j] + Ead)) < ADJOINT_MATCH_TOL
             ):
                 partner = j
                 break
@@ -458,15 +461,15 @@ def hermitian_realvec(mat: np.ndarray) -> np.ndarray:
 
 
 def realvec_hermitian(vec: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of hermitian_realvec for a single vector of length n*n."""
+    """Inverse of hermitian_realvec; a (..., n*n) stack gives a (..., n, n) stack."""
     v = np.asarray(vec, dtype=float)
-    if v.shape != (n * n,):
+    if v.shape[-1:] != (n * n,):
         raise ValueError(f"expected length {n * n}, got {v.shape}")
     iu = np.triu_indices(n, k=1)
     k = iu[0].size
-    out = np.zeros((n, n), dtype=complex)
-    out[np.arange(n), np.arange(n)] = v[:n]
-    upper = (v[n : n + k] + 1j * v[n + k :]) / _SQRT2
-    out[iu] = upper
-    out[iu[1], iu[0]] = upper.conj()
+    out = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+    out[..., np.arange(n), np.arange(n)] = v[..., :n]
+    upper = (v[..., n : n + k] + 1j * v[..., n + k :]) / _SQRT2
+    out[..., iu[0], iu[1]] = upper
+    out[..., iu[1], iu[0]] = upper.conj()
     return out

@@ -16,6 +16,7 @@ from .algebra import State, SystemShape, expectation_values
 from .factorization import (
     build_interaction_matrix,
     check_toric_membership,
+    cylinder_closure,
     enumerate_feasibility,
     is_k_feasible,
     toric_kernel,
@@ -30,6 +31,7 @@ from .hierarchy import (
 )
 from .algebra import hermitize_basis, matrix_fourier_basis
 from .maxent import (
+    GibbsParameters,
     k_party_correlation,
     correlation_decomposition,
     maxent_project,
@@ -37,7 +39,7 @@ from .maxent import (
     pythagorean_residual,
 )
 from .maximizers import search_local_maximizers
-from .states import ghz_state, random_density, random_pure
+from .states import ghz_state, random_density, random_pure, uniform_on
 from .twoqubit import (
     classical_witness,
     extreme_point_product_form,
@@ -54,7 +56,7 @@ LOG2 = math.log(2.0)
 
 def check_separable_information_bound():
     """Six extreme points attain log 2; sampled separable states stay below it."""
-    report = verify_mutual_information_bound(n_samples=10_000, seed=0, tol=1e-9)
+    report = verify_mutual_information_bound(n_samples=10_000, seed=0)
     ok = report["passed"] and report["extreme_point_gap"] <= 1e-9
 
     # the six maximizers must be even mixtures of orthogonal product vectors
@@ -229,8 +231,6 @@ def check_independence_closed_form():
 
 def check_projection_identity():
     """D(rho, sigma) splits through the projection for sigma inside the family."""
-    from .maxent import GibbsParameters
-
     rng = np.random.default_rng(31)
     combos = [
         (SystemShape.bits(3), 1, 13),
@@ -338,20 +338,6 @@ def check_unit_basis():
 # 8. exhaustive feasibility on 3 bits
 
 
-def _cylinder_closure(imat, support):
-    """Configurations whose every marginal slice is populated by the support."""
-    from .factorization import _restrict, _subset_iter
-
-    subsets = list(_subset_iter(imat))
-    covered = set()
-    for y in support:
-        for nu in subsets:
-            covered.add((nu, _restrict(y, nu)))
-    return frozenset(
-        x for x in imat.configs if all((nu, _restrict(x, nu)) in covered for nu in subsets)
-    )
-
-
 def check_feasibility_exhaustive():
     """Every support on 3 bits against pairwise feasibility and the fitting limit."""
     shape = SystemShape.bits(3)
@@ -363,25 +349,18 @@ def check_feasibility_exhaustive():
     parity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ok = ok and not is_k_feasible(imat, parity)
 
-    # iterative fitting of uniform-on-S must converge onto the closure of S,
-    # and S is feasible exactly when it equals its own closure
-    from .states import uniform_on
-
+    # iterative fitting of uniform-on-S must converge onto the closure of S
     model = build_model(shape, hypergraph_k(3, 2))
     configs = imat.configs
     agree = 0
     for r in range(1, 9):
         for sub in itertools.combinations(configs, r):
-            support = frozenset(sub)
-            closure = _cylinder_closure(imat, support)
-            feasible = is_k_feasible(imat, sub)
-            if feasible != (closure == support):
-                return False, f"feasibility/closure mismatch at {sorted(support)}"
+            closure = cylinder_closure(imat, sub)
             res = maxent_project(uniform_on(shape, sub), model, method="ipf")
             probs = res.state.probabilities()
             limit_support = frozenset(c for c, p in zip(configs, probs) if p > 1e-8)
             if limit_support != closure:
-                return False, f"fitting limit support mismatch at {sorted(support)}"
+                return False, f"fitting limit support mismatch at {sorted(sub)}"
             agree += 1
 
     member = check_toric_membership(

@@ -18,6 +18,8 @@ from .algebra import ShapeError, SystemShape
 from .states import all_configs
 
 SUBSET_GUARD = 2**20
+# relative tolerance on the two sides of each binomial relation
+TORIC_RTOL = 1e-9
 
 
 class GuardExceeded(RuntimeError):
@@ -105,30 +107,34 @@ def _subset_iter(imat: InteractionMatrix):
             yield nu
 
 
-def is_k_feasible(imat: InteractionMatrix, support) -> bool:
-    """Whether a set of configurations can carry a uniform factorizable limit.
+def cylinder_closure(imat: InteractionMatrix, support) -> frozenset:
+    """Configurations whose restriction to every interaction subset occurs in the support.
 
-    True when no outside configuration has its row support contained in the
-    union of row supports of the set.
+    The closure contains the support; the support is k-feasible exactly when
+    the two are equal, and then the closure is also the support of the
+    iterative-proportional-fitting limit of the uniform distribution on it.
+    Only then: the pairwise projection of the uniform distribution on the
+    non-feasible parity triple {100, 010, 001} is that distribution itself,
+    while its closure adds 000.
     """
-    configs = [tuple(int(s) for s in c) for c in support]
+    configs = frozenset(tuple(int(s) for s in c) for c in support)
     if not configs:
         raise ValueError("support must be non-empty")
-    cfg_set = set(configs)
-    for c in cfg_set:
-        if len(c) != imat.shape.N:
-            raise ShapeError(f"configuration {c} does not match the shape")
+    unknown = configs.difference(imat.configs)
+    if unknown:
+        raise ShapeError(f"configuration {min(unknown)} does not match the shape")
     subsets = list(_subset_iter(imat))
-    covered = set()
-    for y in cfg_set:
-        for nu in subsets:
-            covered.add((nu, _restrict(y, nu)))
-    for x in imat.configs:
-        if x in cfg_set:
-            continue
-        if all((nu, _restrict(x, nu)) in covered for nu in subsets):
-            return False
-    return True
+    covered = {(nu, _restrict(y, nu)) for y in configs for nu in subsets}
+    return frozenset(
+        x for x in imat.configs if all((nu, _restrict(x, nu)) in covered for nu in subsets)
+    )
+
+
+def is_k_feasible(imat: InteractionMatrix, support) -> bool:
+    """Whether a set of configurations can carry a uniform factorizable limit,
+    that is, whether it equals its cylinder closure."""
+    support = frozenset(tuple(int(s) for s in c) for c in support)
+    return cylinder_closure(imat, support) == support
 
 
 @dataclass
@@ -266,9 +272,7 @@ class ToricMembership:
         return self.is_member
 
 
-def check_toric_membership(
-    probs, imat_or_kernel, rtol: float = 1e-9
-) -> ToricMembership:
+def check_toric_membership(probs, imat_or_kernel) -> ToricMembership:
     """Check the binomial relations of the kernel basis on a nonnegative vector.
 
     For each kernel vector split into positive part u and negative part v the
@@ -305,6 +309,8 @@ def check_toric_membership(
         lv = float(np.sum(v * np.log(s, where=v > 0, out=np.zeros_like(s))))
         res = abs(np.expm1(lu - lv))
         residuals.append(res)
-        if res > rtol:
+        if res > TORIC_RTOL:
             ok = False
-    return ToricMembership(is_member=ok, residuals=residuals, zero_support_flags=flags, tol=rtol)
+    return ToricMembership(
+        is_member=ok, residuals=residuals, zero_support_flags=flags, tol=TORIC_RTOL
+    )

@@ -204,14 +204,23 @@ class HierarchicalModel:
     def basis_matrices(self) -> np.ndarray:
         """Dense stack (m, d, d) of the basis, cached after first call."""
         if self._stack is None:
-            d = self.shape.dim
-            m = self.n_elements
-            if m * d * d > STACK_GUARD:
-                raise MemoryError(
-                    f"dense basis of {m} x {d} x {d} exceeds the materialization guard"
-                )
-            self._stack = np.stack([self.element_matrix(j) for j in range(m)])
+            self._stack = self._dense_stack()
         return self._stack
+
+    def _dense_stack(self) -> np.ndarray:
+        # the Kronecker products of all elements at once, one unit at a time:
+        # entry for entry the same products as element_matrix
+        d = self.shape.dim
+        m = self.n_elements
+        if m * d * d > STACK_GUARD:
+            raise MemoryError(f"dense basis of {m} x {d} x {d} exceeds the materialization guard")
+        pats = np.array(self.patterns)
+        out = np.stack(self.unit_bases[0])[pats[:, 0]]
+        for i in range(1, self.shape.N):
+            u = np.stack(self.unit_bases[i])[pats[:, i]]
+            r, n = out.shape[1], u.shape[1]
+            out = (out[:, :, None, :, None] * u[:, None, :, None, :]).reshape(m, r * n, r * n)
+        return out
 
 
 def _patterns_for(shape: SystemShape, hg: Hypergraph) -> list[tuple[int, ...]]:
@@ -254,25 +263,28 @@ def full_model(shape: SystemShape) -> HierarchicalModel:
 def numerical_basis_rank(model: HierarchicalModel) -> int:
     """Numerical rank of the constructed basis.
 
-    Small models get a dense SVD over the flattened matrices.  Large models
-    use the tensor structure: the Gram matrix factors through the per-unit
-    Grams, so after certifying those to near machine precision the full Gram
-    is diagonally dominant and therefore non-singular.
+    Small models get a dense SVD over the flattened matrices, built for the
+    check and dropped after it unless the model already caches them.  Large
+    models use the tensor structure: the Gram matrix of the distinct patterns
+    factors through the per-unit Grams, so after certifying those to near
+    machine precision it is diagonally dominant and therefore non-singular.
     """
     d = model.shape.dim
     m = model.n_elements
     if m * d * d <= 2**20:
-        flat = model.basis_matrices().reshape(m, d * d)
-        return int(np.linalg.matrix_rank(flat, tol=1e-8))
+        stack = model._stack if model._stack is not None else model._dense_stack()
+        return int(np.linalg.matrix_rank(stack.reshape(m, d * d), tol=1e-8))
+    distinct = len(set(model.patterns))
     dev = 0.0
     for basis in model.unit_bases:
         stack = np.stack(basis)
         g = np.einsum("aij,bij->ab", stack, stack.conj()).real
         dev += float(np.max(np.abs(g - np.eye(len(basis)))))
     # Gershgorin: off-diagonal Gram entries are bounded by the summed per-unit
-    # deviations, so the Gram cannot be singular while m * dev stays below 1/2
-    if m * max(dev, 1e-300) < 0.5:
-        return m
+    # deviations, so the Gram of the distinct patterns cannot be singular while
+    # their number times dev stays below 1/2; a repeated pattern adds no rank
+    if distinct * max(dev, 1e-300) < 0.5:
+        return distinct
     raise RuntimeError(
-        f"cannot certify rank: per-unit Gram deviation {dev:.2e} too large for m={m}"
+        f"cannot certify rank: per-unit Gram deviation {dev:.2e} too large for m={distinct}"
     )

@@ -106,10 +106,10 @@ def load_hypergraph(path: str) -> Hypergraph:
     return hypergraph_from_dict(_load_json(path, "hypergraph"))
 
 
-def write_csv(path: str, rows: list, fieldnames: list | None = None) -> None:
-    """Write dict rows to CSV.  None and NaN become empty cells."""
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else []
+def write_csv(path: str, rows: list) -> None:
+    """Write dict rows to CSV, columns from the first row.  None and NaN
+    become empty cells."""
+    fieldnames = list(rows[0].keys()) if rows else []
 
     def cell(v):
         if v is None:
@@ -141,8 +141,5 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def dump_report(report: dict, fh=None) -> str:
-    text = json.dumps(report, indent=2, default=_json_default)
-    if fh is not None:
-        fh.write(text + "\n")
-    return text
+def dump_report(report: dict) -> str:
+    return json.dumps(report, indent=2, default=_json_default)

@@ -98,15 +98,16 @@ class ProjectionResult:
 def _clean(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
     # conditional expectation onto the algebra, then eigenvalue clip;
     # both can only move the matrix toward the feasible cone
+    mask = algebra_mask(shape)
     mat = 0.5 * (mat + mat.conj().T)
-    mat = np.where(algebra_mask(shape), mat, 0.0)
+    mat = np.where(mask, mat, 0.0)
     w, u = np.linalg.eigh(mat)
     w = np.clip(w, 0.0, None)
     s = w.sum()
     if s <= 0.0:
         raise ConvergenceError("projection collapsed to the zero matrix")
     out = (u * (w / s)) @ u.conj().T
-    out = np.where(algebra_mask(shape), out, 0.0)
+    out = np.where(mask, out, 0.0)
     return 0.5 * (out + out.conj().T)
 
 
@@ -130,17 +131,10 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
     vecs = hermitian_realvec(dirs)
     uu, ss, vt = np.linalg.svd(vecs, full_matrices=True)
     rank = int(np.sum(ss > max(ss[0], 1e-300) * 1e-12))
-    red = np.stack([realvec_hermitian(vt[i], r) for i in range(rank)])
     c = (uu.T @ targets)[:rank] / ss[:rank]
     x_ls = vt[:rank].T @ c
     defect = float(np.max(np.abs(vecs @ x_ls - targets)))
-    free = vt[rank:]
-    free_mats = (
-        np.stack([realvec_hermitian(f, r) for f in free])
-        if free.shape[0]
-        else np.zeros((0, r, r), dtype=complex)
-    )
-    return red, c, free_mats, defect
+    return realvec_hermitian(vt[:rank], r), c, realvec_hermitian(vt[rank:], r), defect
 
 
 # ---------------------------------------------------------------- face loop
@@ -437,7 +431,6 @@ def maxent_project(
     model: HierarchicalModel,
     method: str = "auto",
     tol: float = INTERIOR_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
     max_iter: int | None = None,
 ) -> ProjectionResult:
     """Project a state onto a hierarchical family by entropy maximization.
@@ -445,7 +438,9 @@ def maxent_project(
     method "auto" picks a closed form when one exists (full family, or the
     independence family), iterative proportional fitting for classical
     shapes, and otherwise the dual solver with a primal fallback.  Explicit
-    methods are honored strictly and raise when they do not apply.
+    methods are honored strictly and raise when they do not apply.  The
+    result is converged when the moment residual is at most tol, or at most
+    max(tol, BOUNDARY_TOL) when the projection is rank-deficient.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -463,25 +458,31 @@ def maxent_project(
             method = "ipf"
         else:
             method = "dual"
-            result = _run(rho, model, "dual", tol, boundary_tol, max_iter)
+            result = _run(rho, model, "dual", tol, max_iter)
             if result.converged:
                 return result
-            fallback = _run(rho, model, "primal", tol, boundary_tol, max_iter)
+            fallback = _run(rho, model, "primal", tol, max_iter)
             return fallback if fallback.residual < result.residual else result
     if method == "exact" and not full:
         raise ValueError("method 'exact' needs the full interaction set in the family")
     if method == "product" and not is_independence(hg):
         raise ValueError("method 'product' only applies to the independence family")
-    return _run(rho, model, method, tol, boundary_tol, max_iter)
+    return _run(rho, model, method, tol, max_iter)
 
 
-def _run(rho, model, method, tol, boundary_tol, max_iter) -> ProjectionResult:
+def _run(rho, model, method, tol, max_iter) -> ProjectionResult:
+    if method == "exact":
+        # the family holds every moment of rho, so rho is its own projection
+        # and the dense basis stack is never needed
+        return ProjectionResult(
+            state=rho, divergence=0.0, method=method, converged=True, residual=0.0,
+            iterations=0,
+            diagnostics={"support_dim": _support_dim(rho.matrix), "relative_entropy_direct": 0.0},
+        )
     stack = model.basis_matrices()
     b = expectation_values(rho.matrix, stack)
     theta = None
-    if method == "exact":
-        pi_mat, iters, info = rho.matrix.copy(), 0, {}
-    elif method == "product":
+    if method == "product":
         pi_mat = tensor(*[marginal(rho, (i,)).matrix for i in range(1, rho.shape.N + 1)])
         iters, info = 0, {}
     elif method == "ipf":
@@ -494,10 +495,8 @@ def _run(rho, model, method, tol, boundary_tol, max_iter) -> ProjectionResult:
     pi = State(rho.shape, _clean(pi_mat, rho.shape))
     resid = _residual(pi.matrix, stack, b)
     support = _support_dim(pi.matrix)
-    effective = tol if support == rho.shape.dim else max(tol, boundary_tol)
+    effective = tol if support == rho.shape.dim else max(tol, BOUNDARY_TOL)
     gap = von_neumann_entropy(pi) - von_neumann_entropy(rho)
-    if method == "exact":
-        gap = 0.0
     diagnostics = dict(info)
     diagnostics["support_dim"] = support
     diagnostics["relative_entropy_direct"] = relative_entropy(rho.matrix, pi.matrix)

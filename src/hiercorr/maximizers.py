@@ -20,7 +20,7 @@ from .algebra import (
     hermitian_realvec,
 )
 from .hierarchy import HierarchicalModel, Hypergraph, build_model, model_dim
-from .maxent import maxent_project
+from .maxent import _support_dim, maxent_project
 
 SNAP_EPS = 1e-12
 RANK_RTOL = 1e-9
@@ -46,15 +46,14 @@ def support_bound(shape: SystemShape, hg: Hypergraph) -> SupportBound:
     return SupportBound(total, "conservative", False)
 
 
-def check_exponential_form(rho: State, model: HierarchicalModel,
-                           support_rtol: float = RANK_RTOL) -> float:
+def check_exponential_form(rho: State, model: HierarchicalModel) -> float:
     """Distance of log rho (on its support) from the compressed model span.
 
     Local maximizers are exponential on their support, so this residual is
     a certificate: it vanishes exactly on such states.
     """
     w, u = np.linalg.eigh(rho.matrix)
-    keep = w > support_rtol * max(float(w[-1]), 1e-300)
+    keep = w > RANK_RTOL * max(float(w[-1]), 1e-300)
     q = u[:, keep]
     log_restricted = np.diag(np.log(w[keep]))
     stack = model.basis_matrices()
@@ -94,14 +93,13 @@ class SearchReport:
 class _Objective:
     """Divergence from the family, with bookkeeping for failures."""
 
-    def __init__(self, model: HierarchicalModel, project_kw: dict):
+    def __init__(self, model: HierarchicalModel):
         self.model = model
-        self.kw = project_kw
         self.failures = 0
         self.evaluations = 0
 
     def __call__(self, rho: State):
-        res = maxent_project(rho, self.model, **self.kw)
+        res = maxent_project(rho, self.model)
         self.evaluations += 1
         if not res.converged:
             self.failures += 1
@@ -206,8 +204,7 @@ def _ascend_quantum(m0: np.ndarray, shape: SystemShape, fun: _Objective,
 def _support_size(state: State) -> int:
     if state.shape.all_classical:
         return int(np.sum(state.probabilities() > 1e-10))
-    w = np.linalg.eigvalsh(state.matrix)
-    return int(np.sum(w > RANK_RTOL * max(float(w[-1]), 1e-300)))
+    return _support_dim(state.matrix, RANK_RTOL)
 
 
 def search_local_maximizers(
@@ -216,7 +213,6 @@ def search_local_maximizers(
     n_restarts: int = 32,
     seed: int = 0,
     max_steps: int = 200,
-    project_kw: dict | None = None,
 ) -> SearchReport:
     """Multistart local search for divergence maximizers.
 
@@ -227,7 +223,7 @@ def search_local_maximizers(
     model = family if isinstance(family, HierarchicalModel) else build_model(shape, family)
     if model.shape != shape:
         raise ValueError("family is built on a different shape")
-    fun = _Objective(model, dict(project_kw or {}))
+    fun = _Objective(model)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d = shape.dim
 

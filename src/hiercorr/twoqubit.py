@@ -38,6 +38,12 @@ SIGN_PATTERNS = np.array(
 
 TWO_QUBITS = SystemShape.qubits(2)
 LOG2 = math.log(2.0)
+# a correlation vector is physical when every Bell-line weight
+# (1 + signs . t) / 4 is at least -PHYSICAL_ATOL
+PHYSICAL_ATOL = 1e-12
+# tolerance of the separability band, of a live correlation axis, and of the
+# log 2 bound on the separable set
+BD_TOL = 1e-9
 
 _EIG_X = {1: np.array([1, 1], dtype=complex) / np.sqrt(2),
           -1: np.array([1, -1], dtype=complex) / np.sqrt(2)}
@@ -64,9 +70,9 @@ def _assemble(t: np.ndarray) -> np.ndarray:
     return rho / 4.0
 
 
-def is_physical_t(t, atol: float = 1e-12) -> bool:
+def is_physical_t(t) -> bool:
     t = np.asarray(t, dtype=float)
-    return bool(np.min(1.0 + SIGN_PATTERNS @ t) >= -4.0 * atol)
+    return bool(np.min(1.0 + SIGN_PATTERNS @ t) >= -4.0 * PHYSICAL_ATOL)
 
 
 def bell_from_t(t) -> BellDiagonal:
@@ -100,18 +106,18 @@ def bell_from_lambda(lam) -> BellDiagonal:
     return bd
 
 
-def is_separable(bd: BellDiagonal, tol: float = 1e-9) -> bool:
+def is_separable(bd: BellDiagonal) -> bool:
     """Separability of a Bell-diagonal state.
 
     Two equivalent characterizations are evaluated: largest eigenvalue at
     most one half, and the correlation vector inside the unit cross
     polytope.  Disagreement outside the tolerance band is a hard error.
     """
-    by_lam = float(bd.lam.max()) <= 0.5 + tol
-    by_t = float(np.abs(bd.t).sum()) <= 1.0 + tol
+    by_lam = float(bd.lam.max()) <= 0.5 + BD_TOL
+    by_t = float(np.abs(bd.t).sum()) <= 1.0 + BD_TOL
     if by_lam != by_t:
-        near_lam = abs(bd.lam.max() - 0.5) <= 10 * tol
-        near_t = abs(np.abs(bd.t).sum() - 1.0) <= 10 * tol
+        near_lam = abs(bd.lam.max() - 0.5) <= 10 * BD_TOL
+        near_t = abs(np.abs(bd.t).sum() - 1.0) <= 10 * BD_TOL
         if not (near_lam or near_t):
             raise RuntimeError(
                 f"separability criteria disagree off the boundary: "
@@ -157,10 +163,10 @@ def extreme_point_product_form(pair: tuple[int, int]) -> tuple[np.ndarray, np.nd
     return v1, v2
 
 
-def classical_witness(bd: BellDiagonal, tol: float = 1e-9):
+def classical_witness(bd: BellDiagonal):
     """Local bases diagonalizing the state, when at most one axis carries
     correlation; None otherwise."""
-    live = np.abs(bd.t) > tol
+    live = np.abs(bd.t) > BD_TOL
     if live.sum() > 1:
         return None
     axis = int(np.argmax(np.abs(bd.t))) if live.any() else 2
@@ -169,8 +175,8 @@ def classical_witness(bd: BellDiagonal, tol: float = 1e-9):
     return u, u.copy()
 
 
-def is_classically_correlated_bd(bd: BellDiagonal, tol: float = 1e-9) -> bool:
-    return classical_witness(bd, tol) is not None
+def is_classically_correlated_bd(bd: BellDiagonal) -> bool:
+    return classical_witness(bd) is not None
 
 
 def sample_octahedron(rng: np.random.Generator) -> np.ndarray:
@@ -179,9 +185,7 @@ def sample_octahedron(rng: np.random.Generator) -> np.ndarray:
     return x * rng.choice([-1.0, 1.0], size=3)
 
 
-def verify_mutual_information_bound(
-    n_samples: int = 10_000, seed: int = 0, tol: float = 1e-9
-) -> dict:
+def verify_mutual_information_bound(n_samples: int = 10_000, seed: int = 0) -> dict:
     """Check that on the separable Bell-diagonal set the mutual information
     never exceeds log 2, and that the six extreme points attain it."""
     rng = np.random.default_rng(seed)
@@ -190,11 +194,11 @@ def verify_mutual_information_bound(
     violations = 0
     for _ in range(n_samples):
         bd = bell_from_t(sample_octahedron(rng))
-        assert is_separable(bd, tol)
+        assert is_separable(bd)
         info = mutual_information_bd(bd)
         if info > worst:
             worst, worst_t = info, bd.t
-        if info > LOG2 + tol:
+        if info > LOG2 + BD_TOL:
             violations += 1
     extremes = [mutual_information_bd(bd) for _, bd in separable_extreme_points()]
     extreme_gap = max(abs(v - LOG2) for v in extremes)

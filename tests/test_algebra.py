@@ -60,8 +60,9 @@ class TestShapes:
 class TestStateValidation:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ShapeError):
-            State(SystemShape.qubits(1), m)
+        for cls in (State, HermitianObservable):
+            with pytest.raises(ShapeError, match="not hermitian"):
+                cls(SystemShape.qubits(1), m)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ShapeError):
@@ -74,10 +75,16 @@ class TestStateValidation:
 
     def test_rejects_off_block_classical(self):
         m = np.full((2, 2), 0.5, dtype=complex)
-        with pytest.raises(ShapeError):
-            State(SystemShape.bits(1), m)
-        # the same matrix is a fine qubit state
-        State(SystemShape.qubits(1), m)
+        for cls in (State, HermitianObservable):
+            with pytest.raises(ShapeError, match="outside the classical block"):
+                cls(SystemShape.bits(1), m)
+            # the same matrix is a fine qubit state and observable
+            cls(SystemShape.qubits(1), m)
+
+    def test_rejects_wrong_size(self):
+        for cls in (State, HermitianObservable):
+            with pytest.raises(ShapeError, match="shape demands"):
+                cls(SystemShape.qubits(2), np.eye(2, dtype=complex) / 2)
 
     def test_probabilities_roundtrip(self):
         sh = SystemShape.bits(2)
@@ -355,6 +362,10 @@ class TestHelpers:
         assert mask.shape == (4, 4)
         # classical unit blocks: row/col agree on the first index
         assert mask[0, 1] and not mask[0, 2] and not mask[1, 3] and mask[2, 3]
+        # built once per shape and shared read-only
+        assert algebra_mask(SystemShape((2, 2), ("c", "q"))) is mask
+        with pytest.raises(ValueError):
+            mask[0, 2] = True
 
     def test_realvec_isometry(self):
         from hiercorr.algebra import hermitian_realvec, realvec_hermitian
@@ -369,7 +380,7 @@ class TestHelpers:
             assert np.allclose(realvec_hermitian(va, n), a, atol=1e-12)
 
     def test_realvec_stacked(self):
-        from hiercorr.algebra import hermitian_realvec
+        from hiercorr.algebra import hermitian_realvec, realvec_hermitian
 
         rng = np.random.default_rng(33)
         g = rng.normal(size=(4, 3, 3))
@@ -377,3 +388,7 @@ class TestHelpers:
         vecs = hermitian_realvec(stack)
         assert vecs.shape == (4, 9)
         assert np.allclose(vecs[1], hermitian_realvec(stack[1]))
+        back = realvec_hermitian(vecs, 3)
+        assert np.array_equal(back, np.stack([realvec_hermitian(v, 3) for v in vecs]))
+        assert np.allclose(back, stack, atol=1e-12)
+        assert realvec_hermitian(vecs[:0], 3).shape == (0, 3, 3)

@@ -8,6 +8,7 @@ from hiercorr.factorization import (
     GuardExceeded,
     build_interaction_matrix,
     check_toric_membership,
+    cylinder_closure,
     enumerate_feasibility,
     integer_kernel,
     is_k_feasible,
@@ -106,6 +107,19 @@ class TestFeasibility:
     def test_named_nonfeasible_triple(self):
         imat = build_interaction_matrix(BITS3, 2)
         assert not is_k_feasible(imat, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    def test_cylinder_closure(self):
+        imat = build_interaction_matrix(BITS3, 2)
+        parity = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert cylinder_closure(imat, parity) == {(0, 0, 0), *parity}
+        feasible = [(0, 0, 0), (1, 1, 0)]
+        assert is_k_feasible(imat, feasible)
+        assert cylinder_closure(imat, feasible) == frozenset(feasible)
+        with pytest.raises(ValueError):
+            cylinder_closure(imat, [])
+        for bad in [(2, 0, 0)], [(0, 0)]:
+            with pytest.raises(ShapeError):
+                is_k_feasible(imat, bad)
 
     def test_full_support_feasible(self):
         imat = build_interaction_matrix(BITS3, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -151,6 +152,17 @@ class TestModelBasis:
             model = build_model(shape, hg)
             assert numerical_basis_rank(model) == model.dim_total
 
+    def test_dense_rank_leaves_no_stack_behind(self):
+        model = build_model(SystemShape.quantum((2, 2, 2, 3)), hypergraph_k(4, 2))
+        assert numerical_basis_rank(model) == model.dim_total
+        assert model._stack is None
+
+    def test_stack_matches_element_matrices(self):
+        model = build_model(SystemShape((2, 3, 2), ("c", "q", "c")), hypergraph_k(3, 2))
+        stack = model.basis_matrices()
+        for j in range(model.n_elements):
+            assert np.array_equal(stack[j], model.element_matrix(j))
+
     def test_rank_certification_large(self):
         # too big to materialize densely: certified through the per-unit Grams
         model = build_model(SystemShape.quantum((3, 3, 3, 3)), hypergraph_k(4, 4))
@@ -158,6 +170,12 @@ class TestModelBasis:
         with pytest.raises(MemoryError):
             model.basis_matrices()
         assert numerical_basis_rank(model) == 6561
+        # a repeated element adds no rank, on either branch
+        dup = dataclasses.replace(model, patterns=model.patterns + (model.patterns[1],))
+        assert numerical_basis_rank(dup) == 6561
+        small = build_model(SystemShape.qubits(2), hypergraph_k(2, 1))
+        dup = dataclasses.replace(small, patterns=small.patterns + (small.patterns[1],))
+        assert numerical_basis_rank(dup) == 7
 
     def test_nested_models_share_elements(self):
         shape = SystemShape.qubits(3)

@@ -20,7 +20,7 @@ from hiercorr.io import (
     state_to_dict,
     write_csv,
 )
-from hiercorr.states import ghz_state
+from hiercorr.states import ghz_state, random_density
 
 LOG2 = math.log(2.0)
 
@@ -149,6 +149,15 @@ class TestCLI:
         pi = state_from_dict(rep["results"]["projection"])
         assert np.max(np.abs(pi.matrix - np.eye(8) / 8.0)) < 1e-9
         assert rep["diagnostics"]["residual"] <= 1e-8
+
+    def test_project_full_family_on_six_qubits(self, tmp_path, capsys):
+        p = tmp_path / "q6.json"
+        rho = random_density(SystemShape.qubits(6), np.random.default_rng(54))
+        p.write_text(json.dumps(state_to_dict(rho)))
+        code = main(["project", "--state", str(p), "--k", "6"])
+        rep = _report(capsys)
+        assert code == 0
+        assert rep["results"]["method"] == "exact" and rep["results"]["divergence"] == 0.0
 
     def test_bits_flag_scales(self, ghz_file, capsys):
         code = main(["multiinfo", "--state", ghz_file, "--bits"])

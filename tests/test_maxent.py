@@ -38,6 +38,17 @@ class TestClosedFormRoutes:
         assert res.divergence == 0.0
         assert np.allclose(res.state.matrix, rho.matrix, atol=1e-12)
 
+    def test_exact_route_skips_the_basis_stack(self):
+        # the full 6-qubit stack (4096 x 64 x 64) is above the materialization guard
+        rho = random_density(SystemShape.qubits(6), np.random.default_rng(53))
+        model = full_model(rho.shape)
+        res = maxent_project(rho, model)
+        assert res.method == "exact" and res.converged
+        assert res.state is rho
+        assert res.divergence == res.residual == 0.0
+        assert res.diagnostics == {"support_dim": 64, "relative_entropy_direct": 0.0}
+        assert model._stack is None
+
     def test_product_route_is_exact(self):
         rng = np.random.default_rng(51)
         for sh in (SystemShape.bits(3), SystemShape.qubits(2),

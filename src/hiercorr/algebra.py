@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import logsumexp
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -317,11 +316,13 @@ def relative_entropy(rho, sigma) -> float:
 def gibbs_with_log_partition(a: np.ndarray) -> tuple[np.ndarray, float]:
     """exp(a) / tr exp(a) of a hermitian matrix, and log tr exp(a).
 
-    The spectrum is normalized through log-sum-exp, so no eigenvalue
-    overflows; the matrix is rebuilt in one pass over the eigenvectors.
+    The spectrum is normalized through log-sum-exp shifted by the largest
+    eigenvalue, so no eigenvalue overflows; the matrix is rebuilt in one pass
+    over the eigenvectors.
     """
     w, u = np.linalg.eigh(a)
-    lz = float(logsumexp(w))
+    # eigh sorts ascending: w[-1] is the shift, and its own term is the 1
+    lz = float(w[-1] + np.log1p(np.exp(w[:-1] - w[-1]).sum()))
     return (u * np.exp(w - lz)) @ u.conj().T, lz
 
 

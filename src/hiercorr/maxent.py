@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .algebra import (
     ShapeError,
@@ -52,6 +51,12 @@ BOUNDARY_TOL = 1e-5
 THETA_BLOWUP = 1e3
 PEEL_SCHEDULE = (1e-4, 1e-6, 1e-8, 1e-10)
 SNAP_SCHEDULE = (1e-9, 1e-6, 1e-12, None)
+# L-BFGS: correction pairs kept, relative decrease that ends the descent,
+# sufficient-decrease constant and trial steps of the backtracking search
+LBFGS_MEMORY = 10
+LBFGS_FTOL = 1e-18
+ARMIJO_C1 = 1e-4
+BACKTRACK_STEPS = 20
 
 METHODS = ("auto", "exact", "product", "ipf", "dual", "primal")
 
@@ -187,20 +192,66 @@ def _face_loop(start, cuts, relative, defect_rtol, solve_face, stack, b, tol, be
 # ---------------------------------------------------------------- dual route
 
 
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """Two-loop recursion: minus the inverse-Hessian estimate applied to g."""
+    q = -g
+    alphas = []
+    for s, y, inv_sy in reversed(pairs):
+        a = inv_sy * (s @ q)
+        q = q - a * y
+        alphas.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q = q * ((s @ y) / (y @ y))
+    else:
+        q = q / max(float(np.linalg.norm(g)), 1e-300)  # first step of length 1
+    for (s, y, inv_sy), a in zip(pairs, reversed(alphas)):
+        q = q + (a - inv_sy * (y @ q)) * s
+    return q
+
+
 def _dual_minimize(dirs: np.ndarray, targets: np.ndarray, gtol: float, maxiter: int):
+    """Minimize log Z(theta) - theta . targets by L-BFGS with backtracking.
+
+    Stops when the largest gradient entry is at most gtol, when an accepted
+    step lowers the objective by at most LBFGS_FTOL relative to its size, when
+    no step along steepest descent decreases it, or after maxiter steps.
+    Returns theta, log Z, the Gibbs state at theta and the steps taken.
+    """
+
     def fg(theta):
         pi, lz = gibbs_with_log_partition(np.tensordot(theta, dirs, axes=(0, 0)))
-        return lz - theta @ targets, expectation_values(pi, dirs) - targets
+        return lz - theta @ targets, expectation_values(pi, dirs) - targets, pi, lz
 
-    res = minimize(
-        fg,
-        np.zeros(dirs.shape[0]),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter, "maxfun": 4 * maxiter, "ftol": 1e-18, "gtol": gtol},
-    )
-    pi, lz = gibbs_with_log_partition(np.tensordot(res.x, dirs, axes=(0, 0)))
-    return res.x, lz, pi, int(res.nit)
+    theta = np.zeros(dirs.shape[0])
+    f, g, pi, lz = fg(theta)
+    pairs = []
+    nit = 0
+    while nit < maxiter and float(np.max(np.abs(g), initial=0.0)) > gtol:
+        p = _lbfgs_direction(g, pairs)
+        slope = float(g @ p)
+        t = 1.0
+        for _ in range(BACKTRACK_STEPS):
+            trial = fg(theta + t * p)
+            if trial[0] <= f + ARMIJO_C1 * t * slope:
+                break
+            t *= 0.5
+        else:
+            if not pairs:
+                break  # not even steepest descent decreases f: rounding floor
+            pairs = []  # forget the curvature estimate and retry
+            continue
+        nit += 1
+        f_new, g_new, pi, lz = trial
+        s, y = t * p, g_new - g
+        sy = float(s @ y)
+        if sy > np.finfo(float).eps * float(y @ y):
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-LBFGS_MEMORY:]
+        theta = theta + s
+        f_old, f, g = f, f_new, g_new
+        if f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
+            break
+    return theta, lz, pi, nit
 
 
 def _dual_solve(stack: np.ndarray, b: np.ndarray, tol: float, maxiter: int):
@@ -208,13 +259,20 @@ def _dual_solve(stack: np.ndarray, b: np.ndarray, tol: float, maxiter: int):
     theta, lz, pi, nit = _dual_minimize(stack[1:], b[1:], 0.1 * tol, maxiter)
     resid = _residual(pi, stack, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
-    if resid <= tol and info["theta_max"] <= THETA_BLOWUP:
+    # an iterate with eigenvalues at kernel level is a boundary answer, however
+    # small its residual: only full support ends here with parameters
+    if resid <= tol and info["theta_max"] <= THETA_BLOWUP and _support_dim(pi) == d:
         return pi, nit, info, GibbsParameters(theta.copy(), lz)
 
     # boundary regime: the optimum has a kernel and the parameters diverge.
     # Peel off the eigenspace the iterate is abandoning and re-solve on the
     # remaining support.
     def solve_face(q, red, c, free):
+        # the face's constraints span its identity, along which log Z - tau.c
+        # is linear with slope 1 - tr(x_ls), a defect the descent would chase
+        # forever; move c onto trace one so that direction is flat
+        v = np.real(np.trace(red, axis1=1, axis2=2))
+        c = c + v * (1.0 - v @ c) / (v @ v)
         _, _, tau, face_it = _dual_minimize(red, c, 0.1 * tol, maxiter)
         return tau, face_it
 

@@ -15,7 +15,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from .algebra import State, SystemShape
 from .states import bell_vector
@@ -128,7 +127,8 @@ def is_separable(bd: BellDiagonal) -> bool:
 
 def mutual_information_bd(bd: BellDiagonal) -> float:
     """I(rho) = 2 log 2 - H(lams); both marginals are maximally mixed."""
-    return float(2.0 * LOG2 + xlogy(bd.lam, bd.lam).sum())
+    # 0 log 0 = 0; four terms are summed faster in Python than by numpy
+    return 2.0 * LOG2 + sum(x * math.log(x) for x in bd.lam.tolist() if x > 0.0)
 
 
 _EXTREME_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))

@@ -10,6 +10,7 @@ from hiercorr.algebra import (
     classical_unit_basis,
     expectation_values,
     gibbs_map,
+    gibbs_with_log_partition,
     hermitize_basis,
     marginal,
     matrix_fourier_basis,
@@ -249,6 +250,24 @@ class TestGibbsMap:
         log_rho = (v * np.log(w)) @ v.conj().T
         diff = log_rho - a
         assert np.allclose(diff, np.trace(diff) / 3 * np.eye(3), atol=1e-10)
+
+    def test_log_partition_over_wide_spectra(self):
+        # independent oracle for the numpy log-sum-exp: scipy's
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(31)
+        for scale in (1e-4, 1.0, 1e2, 1e4):
+            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            a = scale * (a + a.conj().T)
+            pi, lz = gibbs_with_log_partition(a)
+            w = np.linalg.eigh(a)[0]
+            assert abs(lz - logsumexp(w)) <= 1e-14 * max(1.0, abs(lz)), scale
+            assert np.all(np.isfinite(pi)), scale
+            assert abs(np.trace(pi) - 1.0) < 1e-12, scale
+        # a spectrum spanning -1e4..1e4 on its diagonal: all mass on the top
+        pi, lz = gibbs_with_log_partition(np.diag([-1e4, 0.0, 1e4]))
+        assert lz == logsumexp([-1e4, 0.0, 1e4]) == 1e4
+        assert np.allclose(pi, np.diag([0.0, 0.0, 1.0]), atol=0.0)
 
     def test_observable_returns_state(self):
         sh = SystemShape.qubits(1)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hiercorr
 from hiercorr.algebra import ShapeError, State, SystemShape
 from hiercorr.cli import main
 from hiercorr.hierarchy import hypergraph_k
@@ -132,6 +136,17 @@ def ghz_file(tmp_path):
 
 def _report(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("module", ["hiercorr", "hiercorr.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy is for the demo's oracle and the tests; the library runs on numpy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hiercorr.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCLI:

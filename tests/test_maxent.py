@@ -112,6 +112,29 @@ class TestSolverAgreement:
         assert np.max(np.abs(rebuilt.matrix - res.state.matrix)) < 1e-7
 
 
+class TestDualSolver:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            SystemShape.qubits(4),
+            SystemShape.quantum((3, 3, 3)),
+            SystemShape((2, 2, 2, 2), ("classical", "quantum", "classical", "quantum")),
+        ],
+        ids=["q4", "t3", "cqcq-2222"],
+    )
+    def test_full_rank_states_take_the_interior_exit(self, shape):
+        rng = np.random.default_rng(41)
+        model = build_model(shape, hypergraph_k(shape.N, 2))
+        rho = random_density(shape, rng)
+        res = maxent_project(rho, model, method="dual")
+        assert res.converged, res.residual
+        assert res.diagnostics["rounds"] == 0
+        assert res.diagnostics["support_dim"] == shape.dim
+        assert isinstance(res.theta, GibbsParameters)
+        assert np.max(np.abs(res.theta.state(model).matrix - res.state.matrix)) <= 1e-10
+        assert res.iterations <= 50
+
+
 class TestBoundaryCases:
     def test_ghz_pairwise_projection(self):
         ghz = ghz_state(3)
@@ -171,6 +194,18 @@ class TestBoundaryCases:
             assert res.divergence <= 1e-9, method
             assert res.state.matrix[0, 0].real <= 1e-9, method
             assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-7, method
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_dual_ghz_settles_on_two_point_support(self, n):
+        # the pairwise projection of GHZ_n is the even mixture of |0..0> and
+        # |1..1>: support 2 and divergence log 2
+        ghz = ghz_state(n)
+        res = maxent_project(ghz, build_model(ghz.shape, hypergraph_k(n, 2)), method="dual")
+        assert res.converged, res.residual
+        assert res.diagnostics["support_dim"] == 2
+        assert res.theta is None
+        assert abs(res.divergence - LOG2) <= 1e-9
+        assert abs(res.divergence - res.diagnostics["relative_entropy_direct"]) <= 1e-9
 
     def test_ghz_correlation_ladder(self):
         ghz = ghz_state(3)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.special import xlogy
 
 from hiercorr.algebra import marginal, relative_entropy
 from hiercorr.maxent import multi_information
@@ -95,6 +97,14 @@ class TestMutualInformation:
     def test_bell_vertex_value(self):
         bd = bell_from_lambda([1.0, 0.0, 0.0, 0.0])
         assert abs(mutual_information_bd(bd) - 2 * LOG2) < 1e-12
+
+    def test_zero_eigenvalues_match_xlogy_form(self):
+        for lam in ([1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]):
+            bd = bell_from_lambda(lam)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = mutual_information_bd(bd)
+            assert got == 2 * LOG2 + xlogy(bd.lam, bd.lam).sum(), lam
 
 
 class TestSeparability:

@@ -271,13 +271,18 @@ def _clipped_eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def von_neumann_entropy(state) -> float:
-    """Entropy -tr(rho log rho) in nats, eigenvalues clipped to [0, 1]."""
-    w = _clipped_eigvalsh(_as_matrix(state))
+def spectrum_entropy(w: np.ndarray) -> float:
+    """Entropy -sum w log w in nats of a spectrum, eigenvalues clipped to [0, 1]."""
+    w = np.clip(w, 0.0, 1.0)
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
     return float(-np.sum(w * np.log(w)))
+
+
+def von_neumann_entropy(state) -> float:
+    """Entropy -tr(rho log rho) in nats, eigenvalues clipped to [0, 1]."""
+    return spectrum_entropy(np.linalg.eigvalsh(_as_matrix(state)))
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -8,14 +8,17 @@ subspace whose Gibbs states form the hierarchical model.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ShapeError, SystemShape, tensor, unit_hermitian_basis
+from .algebra import ShapeError, SystemShape, expectation_values, tensor, unit_hermitian_basis
 
 # materialization guard: refuse to build dense stacks above this entry count
 STACK_GUARD = 2**23
+# the moment map contracts a dense stack of at most this many entries directly
+FLAT_ENTRIES = 2**13
 
 
 class HypergraphError(ValueError):
@@ -188,6 +191,7 @@ class HierarchicalModel:
     dim_total: int
     dim_model: int
     _stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _plan: "_MomentPlan | None" = field(default=None, init=False, repr=False, compare=False)
 
     def element_matrix(self, j: int) -> np.ndarray:
         pat = self.patterns[j]
@@ -208,19 +212,156 @@ class HierarchicalModel:
         return self._stack
 
     def _dense_stack(self) -> np.ndarray:
-        # the Kronecker products of all elements at once, one unit at a time:
-        # entry for entry the same products as element_matrix
-        d = self.shape.dim
-        m = self.n_elements
-        if m * d * d > STACK_GUARD:
-            raise MemoryError(f"dense basis of {m} x {d} x {d} exceeds the materialization guard")
-        pats = np.array(self.patterns)
-        out = np.stack(self.unit_bases[0])[pats[:, 0]]
-        for i in range(1, self.shape.N):
-            u = np.stack(self.unit_bases[i])[pats[:, i]]
-            r, n = out.shape[1], u.shape[1]
-            out = (out[:, :, None, :, None] * u[:, None, :, None, :]).reshape(m, r * n, r * n)
-        return out
+        return _kron_stack(self.unit_bases, self.patterns)
+
+    def moments(self, x: np.ndarray) -> np.ndarray:
+        """Real vector of tr(B_k x), in element order, from the marginals of x
+        on the maximal sets (see _MomentPlan); basis_matrices() is not used."""
+        return self._moment_plan().moments(x)
+
+    def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
+        """sum_k theta_k B_k over the non-identity elements 1..m-1, the order
+        of GibbsParameters.theta; basis_matrices() is not used."""
+        return self._moment_plan().hamiltonian(theta)
+
+    def _moment_plan(self) -> "_MomentPlan":
+        if self._plan is None:
+            self._plan = _MomentPlan(self)
+        return self._plan
+
+
+def _kron_stack(bases, patterns) -> np.ndarray:
+    """Stack of the Kronecker products prod_i bases[i][pattern[i]], one per pattern.
+
+    All products are formed at once, one unit at a time: entry for entry the
+    same products as element_matrix.
+    """
+    pats = np.array(patterns).reshape(len(patterns), len(bases))
+    m = pats.shape[0]
+    d = math.prod(b[0].shape[0] for b in bases)
+    if m * d * d > STACK_GUARD:
+        raise MemoryError(f"dense basis of {m} x {d} x {d} exceeds the materialization guard")
+    out = np.stack(bases[0])[pats[:, 0]]
+    for i in range(1, len(bases)):
+        u = np.stack(bases[i])[pats[:, i]]
+        r, n = out.shape[1], u.shape[1]
+        out = (out[:, :, None, :, None] * u[:, None, :, None, :]).reshape(m, r * n, r * n)
+    return out
+
+
+class _MomentPlan:
+    """tr(B_k x) and sum_k theta_k B_k of a model through maximal-set marginals.
+
+    An element is the identity outside its support, so on any maximal set A
+    containing that support it is L_k (x) I / sqrt(d / d_A), with L_k in the
+    local basis of A's units.  Each element is owned by the first such A, so
+    it counts once.  The marginal x_A[a, a'] = sum_r x[(a, r), (a', r)] is
+    one gather over d d_A flat positions of x, the moments of A's elements
+    are Re tr(L_k x_A) / sqrt(d / d_A), and the Hamiltonian adds the local
+    sums back along the same positions.  Maximal sets of equal dimension d_A
+    form one group: their marginals are gathered together and contracted in
+    one matmul against the local algebra bases of every unit signature
+    (sizes and kinds) in the group.
+
+    Small models, whose dense stack has at most FLAT_ENTRIES entries, stay
+    flat: the plan holds that stack and contracts it, the arithmetic of the
+    dense route, so their results do not move.
+    """
+
+    def __init__(self, model: HierarchicalModel):
+        self.size = model.n_elements
+        self.stack = None
+        if model.n_elements * model.shape.dim**2 <= FLAT_ENTRIES:
+            self.stack = model._dense_stack()
+            return
+        shape = model.shape
+        sizes = shape.sizes
+        n_units = shape.N
+        d = shape.dim
+        sets = [[i - 1 for i in a] for a in model.hypergraph.maximal_sets]
+        pats = np.array(model.patterns).reshape(model.n_elements, n_units)
+        member = np.zeros((len(sets), n_units), dtype=bool)
+        for s, a in enumerate(sets):
+            member[s, a] = True
+        # the first maximal set that leaves no unit of the support outside
+        owner = np.argmin(((pats != 0)[:, None, :] & ~member).any(axis=2), axis=1)
+        strides = [math.prod(sizes[i + 1:]) for i in range(n_units)]
+
+        def offsets(units):
+            # flat offsets of the joint index over units, the first most significant
+            off = np.zeros(1, dtype=np.intp)
+            for i in units:
+                off = (off[:, None] + strides[i] * np.arange(sizes[i])).ravel()
+            return off
+
+        sigs = [tuple((sizes[i], shape.kinds[i]) for i in a) for a in sets]
+        groups = {}
+        for s, a in enumerate(sets):
+            groups.setdefault(math.prod(sizes[i] for i in a), []).append(s)
+        self.slot = np.empty(model.n_elements, dtype=np.intp)
+        self.groups = []  # (positions (g, d_A^2, d / d_A), local bases as reals, first slot)
+        positions, sources = [], []
+        n_slots = n_vals = 0
+        for d_a, members in groups.items():
+            signatures = {}  # unit sizes and kinds -> (first local row, radix of the local index)
+            stacks = []
+            for s in members:
+                if sigs[s] not in signatures:
+                    bases = [model.unit_bases[i] for i in sets[s]]
+                    dims = [len(b) for b in bases]
+                    radix = np.array([math.prod(dims[j + 1:]) for j in range(len(dims))])
+                    signatures[sigs[s]] = (sum(len(x) for x in stacks), radix)
+                    stacks.append(_kron_stack(bases, list(itertools.product(*map(range, dims)))))
+            local = np.concatenate(stacks).reshape(-1, d_a * d_a) / math.sqrt(d // d_a)
+            n_local = local.shape[0]
+            pos = []
+            for t, s in enumerate(members):
+                a = sets[s]
+                oa = offsets(a)
+                orest = offsets([i for i in range(n_units) if i not in a])
+                rows = oa[:, None, None] + orest  # entry ((a, r), (a', r)) of x
+                pos.append((rows * d + oa[None, :, None] + orest).reshape(d_a * d_a, -1))
+                first, radix = signatures[sigs[s]]
+                own = np.flatnonzero(owner == s)
+                self.slot[own] = n_slots + t * n_local + first + pats[own][:, a] @ radix
+            pos = np.stack(pos)
+            self.groups.append((pos, local.view(np.float64), n_slots))
+            positions.append(pos.ravel())
+            sources.append(n_vals + np.repeat(np.arange(pos.shape[0] * pos.shape[1]), pos.shape[2]))
+            n_slots += len(members) * n_local
+            n_vals += pos.shape[0] * pos.shape[1]
+        self.n_slots = n_slots
+        self.positions = np.concatenate(positions)
+        self.sources = np.concatenate(sources)
+        self.dim = d
+
+    def moments(self, x: np.ndarray) -> np.ndarray:
+        if self.stack is not None:
+            return expectation_values(x, self.stack)
+        flat = np.ascontiguousarray(x, dtype=complex).reshape(-1)
+        # Re tr(L x_A) = Re sum conj(L) * x_A for hermitian L: a real dot
+        # product of the (re, im) pairs of the two matrices
+        ys = [flat[pos].sum(axis=2).view(np.float64) @ real.T for pos, real, _ in self.groups]
+        return np.concatenate([y.reshape(-1) for y in ys])[self.slot]
+
+    def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.size - 1,):
+            raise ValueError("parameter count does not match the model")
+        if self.stack is not None:
+            return np.tensordot(theta, self.stack[1:], axes=(0, 0))
+        z = np.bincount(self.slot[1:], weights=theta, minlength=self.n_slots)
+        vals = [
+            (z[first:first + pos.shape[0] * real.shape[0]].reshape(pos.shape[0], -1) @ real)
+            .view(complex).reshape(-1)
+            for pos, real, first in self.groups
+        ]
+        v = np.concatenate(vals)[self.sources]
+        d2 = self.dim * self.dim
+        h = np.empty(d2, dtype=complex)
+        h.real = np.bincount(self.positions, weights=v.real, minlength=d2)
+        h.imag = np.bincount(self.positions, weights=v.imag, minlength=d2)
+        return h.reshape(self.dim, self.dim)
 
 
 def _patterns_for(shape: SystemShape, hg: Hypergraph) -> list[tuple[int, ...]]:
@@ -263,8 +404,10 @@ def full_model(shape: SystemShape) -> HierarchicalModel:
 def numerical_basis_rank(model: HierarchicalModel) -> int:
     """Numerical rank of the constructed basis.
 
-    Small models get a dense SVD over the flattened matrices, built for the
-    check and dropped after it unless the model already caches them.  Large
+    Small models get the spectrum of the m x m Gram matrix of the flattened
+    matrices, built for the check and dropped after it unless the model
+    already caches them; an eigenvalue counts when it exceeds 1e-8 times the
+    largest, i.e. a singular value above 1e-4 of the largest.  Large
     models use the tensor structure: the Gram matrix of the distinct patterns
     factors through the per-unit Grams, so after certifying those to near
     machine precision it is diagonally dominant and therefore non-singular.
@@ -273,7 +416,9 @@ def numerical_basis_rank(model: HierarchicalModel) -> int:
     m = model.n_elements
     if m * d * d <= 2**20:
         stack = model._stack if model._stack is not None else model._dense_stack()
-        return int(np.linalg.matrix_rank(stack.reshape(m, d * d), tol=1e-8))
+        flat = stack.reshape(m, d * d)
+        w = np.linalg.eigvalsh(flat.conj() @ flat.T)
+        return int(np.sum(w > 1e-8 * max(float(w[-1]), 1e-300)))
     distinct = len(set(model.patterns))
     dev = 0.0
     for basis in model.unit_bases:

@@ -35,6 +35,7 @@ from .algebra import (
     marginal,
     realvec_hermitian,
     relative_entropy,
+    spectrum_entropy,
     tensor,
     von_neumann_entropy,
 )
@@ -78,10 +79,7 @@ class GibbsParameters:
     log_partition: float
 
     def hamiltonian(self, model: HierarchicalModel) -> np.ndarray:
-        stack = model.basis_matrices()
-        if self.theta.shape != (stack.shape[0] - 1,):
-            raise ValueError("parameter count does not match the model")
-        return np.tensordot(self.theta, stack[1:], axes=(0, 0))
+        return model.hamiltonian(self.theta)
 
     def state(self, model: HierarchicalModel) -> State:
         pi, _ = gibbs_with_log_partition(self.hamiltonian(model))
@@ -116,13 +114,17 @@ def _clean(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _residual(pi_mat: np.ndarray, stack: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(expectation_values(pi_mat, stack) - b)))
+def _residual(pi_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> float:
+    return float(np.max(np.abs(model.moments(pi_mat) - b)))
+
+
+def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
+    """Eigenvalues of an ascending spectrum above rtol times the largest."""
+    return int(np.sum(w > rtol * max(float(w[-1]), 1e-300)))
 
 
 def _support_dim(mat: np.ndarray, rtol: float = 1e-9) -> int:
-    w = np.linalg.eigvalsh(mat)
-    return int(np.sum(w > rtol * max(float(w[-1]), 1e-300)))
+    return _support_size(np.linalg.eigvalsh(mat), rtol)
 
 
 def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
@@ -145,16 +147,18 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------- face loop
 
 
-def _face_loop(start, cuts, relative, defect_rtol, solve_face, stack, b, tol, best=None):
+def _face_loop(start, cuts, relative, defect_rtol, solve_face, model, b, tol, best=None):
     """Re-solve a boundary projection on faces cut from the spectrum of start.
 
     Each cut keeps the eigenvectors of start above it (times the largest
     eigenvalue when relative); None keeps the whole space in the standard
     basis.  Cuts keeping no vector, or as many as a face already tried, are
     skipped, as are faces whose compressed constraints miss the moments by
-    more than defect_rtol.  solve_face(q, red, c, free) returns a solution in
-    q's coordinates, or None, and its iterations.  Lifts are checked against
-    the full constraints; the lowest residual wins, stopping at tol.
+    more than defect_rtol.  Compressing q^H B_k q needs the model's dense
+    stack, built on the first face tried.  solve_face(q, red, c, free)
+    returns a solution in q's coordinates, or None, and its iterations.
+    Lifts are checked against the full constraints; the lowest residual wins,
+    stopping at tol.
 
     best, a full-space record (matrix, residual, round, rank, iterations)
     already in hand, marks the full rank as tried.  Returns the best record
@@ -172,7 +176,7 @@ def _face_loop(start, cuts, relative, defect_rtol, solve_face, stack, b, tol, be
         if cut is not None and r in tried:
             continue
         tried.add(r)
-        cdirs = np.einsum("ia,kij,jb->kab", q.conj(), stack, q)
+        cdirs = np.einsum("ia,kij,jb->kab", q.conj(), model.basis_matrices(), q)
         red, c, free, defect = _reduce_constraints(cdirs, b)
         if defect > bound:
             continue  # cut too deep, this face cannot carry the moments
@@ -181,7 +185,7 @@ def _face_loop(start, cuts, relative, defect_rtol, solve_face, stack, b, tol, be
         if face is None:
             continue
         pi = q @ face @ q.conj().T
-        resid = _residual(pi, stack, b)
+        resid = _residual(pi, model, b)
         if best is None or resid < best[1]:
             best = (pi, resid, rounds, r, nit)
         if best[1] <= tol:
@@ -210,20 +214,22 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _dual_minimize(dirs: np.ndarray, targets: np.ndarray, gtol: float, maxiter: int):
+def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxiter: int):
     """Minimize log Z(theta) - theta . targets by L-BFGS with backtracking.
 
-    Stops when the largest gradient entry is at most gtol, when an accepted
-    step lowers the objective by at most LBFGS_FTOL relative to its size, when
-    no step along steepest descent decreases it, or after maxiter steps.
+    hamiltonian(theta) is sum_k theta_k B_k and moments(x) the vector of
+    tr(B_k x), over the directions B_k the targets belong to.  Stops when
+    the largest gradient entry is at most gtol, when an accepted step lowers
+    the objective by at most LBFGS_FTOL relative to its size, when no step
+    along steepest descent decreases it, or after maxiter steps.
     Returns theta, log Z, the Gibbs state at theta and the steps taken.
     """
 
     def fg(theta):
-        pi, lz = gibbs_with_log_partition(np.tensordot(theta, dirs, axes=(0, 0)))
-        return lz - theta @ targets, expectation_values(pi, dirs) - targets, pi, lz
+        pi, lz = gibbs_with_log_partition(hamiltonian(theta))
+        return lz - theta @ targets, moments(pi) - targets, pi, lz
 
-    theta = np.zeros(dirs.shape[0])
+    theta = np.zeros(targets.size)
     f, g, pi, lz = fg(theta)
     pairs = []
     nit = 0
@@ -254,10 +260,14 @@ def _dual_minimize(dirs: np.ndarray, targets: np.ndarray, gtol: float, maxiter: 
     return theta, lz, pi, nit
 
 
-def _dual_solve(stack: np.ndarray, b: np.ndarray, tol: float, maxiter: int):
-    d = stack.shape[1]
-    theta, lz, pi, nit = _dual_minimize(stack[1:], b[1:], 0.1 * tol, maxiter)
-    resid = _residual(pi, stack, b)
+def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, maxiter: int):
+    d = model.shape.dim
+    # interior descent through the model's local moment maps; element 0 is
+    # the identity, fixed by normalization
+    theta, lz, pi, nit = _dual_minimize(
+        model.hamiltonian, lambda x: model.moments(x)[1:], b[1:], 0.1 * tol, maxiter
+    )
+    resid = _residual(pi, model, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
     # an iterate with eigenvalues at kernel level is a boundary answer, however
     # small its residual: only full support ends here with parameters
@@ -273,11 +283,15 @@ def _dual_solve(stack: np.ndarray, b: np.ndarray, tol: float, maxiter: int):
         # forever; move c onto trace one so that direction is flat
         v = np.real(np.trace(red, axis1=1, axis2=2))
         c = c + v * (1.0 - v @ c) / (v @ v)
-        _, _, tau, face_it = _dual_minimize(red, c, 0.1 * tol, maxiter)
+        _, _, tau, face_it = _dual_minimize(
+            lambda t: np.tensordot(t, red, axes=(0, 0)),
+            lambda x: expectation_values(x, red),
+            c, 0.1 * tol, maxiter,
+        )
         return tau, face_it
 
     best, face_its = _face_loop(
-        pi, PEEL_SCHEDULE, True, 1e-8, solve_face, stack, b, tol, best=(pi, resid, 0, d, nit)
+        pi, PEEL_SCHEDULE, True, 1e-8, solve_face, model, b, tol, best=(pi, resid, 0, d, nit)
     )
     pi, _, rounds, rank, _ = best
     info.update(rounds=rounds, support_dim=rank)
@@ -415,8 +429,10 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
     return tau, total
 
 
-def _primal_solve(rho_mat: np.ndarray, stack: np.ndarray, b: np.ndarray, tol: float, maxiter: int):
+def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float,
+                  maxiter: int):
     d = rho_mat.shape[0]
+    stack = model.basis_matrices()
     # the euclidean projection of rho onto the model span carries the same
     # moments, so any PSD blend of the two is a feasible starting point
     q = np.tensordot(b, stack, axes=(0, 0))
@@ -441,7 +457,7 @@ def _primal_solve(rho_mat: np.ndarray, stack: np.ndarray, b: np.ndarray, tol: fl
             tau_c = affine((uc * np.clip(wc, 1e-12, None)) @ uc.conj().T)
         return None, 0
 
-    best, _ = _face_loop(tau, SNAP_SCHEDULE, False, 1e-7, solve_face, stack, b, tol)
+    best, _ = _face_loop(tau, SNAP_SCHEDULE, False, 1e-7, solve_face, model, b, tol)
     if best is None:
         # no support candidate admitted an interior start; report the raw
         # ascent iterate rather than failing outright
@@ -537,8 +553,7 @@ def _run(rho, model, method, tol, max_iter) -> ProjectionResult:
             iterations=0,
             diagnostics={"support_dim": _support_dim(rho.matrix), "relative_entropy_direct": 0.0},
         )
-    stack = model.basis_matrices()
-    b = expectation_values(rho.matrix, stack)
+    b = model.moments(rho.matrix)
     theta = None
     if method == "product":
         pi_mat = tensor(*[marginal(rho, (i,)).matrix for i in range(1, rho.shape.N + 1)])
@@ -546,15 +561,16 @@ def _run(rho, model, method, tol, max_iter) -> ProjectionResult:
     elif method == "ipf":
         pi_mat, iters, info, theta = _ipf_solve(rho, model, tol, max_iter or 20000)
     elif method == "dual":
-        pi_mat, iters, info, theta = _dual_solve(stack, b, tol, max_iter or 2000)
+        pi_mat, iters, info, theta = _dual_solve(model, b, tol, max_iter or 2000)
     else:
-        pi_mat, iters, info, theta = _primal_solve(rho.matrix, stack, b, tol, max_iter or 400)
+        pi_mat, iters, info, theta = _primal_solve(rho.matrix, model, b, tol, max_iter or 400)
 
     pi = State(rho.shape, _clean(pi_mat, rho.shape))
-    resid = _residual(pi.matrix, stack, b)
-    support = _support_dim(pi.matrix)
+    resid = _residual(pi.matrix, model, b)
+    w = np.linalg.eigvalsh(pi.matrix)  # one spectrum for the support and the entropy
+    support = _support_size(w)
     effective = tol if support == rho.shape.dim else max(tol, BOUNDARY_TOL)
-    gap = von_neumann_entropy(pi) - von_neumann_entropy(rho)
+    gap = spectrum_entropy(w) - von_neumann_entropy(rho)
     diagnostics = dict(info)
     diagnostics["support_dim"] = support
     diagnostics["relative_entropy_direct"] = relative_entropy(rho.matrix, pi.matrix)

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hiercorr import hierarchy
 from hiercorr.algebra import SystemShape, expectation_values
 from hiercorr.hierarchy import (
     HypergraphError,
@@ -18,6 +19,7 @@ from hiercorr.hierarchy import (
     pure_factor_dim,
     validate_hypergraph,
 )
+from hiercorr.states import random_density
 
 
 class TestHypergraphValidation:
@@ -196,6 +198,46 @@ class TestModelBasis:
         model = full_model(sh)
         assert model.dim_total == sh.algebra_dim == 8
         assert numerical_basis_rank(model) == 8
+
+
+def _moment_map_cases():
+    cases = [(f"q{n}-k{k}", SystemShape.qubits(n), hypergraph_k(n, k))
+             for n in (3, 4, 5) for k in range(1, n)]
+    cases += [(f"t3-k{k}", SystemShape.quantum((3, 3, 3)), hypergraph_k(3, k)) for k in (1, 2)]
+    cqc = SystemShape((2, 3, 2), ("c", "q", "c"))
+    cases += [(f"cqc-232-k{k}", cqc, hypergraph_k(3, k)) for k in (1, 2)]
+    cqcq = SystemShape((2, 2, 2, 2), ("c", "q", "c", "q"))
+    cases += [(f"cqcq-2222-k{k}", cqcq, hypergraph_k(4, k)) for k in (1, 2, 3)]
+    # maximal sets of different sizes and overlaps on units of different sizes and kinds
+    mixed = SystemShape((3, 2, 2), ("q", "c", "q"))
+    cases += [(f"qcq-322-{'-'.join(''.join(map(str, a)) for a in hg.maximal_sets)}", mixed, hg)
+              for hg in _all_covering_hypergraphs(3)]
+    return cases
+
+
+class TestMomentMap:
+    """The model's moment map against the dense stack it replaces."""
+
+    @pytest.mark.parametrize("local", [False, True], ids=["default", "local"])
+    @pytest.mark.parametrize("shape,hg", [c[1:] for c in _moment_map_cases()],
+                             ids=[c[0] for c in _moment_map_cases()])
+    def test_matches_dense_stack(self, shape, hg, local, monkeypatch):
+        if local:  # small models stay flat by default; take them through the gathers too
+            monkeypatch.setattr(hierarchy, "FLAT_ENTRIES", 0)
+        rng = np.random.default_rng(7)
+        model = build_model(shape, hg)
+        stack = build_model(shape, hg).basis_matrices()
+        x = random_density(shape, rng).matrix
+        assert np.max(np.abs(model.moments(x) - expectation_values(x, stack))) <= 1e-13
+        theta = rng.normal(size=model.n_elements - 1)
+        want = np.tensordot(theta, stack[1:], axes=(0, 0))
+        assert np.max(np.abs(model.hamiltonian(theta) - want)) <= 1e-13
+        assert model._stack is None
+
+    def test_rejects_wrong_parameter_count(self):
+        model = build_model(SystemShape.qubits(4), hypergraph_k(4, 2))
+        with pytest.raises(ValueError, match="parameter count"):
+            model.hamiltonian(np.zeros(model.n_elements))
 
 
 class TestExhaustiveDims:

@@ -10,7 +10,14 @@ from hiercorr.algebra import (
     marginal,
     relative_entropy,
 )
-from hiercorr.hierarchy import build_model, full_model, hypergraph_k, independence_hypergraph
+from hiercorr.hierarchy import (
+    STACK_GUARD,
+    HierarchicalModel,
+    build_model,
+    full_model,
+    hypergraph_k,
+    independence_hypergraph,
+)
 from hiercorr.maxent import (
     GibbsParameters,
     _reduce_constraints,
@@ -133,6 +140,32 @@ class TestDualSolver:
         assert isinstance(res.theta, GibbsParameters)
         assert np.max(np.abs(res.theta.state(model).matrix - res.state.matrix)) <= 1e-10
         assert res.iterations <= 50
+
+    def test_interior_projection_builds_no_stack(self, monkeypatch):
+        shape = SystemShape.qubits(4)
+        model = build_model(shape, hypergraph_k(4, 2))
+        rho = random_density(shape, np.random.default_rng(42))
+
+        def refuse(self):
+            raise AssertionError("the interior dual route asked for the dense stack")
+
+        monkeypatch.setattr(HierarchicalModel, "basis_matrices", refuse)
+        res = maxent_project(rho, model, method="dual")
+        assert res.converged and res.diagnostics["rounds"] == 0
+        res.theta.state(model)
+        assert model._stack is None
+
+    def test_eight_qubits_past_the_stack_guard(self):
+        # the pairwise stack would be 277 x 256 x 256 entries, above STACK_GUARD
+        shape = SystemShape.qubits(8)
+        model = build_model(shape, hypergraph_k(8, 2))
+        assert model.n_elements * shape.dim**2 > STACK_GUARD
+        rho = random_density(shape, np.random.default_rng(43))
+        res = maxent_project(rho, model, method="dual")
+        assert res.converged and res.residual <= 1e-8
+        assert isinstance(res.theta, GibbsParameters)
+        assert np.max(np.abs(res.theta.state(model).matrix - res.state.matrix)) <= 1e-10
+        assert model._stack is None
 
 
 class TestBoundaryCases:

@@ -18,6 +18,9 @@ from .algebra import ShapeError, SystemShape, expectation_values, tensor, unit_h
 # materialization guard: refuse to build dense stacks above this entry count
 STACK_GUARD = 2**23
 # the moment map contracts a dense stack of at most this many entries directly
+# (3 qubits or 4 bits at k=2, c-q-c-q (2,2,2,2) at k=2): not for speed, the
+# gathers are as fast there, but to keep the dense route's rounding, which
+# decides where long boundary descents on these models end
 FLAT_ENTRIES = 2**13
 
 
@@ -217,6 +220,9 @@ class HierarchicalModel:
     def moments(self, x: np.ndarray) -> np.ndarray:
         """Real vector of tr(B_k x), in element order, from the marginals of x
         on the maximal sets (see _MomentPlan); basis_matrices() is not used."""
+        d = self.shape.dim
+        if np.shape(x) != (d, d):
+            raise ShapeError(f"matrix is {np.shape(x)}, the model demands ({d}, {d})")
         return self._moment_plan().moments(x)
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
@@ -265,7 +271,7 @@ class _MomentPlan:
 
     Small models, whose dense stack has at most FLAT_ENTRIES entries, stay
     flat: the plan holds that stack and contracts it, the arithmetic of the
-    dense route, so their results do not move.
+    dense route, so their results are those of that route to the last bit.
     """
 
     def __init__(self, model: HierarchicalModel):

@@ -49,6 +49,9 @@ from .hierarchy import (
 
 INTERIOR_TOL = 1e-8
 BOUNDARY_TOL = 1e-5
+# largest entropy defect |D(rho||pi) - (S(pi) - S(rho))| of a converged
+# boundary answer
+ENTROPY_MATCH_TOL = 1e-6
 THETA_BLOWUP = 1e3
 PEEL_SCHEDULE = (1e-4, 1e-6, 1e-8, 1e-10)
 SNAP_SCHEDULE = (1e-9, 1e-6, 1e-12, None)
@@ -125,6 +128,20 @@ def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
 
 def _support_dim(mat: np.ndarray, rtol: float = 1e-9) -> int:
     return _support_size(np.linalg.eigvalsh(mat), rtol)
+
+
+def _entropy_defect(rho_mat: np.ndarray, pi_mat: np.ndarray) -> float:
+    """|tr((pi - rho) log pi)|, i.e. |D(rho||pi) - (S(pi) - S(rho))|, zero at the projection.
+
+    Eigenvalues of pi are floored at the smallest normal double, so tiny
+    positive ones keep their exact logarithm, while mass of rho on pi's
+    kernel weighs about 708 per unit instead of making the defect infinite.
+    relative_entropy would not do here: it cuts pi's kernel at SUPPORT_RTOL
+    and so calls a fitting limit with an entry of 4e-11 singular.
+    """
+    w, v = np.linalg.eigh(pi_mat)
+    r = np.real(np.sum(v.conj() * (rho_mat @ v), axis=0))  # diagonal of v^H rho v
+    return abs(float(np.sum((w - r) * np.log(np.maximum(w, np.finfo(float).tiny)))))
 
 
 def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
@@ -513,8 +530,9 @@ def maxent_project(
     independence family), iterative proportional fitting for classical
     shapes, and otherwise the dual solver with a primal fallback.  Explicit
     methods are honored strictly and raise when they do not apply.  The
-    result is converged when the moment residual is at most tol, or at most
-    max(tol, BOUNDARY_TOL) when the projection is rank-deficient.
+    result is converged when the moment residual is at most tol; when the
+    projection is rank-deficient, at most max(tol, BOUNDARY_TOL) with an
+    entropy defect (see _entropy_defect) of at most ENTROPY_MATCH_TOL.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -536,7 +554,8 @@ def maxent_project(
             if result.converged:
                 return result
             fallback = _run(rho, model, "primal", tol, max_iter)
-            return fallback if fallback.residual < result.residual else result
+            # a converged answer wins; between two misses, the lower residual
+            return fallback if fallback.converged or fallback.residual < result.residual else result
     if method == "exact" and not full:
         raise ValueError("method 'exact' needs the full interaction set in the family")
     if method == "product" and not is_independence(hg):
@@ -569,16 +588,21 @@ def _run(rho, model, method, tol, max_iter) -> ProjectionResult:
     resid = _residual(pi.matrix, model, b)
     w = np.linalg.eigvalsh(pi.matrix)  # one spectrum for the support and the entropy
     support = _support_size(w)
-    effective = tol if support == rho.shape.dim else max(tol, BOUNDARY_TOL)
-    gap = spectrum_entropy(w) - von_neumann_entropy(rho)
+    converged = resid <= tol
+    if support < rho.shape.dim:
+        # the moments pin a boundary answer only loosely: a state far from the
+        # projection can sit within BOUNDARY_TOL of them, so it must also meet
+        # the identity D(rho||pi) = S(pi) - S(rho) of the projection
+        converged = (resid <= max(tol, BOUNDARY_TOL)
+                     and _entropy_defect(rho.matrix, pi.matrix) <= ENTROPY_MATCH_TOL)
     diagnostics = dict(info)
     diagnostics["support_dim"] = support
     diagnostics["relative_entropy_direct"] = relative_entropy(rho.matrix, pi.matrix)
     return ProjectionResult(
         state=pi,
-        divergence=max(0.0, gap),
+        divergence=max(0.0, spectrum_entropy(w) - von_neumann_entropy(rho)),
         method=method,
-        converged=bool(resid <= effective),
+        converged=bool(converged),
         residual=resid,
         iterations=iters,
         theta=theta,

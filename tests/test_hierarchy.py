@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hiercorr import hierarchy
-from hiercorr.algebra import SystemShape, expectation_values
+from hiercorr.algebra import ShapeError, SystemShape, expectation_values
 from hiercorr.hierarchy import (
     HypergraphError,
     build_model,
@@ -233,6 +233,16 @@ class TestMomentMap:
         want = np.tensordot(theta, stack[1:], axes=(0, 0))
         assert np.max(np.abs(model.hamiltonian(theta) - want)) <= 1e-13
         assert model._stack is None
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rejects_wrong_matrix_size(self, n):
+        model = build_model(SystemShape.qubits(n), hypergraph_k(n, 2))
+        d = model.shape.dim
+        for size in (d - 1, d + 1):
+            with pytest.raises(ShapeError):
+                model.moments(np.eye(size) / size)
+        with pytest.raises(ShapeError):
+            model.moments(np.ones(d * d) / d)
 
     def test_rejects_wrong_parameter_count(self):
         model = build_model(SystemShape.qubits(4), hypergraph_k(4, 2))

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hiercorr import hierarchy, maxent
 from hiercorr.algebra import (
     ShapeError,
+    State,
     SystemShape,
     gibbs_map,
     marginal,
@@ -205,6 +207,54 @@ class TestBoundaryCases:
         assert res.method == "primal"
         assert res.converged
         assert res.residual < 1e-9
+
+    def test_auto_retries_primal_when_the_dual_state_is_off(self, monkeypatch):
+        # the state above with its moments taken through the maximal-set
+        # gathers: the dual then ends near the moments on a support that
+        # misses rho's, and auto must still return the projection, rho itself
+        monkeypatch.setattr(hierarchy, "FLAT_ENTRIES", 0)
+        sh = SystemShape.qubits(3)
+        rho = random_density(sh, np.random.default_rng(4), rank=2)
+        model = build_model(sh, hypergraph_k(3, 2))
+        assert not maxent_project(rho, model, method="dual").converged
+        res = maxent_project(rho, model)
+        assert res.method == "primal"
+        assert res.converged
+        assert res.divergence < 1e-9
+        assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
+
+    def test_boundary_answer_off_the_projection_is_not_converged(self, monkeypatch):
+        # the even-parity diagonal state has every pairwise moment of the
+        # maximally mixed state, which is its own projection; a dual route
+        # returning it matches the moments exactly and must still miss, and
+        # auto must prefer the converged primal answer over its lower residual
+        sh = SystemShape.qubits(3)
+        rho = State(sh, np.eye(8) / 8)
+        even = np.diag([0.25, 0, 0, 0.25, 0, 0.25, 0.25, 0]).astype(complex)
+        model = build_model(sh, hypergraph_k(3, 2))
+        monkeypatch.setattr(maxent, "_dual_solve", lambda *args: (even, 0, {}, None))
+        dual = maxent_project(rho, model, method="dual")
+        assert dual.residual < 1e-12
+        assert dual.diagnostics["support_dim"] == 4
+        assert not dual.converged
+        res = maxent_project(rho, model)
+        assert res.method == "primal"
+        assert res.converged
+        assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
+
+    def test_fitting_limit_with_a_tiny_entry_is_converged(self):
+        # the pairwise projection of this state puts about 4e-11 on 000, below
+        # the support cut, so it counts as a boundary answer; it is exact
+        sh = SystemShape.bits(3)
+        p = np.array([2e-4, 0.0, 0.0, 0.017, 0.0, 0.0036, 0.0, 0.0])
+        p[6] = 1.0 - p.sum()
+        rho = State.from_probabilities(sh, p)
+        res = maxent_project(rho, build_model(sh, hypergraph_k(3, 2)), method="ipf")
+        q = res.state.probabilities()
+        assert res.diagnostics["support_dim"] == 7
+        assert res.converged
+        want = float(np.sum(p[p > 0] * np.log(p[p > 0] / q[p > 0])))
+        assert abs(res.divergence - want) < 1e-8
 
     def test_dual_peels_onto_two_point_support(self):
         sh = SystemShape.bits(3)

@@ -180,6 +180,18 @@ class State:
             raise ShapeError(f"state has eigenvalue {wmin:.2e} below {PSD_ATOL:.0e}")
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _trusted(cls, shape: SystemShape, matrix: np.ndarray) -> "State":
+        """Wrap a matrix that is hermitian, trace-one, PSD and in the algebra
+        by construction, without revalidating it; it is made read-only, as
+        the public constructor does.  Internal: the public constructor keeps
+        every check."""
+        matrix.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "shape", shape)
+        object.__setattr__(state, "matrix", matrix)
+        return state
+
     @property
     def dim(self) -> int:
         return self.shape.dim
@@ -299,19 +311,14 @@ def relative_entropy(rho, sigma) -> float:
     ws, vs = np.linalg.eigh(s)
     thr = SUPPORT_RTOL * max(float(ws.max()), 1e-300)
     kernel = ws < thr
-    if kernel.any():
-        vk = vs[:, kernel]
-        mass = float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, r, vk)))
-        if mass > KERNEL_MASS_TOL:
-            return float("inf")
+    diag = np.real(np.sum(vs.conj() * (r @ vs), axis=0))  # diagonal of vs^H r vs
+    if kernel.any() and float(np.sum(diag[kernel])) > KERNEL_MASS_TOL:
+        return float("inf")
     wr = _clipped_eigvalsh(r)
     pos = wr > 0.0
     term1 = float(np.sum(wr[pos] * np.log(wr[pos])))
     supp = ~kernel
-    vsupp = vs[:, supp]
-    diag = np.real(np.einsum("ij,jk,ki->i", vsupp.conj().T, r, vsupp))
-    diag = np.clip(diag, 0.0, None)
-    term2 = float(np.sum(diag * np.log(ws[supp])))
+    term2 = float(np.sum(np.clip(diag[supp], 0.0, None) * np.log(ws[supp])))
     val = term1 - term2
     if -1e-9 < val < 0.0:
         val = 0.0
@@ -325,10 +332,18 @@ def gibbs_with_log_partition(a: np.ndarray) -> tuple[np.ndarray, float]:
     eigenvalue, so no eigenvalue overflows; the matrix is rebuilt in one pass
     over the eigenvectors.
     """
+    pi, lz, _, _ = _gibbs_eigh(a)
+    return pi, lz
+
+
+def _gibbs_eigh(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """gibbs_with_log_partition, also returning the eigenpairs (p, u) of the
+    Gibbs state: p ascending, summing to one, and pi = (u * p) @ u^H."""
     w, u = np.linalg.eigh(a)
     # eigh sorts ascending: w[-1] is the shift, and its own term is the 1
     lz = float(w[-1] + np.log1p(np.exp(w[:-1] - w[-1]).sum()))
-    return (u * np.exp(w - lz)) @ u.conj().T, lz
+    p = np.exp(w - lz)
+    return (u * p) @ u.conj().T, lz, p, u
 
 
 def gibbs_map(a):
@@ -430,12 +445,21 @@ def classical_unit_basis(n: int) -> list[np.ndarray]:
 
 
 def unit_hermitian_basis(shape: SystemShape, i: int) -> list[np.ndarray]:
-    """Orthonormal self-adjoint basis of unit i's algebra, identity first."""
+    """Orthonormal self-adjoint basis of unit i's algebra, identity first.
+
+    The matrices are built once per unit size and kind and shared by every
+    caller, so they are read-only.
+    """
     shape._check_unit(i)
-    n = shape.sizes[i - 1]
-    if shape.kinds[i - 1] == CLASSICAL:
-        return classical_unit_basis(n)
-    return hermitize_basis(matrix_fourier_basis(n))
+    return list(_unit_basis(shape.sizes[i - 1], shape.kinds[i - 1]))
+
+
+@lru_cache(maxsize=None)
+def _unit_basis(n: int, kind: str) -> tuple[np.ndarray, ...]:
+    basis = classical_unit_basis(n) if kind == CLASSICAL else hermitize_basis(matrix_fourier_basis(n))
+    for mat in basis:
+        mat.setflags(write=False)
+    return tuple(basis)
 
 
 def expectation_values(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:

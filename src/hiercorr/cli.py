@@ -9,6 +9,7 @@ OMP_NUM_THREADS to bound it.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -464,8 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the tree costs far more than parsing; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     scale = LOG2 if args.bits else 1.0
     t0 = time.perf_counter()
     warnings = []

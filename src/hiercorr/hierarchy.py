@@ -411,19 +411,22 @@ def numerical_basis_rank(model: HierarchicalModel) -> int:
     """Numerical rank of the constructed basis.
 
     Small models get the spectrum of the m x m Gram matrix of the flattened
-    matrices, built for the check and dropped after it unless the model
-    already caches them; an eigenvalue counts when it exceeds 1e-8 times the
-    largest, i.e. a singular value above 1e-4 of the largest.  Large
-    models use the tensor structure: the Gram matrix of the distinct patterns
-    factors through the per-unit Grams, so after certifying those to near
-    machine precision it is diagonally dominant and therefore non-singular.
+    matrices (real, as the basis is hermitian), built for the check and
+    dropped after it unless the model already caches them; an eigenvalue
+    counts when it exceeds 1e-8 times the largest, i.e. a singular value
+    above 1e-4 of the largest.  Large models use the tensor structure: the
+    Gram matrix of the distinct patterns factors through the per-unit Grams,
+    so after certifying those to near machine precision it is diagonally
+    dominant and therefore non-singular.
     """
     d = model.shape.dim
     m = model.n_elements
     if m * d * d <= 2**20:
         stack = model._stack if model._stack is not None else model._dense_stack()
-        flat = stack.reshape(m, d * d)
-        w = np.linalg.eigvalsh(flat.conj() @ flat.T)
+        # tr(B_k B_l) of hermitian matrices is real: the dot product of the
+        # (re, im) pairs of the flattened matrices
+        flat = np.ascontiguousarray(stack).reshape(m, d * d).view(np.float64)
+        w = np.linalg.eigvalsh(flat @ flat.T)
         return int(np.sum(w > 1e-8 * max(float(w[-1]), 1e-300)))
     distinct = len(set(model.patterns))
     dev = 0.0

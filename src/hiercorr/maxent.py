@@ -28,6 +28,7 @@ from .algebra import (
     ShapeError,
     State,
     SystemShape,
+    _gibbs_eigh,
     algebra_mask,
     expectation_values,
     gibbs_with_log_partition,
@@ -50,7 +51,7 @@ from .hierarchy import (
 INTERIOR_TOL = 1e-8
 BOUNDARY_TOL = 1e-5
 # largest entropy defect |D(rho||pi) - (S(pi) - S(rho))| of a converged
-# boundary answer
+# boundary answer, D taken by the cross-check _relative_entropy_direct
 ENTROPY_MATCH_TOL = 1e-6
 THETA_BLOWUP = 1e3
 PEEL_SCHEDULE = (1e-4, 1e-6, 1e-8, 1e-10)
@@ -86,7 +87,7 @@ class GibbsParameters:
 
     def state(self, model: HierarchicalModel) -> State:
         pi, _ = gibbs_with_log_partition(self.hamiltonian(model))
-        return State(model.shape, _clean(pi, model.shape))
+        return State(model.shape, _clean(pi, model.shape)[0])
 
 
 @dataclasses.dataclass
@@ -101,20 +102,31 @@ class ProjectionResult:
     diagnostics: dict = dataclasses.field(default_factory=dict)
 
 
-def _clean(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
-    # conditional expectation onto the algebra, then eigenvalue clip;
-    # both can only move the matrix toward the feasible cone
-    mask = algebra_mask(shape)
-    mat = 0.5 * (mat + mat.conj().T)
-    mat = np.where(mask, mat, 0.0)
+def _in_algebra(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
+    """Conditional expectation onto the algebra: zero the entries the
+    classical units forbid (none on an all-quantum shape)."""
+    return mat if shape.all_quantum else np.where(algebra_mask(shape), mat, 0.0)
+
+
+def _from_spectrum(w: np.ndarray, u: np.ndarray, shape: SystemShape) -> np.ndarray:
+    """The density matrix (u * w) @ u^H of a spectrum w >= 0 summing to one,
+    kept in the algebra and hermitian."""
+    out = _in_algebra((u * w) @ u.conj().T, shape)
+    return 0.5 * (out + out.conj().T)
+
+
+def _clean(mat: np.ndarray, shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest state in the algebra by conditional expectation and eigenvalue
+    clip, both of which can only move the matrix toward the feasible cone.
+    Returns the state and its spectrum (ascending, summing to one)."""
+    mat = _in_algebra(0.5 * (mat + mat.conj().T), shape)
     w, u = np.linalg.eigh(mat)
     w = np.clip(w, 0.0, None)
     s = w.sum()
     if s <= 0.0:
         raise ConvergenceError("projection collapsed to the zero matrix")
-    out = (u * (w / s)) @ u.conj().T
-    out = np.where(mask, out, 0.0)
-    return 0.5 * (out + out.conj().T)
+    w = w / s
+    return _from_spectrum(w, u, shape), w
 
 
 def _residual(pi_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> float:
@@ -130,18 +142,19 @@ def _support_dim(mat: np.ndarray, rtol: float = 1e-9) -> int:
     return _support_size(np.linalg.eigvalsh(mat), rtol)
 
 
-def _entropy_defect(rho_mat: np.ndarray, pi_mat: np.ndarray) -> float:
-    """|tr((pi - rho) log pi)|, i.e. |D(rho||pi) - (S(pi) - S(rho))|, zero at the projection.
+def _relative_entropy_direct(rho_mat: np.ndarray, rho_entropy: float, pi_mat: np.ndarray) -> float:
+    """D(rho||pi) = -S(rho) - tr(rho log pi) from an eigh of pi of its own.
 
-    Eigenvalues of pi are floored at the smallest normal double, so tiny
-    positive ones keep their exact logarithm, while mass of rho on pi's
-    kernel weighs about 708 per unit instead of making the defect infinite.
-    relative_entropy would not do here: it cuts pi's kernel at SUPPORT_RTOL
-    and so calls a fitting limit with an entry of 4e-11 singular.
+    The cross-check of a projection: the divergence is S(pi) - S(rho) from
+    the spectrum the solve left, this is D from an independent
+    diagonalization of pi.  Eigenvalues of pi are floored at the smallest
+    normal double, so tiny positive ones keep their exact logarithm (a
+    fitting limit with an entry of 4e-11 stays finite), while mass of rho on
+    pi's kernel weighs about 708 per unit instead of making D infinite.
     """
     w, v = np.linalg.eigh(pi_mat)
     r = np.real(np.sum(v.conj() * (rho_mat @ v), axis=0))  # diagonal of v^H rho v
-    return abs(float(np.sum((w - r) * np.log(np.maximum(w, np.finfo(float).tiny)))))
+    return max(0.0, -rho_entropy - float(r @ np.log(np.maximum(w, np.finfo(float).tiny))))
 
 
 def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
@@ -239,15 +252,16 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxit
     the largest gradient entry is at most gtol, when an accepted step lowers
     the objective by at most LBFGS_FTOL relative to its size, when no step
     along steepest descent decreases it, or after maxiter steps.
-    Returns theta, log Z, the Gibbs state at theta and the steps taken.
+    Returns theta, log Z, the Gibbs state at theta, its eigenpairs (p, u)
+    and the steps taken.
     """
 
     def fg(theta):
-        pi, lz = gibbs_with_log_partition(hamiltonian(theta))
-        return lz - theta @ targets, moments(pi) - targets, pi, lz
+        pi, lz, p, u = _gibbs_eigh(hamiltonian(theta))
+        return lz - theta @ targets, moments(pi) - targets, pi, lz, (p, u)
 
     theta = np.zeros(targets.size)
-    f, g, pi, lz = fg(theta)
+    f, g, pi, lz, eig = fg(theta)
     pairs = []
     nit = 0
     while nit < maxiter and float(np.max(np.abs(g), initial=0.0)) > gtol:
@@ -265,7 +279,7 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxit
             pairs = []  # forget the curvature estimate and retry
             continue
         nit += 1
-        f_new, g_new, pi, lz = trial
+        f_new, g_new, pi, lz, eig = trial
         s, y = t * p, g_new - g
         sy = float(s @ y)
         if sy > np.finfo(float).eps * float(y @ y):
@@ -274,22 +288,25 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxit
         f_old, f, g = f, f_new, g_new
         if f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
             break
-    return theta, lz, pi, nit
+    return theta, lz, pi, eig, nit
 
 
 def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, maxiter: int):
+    """Returns the projection, its iterations, diagnostics and, at the
+    interior exit, its Gibbs parameters; there the projection comes as the
+    eigenpairs (p, u) of the last Gibbs state rather than as a matrix."""
     d = model.shape.dim
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
-    theta, lz, pi, nit = _dual_minimize(
+    theta, lz, pi, (p, u), nit = _dual_minimize(
         model.hamiltonian, lambda x: model.moments(x)[1:], b[1:], 0.1 * tol, maxiter
     )
     resid = _residual(pi, model, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
     # an iterate with eigenvalues at kernel level is a boundary answer, however
     # small its residual: only full support ends here with parameters
-    if resid <= tol and info["theta_max"] <= THETA_BLOWUP and _support_dim(pi) == d:
-        return pi, nit, info, GibbsParameters(theta.copy(), lz)
+    if resid <= tol and info["theta_max"] <= THETA_BLOWUP and _support_size(p) == d:
+        return (p, u), nit, info, GibbsParameters(theta.copy(), lz)
 
     # boundary regime: the optimum has a kernel and the parameters diverge.
     # Peel off the eigenspace the iterate is abandoning and re-solve on the
@@ -300,7 +317,7 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, maxiter: in
         # forever; move c onto trace one so that direction is flat
         v = np.real(np.trace(red, axis1=1, axis2=2))
         c = c + v * (1.0 - v @ c) / (v @ v)
-        _, _, tau, face_it = _dual_minimize(
+        _, _, tau, _, face_it = _dual_minimize(
             lambda t: np.tensordot(t, red, axes=(0, 0)),
             lambda x: expectation_values(x, red),
             c, 0.1 * tol, maxiter,
@@ -531,15 +548,24 @@ def maxent_project(
     shapes, and otherwise the dual solver with a primal fallback.  Explicit
     methods are honored strictly and raise when they do not apply.  The
     result is converged when the moment residual is at most tol; when the
-    projection is rank-deficient, at most max(tol, BOUNDARY_TOL) with an
-    entropy defect (see _entropy_defect) of at most ENTROPY_MATCH_TOL.
+    projection is rank-deficient, at most max(tol, BOUNDARY_TOL), with the
+    divergence within ENTROPY_MATCH_TOL of the cross-check
+    diagnostics["relative_entropy_direct"] (see _relative_entropy_direct).
     """
+    return _project(rho, model, None, method, tol, max_iter)
+
+
+def _project(rho, model, rho_w, method="auto", tol=INTERIOR_TOL, max_iter=None):
+    """maxent_project, reusing rho's ascending spectrum rho_w when the
+    caller has it (None: take it here)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if rho.shape != model.shape:
         raise ShapeError("state and model live on different shapes")
     hg = model.hypergraph
     full = set(range(1, rho.shape.N + 1)) in hg
+    if rho_w is None:
+        rho_w = np.linalg.eigvalsh(rho.matrix)
 
     if method == "auto":
         if full:
@@ -550,27 +576,27 @@ def maxent_project(
             method = "ipf"
         else:
             method = "dual"
-            result = _run(rho, model, "dual", tol, max_iter)
+            result = _run(rho, rho_w, model, "dual", tol, max_iter)
             if result.converged:
                 return result
-            fallback = _run(rho, model, "primal", tol, max_iter)
+            fallback = _run(rho, rho_w, model, "primal", tol, max_iter)
             # a converged answer wins; between two misses, the lower residual
             return fallback if fallback.converged or fallback.residual < result.residual else result
     if method == "exact" and not full:
         raise ValueError("method 'exact' needs the full interaction set in the family")
     if method == "product" and not is_independence(hg):
         raise ValueError("method 'product' only applies to the independence family")
-    return _run(rho, model, method, tol, max_iter)
+    return _run(rho, rho_w, model, method, tol, max_iter)
 
 
-def _run(rho, model, method, tol, max_iter) -> ProjectionResult:
+def _run(rho, rho_w, model, method, tol, max_iter) -> ProjectionResult:
     if method == "exact":
         # the family holds every moment of rho, so rho is its own projection
         # and the dense basis stack is never needed
         return ProjectionResult(
             state=rho, divergence=0.0, method=method, converged=True, residual=0.0,
             iterations=0,
-            diagnostics={"support_dim": _support_dim(rho.matrix), "relative_entropy_direct": 0.0},
+            diagnostics={"support_dim": _support_size(rho_w), "relative_entropy_direct": 0.0},
         )
     b = model.moments(rho.matrix)
     theta = None
@@ -584,23 +610,33 @@ def _run(rho, model, method, tol, max_iter) -> ProjectionResult:
     else:
         pi_mat, iters, info, theta = _primal_solve(rho.matrix, model, b, tol, max_iter or 400)
 
-    pi = State(rho.shape, _clean(pi_mat, rho.shape))
+    # one spectral pass: the state and its spectrum come from the route's
+    # last eigendecomposition, and one independent eigh of pi checks them
+    if isinstance(pi_mat, tuple):  # the dual's interior exit, full rank
+        p, u = pi_mat
+        w = p / p.sum()
+        pi_mat = _from_spectrum(w, u, rho.shape)
+    else:
+        pi_mat, w = _clean(pi_mat, rho.shape)
+    pi = State._trusted(rho.shape, pi_mat)
     resid = _residual(pi.matrix, model, b)
-    w = np.linalg.eigvalsh(pi.matrix)  # one spectrum for the support and the entropy
     support = _support_size(w)
+    rho_entropy = spectrum_entropy(rho_w)
+    divergence = max(0.0, spectrum_entropy(w) - rho_entropy)
+    direct = _relative_entropy_direct(rho.matrix, rho_entropy, pi.matrix)
     converged = resid <= tol
     if support < rho.shape.dim:
         # the moments pin a boundary answer only loosely: a state far from the
         # projection can sit within BOUNDARY_TOL of them, so it must also meet
         # the identity D(rho||pi) = S(pi) - S(rho) of the projection
         converged = (resid <= max(tol, BOUNDARY_TOL)
-                     and _entropy_defect(rho.matrix, pi.matrix) <= ENTROPY_MATCH_TOL)
+                     and abs(direct - divergence) <= ENTROPY_MATCH_TOL)
     diagnostics = dict(info)
     diagnostics["support_dim"] = support
-    diagnostics["relative_entropy_direct"] = relative_entropy(rho.matrix, pi.matrix)
+    diagnostics["relative_entropy_direct"] = direct
     return ProjectionResult(
         state=pi,
-        divergence=max(0.0, spectrum_entropy(w) - von_neumann_entropy(rho)),
+        divergence=divergence,
         method=method,
         converged=bool(converged),
         residual=resid,
@@ -647,7 +683,8 @@ def correlation_decomposition(rho: State, **kw) -> dict:
     none) and "converged" whether every projection converged.
     """
     n = rho.shape.N
-    runs = [divergence_from_model(rho, hypergraph_k(n, k), **kw) for k in range(1, n)]
+    w = np.linalg.eigvalsh(rho.matrix)  # one spectrum of rho for every order
+    runs = [_project(rho, build_model(rho.shape, hypergraph_k(n, k)), w, **kw) for k in range(1, n)]
     c = [r.divergence for r in runs] + [0.0]
     incr = {k: c[k - 2] - c[k - 1] for k in range(2, n + 1)}
     return {

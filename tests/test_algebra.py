@@ -224,6 +224,20 @@ class TestRelativeEntropy:
         kl = float(np.sum(p * (np.log(p) - np.log(q))))
         assert relative_entropy(a, b) == pytest.approx(kl, abs=1e-10)
 
+    def test_finite_when_rho_avoids_the_kernel(self):
+        # sigma has a kernel in a rotated basis; rho lives on sigma's support
+        rng = np.random.default_rng(23)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u, _ = np.linalg.qr(g)
+        q = np.array([0.0, 0.2, 0.3, 0.5])
+        p = np.array([0.0, 0.0, 0.4, 0.6])
+        sh = SystemShape.qubits(2)
+        a = State(sh, (u * p) @ u.conj().T)
+        b = State(sh, (u * q) @ u.conj().T)
+        kl = float(np.sum(p[2:] * np.log(p[2:] / q[2:])))
+        assert relative_entropy(a, b) == pytest.approx(kl, abs=1e-12)
+        assert relative_entropy(b, a) == float("inf")
+
 
 class TestGibbsMap:
     def test_zero_gives_uniform(self):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from hiercorr import hierarchy
-from hiercorr.algebra import ShapeError, SystemShape, expectation_values
+from hiercorr.algebra import (
+    ShapeError,
+    SystemShape,
+    classical_unit_basis,
+    expectation_values,
+    hermitize_basis,
+    matrix_fourier_basis,
+)
 from hiercorr.hierarchy import (
     HypergraphError,
     build_model,
@@ -178,6 +185,32 @@ class TestModelBasis:
         small = build_model(SystemShape.qubits(2), hypergraph_k(2, 1))
         dup = dataclasses.replace(small, patterns=small.patterns + (small.patterns[1],))
         assert numerical_basis_rank(dup) == 7
+
+    def test_equal_units_share_read_only_bases(self):
+        a = build_model(SystemShape((2, 3, 2), ("c", "q", "c")), hypergraph_k(3, 2))
+        b = build_model(SystemShape((3, 2), ("q", "c")), hypergraph_k(2, 1))
+        assert all(x is y for x, y in zip(a.unit_bases[1], b.unit_bases[0]))
+        assert all(x is y for x, y in zip(a.unit_bases[0], a.unit_bases[2]))
+        assert all(x is y for x, y in zip(a.unit_bases[0], b.unit_bases[1]))
+        with pytest.raises(ValueError):
+            a.unit_bases[1][1][0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "shape",
+        [SystemShape.qubits(3), SystemShape.quantum((3, 3, 3)),
+         SystemShape((2, 3, 2), ("c", "q", "c"))],
+        ids=["q3", "t3", "cqc-232"],
+    )
+    def test_shared_bases_give_the_same_stack(self, shape):
+        # against bases built afresh for this model alone
+        model = build_model(shape, hypergraph_k(3, 2))
+        fresh = tuple(
+            tuple(classical_unit_basis(n) if kind == "classical"
+                  else hermitize_basis(matrix_fourier_basis(n)))
+            for n, kind in zip(shape.sizes, shape.kinds)
+        )
+        alone = dataclasses.replace(model, unit_bases=fresh)
+        assert np.array_equal(model.basis_matrices(), alone.basis_matrices())
 
     def test_nested_models_share_elements(self):
         shape = SystemShape.qubits(3)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hiercorr
+from hiercorr import cli
 from hiercorr.algebra import ShapeError, State, SystemShape
 from hiercorr.cli import main
 from hiercorr.hierarchy import hypergraph_k
@@ -150,6 +151,27 @@ def test_import_loads_no_scipy(module):
 
 
 class TestCLI:
+    def test_parser_built_once_keeps_calls_apart(self, monkeypatch, capsys):
+        seen = []
+
+        def record(args, scale):
+            seen.append(vars(args).copy())
+            return {}, {}, 0
+
+        monkeypatch.setitem(cli._DISPATCH, "decompose", record)
+        monkeypatch.setitem(cli._DISPATCH, "project", record)
+        assert main(["decompose", "--state", "a.json"]) == 0
+        assert main(["project", "--state", "b.json", "--k", "2", "--tol", "1e-6"]) == 0
+        assert main(["decompose", "--state", "c.json"]) == 0
+        capsys.readouterr()
+        assert cli._parser() is cli._parser()
+        first, second, third = seen
+        assert first == {"command": "decompose", "state": "a.json", "seed": 0, "tol": None,
+                         "out": None, "bits": False}
+        assert second["command"] == "project" and second["state"] == "b.json"
+        assert second["tol"] == 1e-6 and second["method"] == "auto" and second["k"] == 2
+        assert third == dict(first, state="c.json")
+
     def test_ck_ghz_pairwise(self, ghz_file, capsys):
         code = main(["ck", "--state", ghz_file, "--k", "2", "--method", "primal"])
         rep = _report(capsys)

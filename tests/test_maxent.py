@@ -256,6 +256,18 @@ class TestBoundaryCases:
         want = float(np.sum(p[p > 0] * np.log(p[p > 0] / q[p > 0])))
         assert abs(res.divergence - want) < 1e-8
 
+    def test_fitting_limit_cross_check_is_finite(self):
+        # the state above: pi's entry of 4e-11 keeps its own logarithm in the
+        # cross-check instead of counting as kernel, so D stays finite
+        sh = SystemShape.bits(3)
+        p = np.array([2e-4, 0.0, 0.0, 0.017, 0.0, 0.0036, 0.0, 0.0])
+        p[6] = 1.0 - p.sum()
+        rho = State.from_probabilities(sh, p)
+        res = maxent_project(rho, build_model(sh, hypergraph_k(3, 2)), method="ipf")
+        direct = res.diagnostics["relative_entropy_direct"]
+        assert math.isfinite(direct)
+        assert abs(direct - res.divergence) <= 1e-8
+
     def test_dual_peels_onto_two_point_support(self):
         sh = SystemShape.bits(3)
         rho = uniform_on(sh, [(0, 0, 0), (1, 0, 0)])
@@ -303,6 +315,64 @@ class TestBoundaryCases:
         assert dec["converged"]
         assert len(dec["residuals"]) == 3 and dec["residuals"][-1] == 0.0
         assert max(dec["residuals"]) <= 1e-5
+
+
+class TestSpectralPass:
+    def test_eigendecomposition_budget(self, monkeypatch):
+        # an interior dual projection diagonalizes each Gibbs iterate, pi once
+        # more for the cross-check, and rho once
+        shape = SystemShape.qubits(5)
+        model = build_model(shape, hypergraph_k(5, 2))
+        rho = random_density(shape, np.random.default_rng(44))
+        calls = {"eigh": 0, "eigvalsh": 0, "gibbs": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(maxent, "_gibbs_eigh", counting("gibbs", maxent._gibbs_eigh))
+        res = maxent_project(rho, model, method="dual")
+        assert res.converged and res.diagnostics["rounds"] == 0
+        assert calls["gibbs"] >= res.iterations + 1
+        assert calls["eigh"] == calls["gibbs"] + 1
+        assert calls["eigvalsh"] == 1
+
+    def test_ladder_takes_rho_spectrum_once(self, monkeypatch):
+        rho = random_density(SystemShape.qubits(4), np.random.default_rng(45))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat is rho.matrix)
+            return eigvalsh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        dec = correlation_decomposition(rho)
+        assert dec["converged"]
+        assert sum(calls) == 1
+
+    @pytest.mark.parametrize("method", ["exact", "product", "ipf", "dual", "ghz-dual", "primal"])
+    def test_outputs_revalidate(self, method):
+        rng = np.random.default_rng(46)
+        if method == "ghz-dual":
+            rho, method = ghz_state(4), "dual"
+        elif method == "ipf":
+            rho = random_density(SystemShape.bits(3), rng)
+        else:
+            rho = random_density(SystemShape((2, 2, 2), ("quantum", "classical", "quantum")), rng)
+        k = {"exact": 3, "product": 1}.get(method, 2)
+        res = maxent_project(rho, build_model(rho.shape, hypergraph_k(rho.shape.N, k)),
+                             method=method)
+        assert res.converged and res.method == method
+        # the mixed-shape dual takes the interior exit, the GHZ one peels
+        assert (res.theta is not None) == (method == "dual" and rho.shape.N == 3)
+        again = State(rho.shape, res.state.matrix)
+        assert np.max(np.abs(again.matrix - res.state.matrix)) <= 1e-15
+        assert abs(res.divergence - res.diagnostics["relative_entropy_direct"]) <= 1e-8
 
 
 class TestCorrelationQuantities:

@@ -13,15 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ShapeError, SystemShape, expectation_values, tensor, unit_hermitian_basis
+from .algebra import ShapeError, SystemShape, tensor, unit_hermitian_basis
 
-# materialization guard: refuse to build dense stacks above this entry count
+# materialization guard: refuse to build dense (m, r, r) stacks above this entry count
 STACK_GUARD = 2**23
-# the moment map contracts a dense stack of at most this many entries directly
-# (3 qubits or 4 bits at k=2, c-q-c-q (2,2,2,2) at k=2): not for speed, the
-# gathers are as fast there, but to keep the dense route's rounding, which
-# decides where long boundary descents on these models end
-FLAT_ENTRIES = 2**13
 
 
 class HypergraphError(ValueError):
@@ -230,6 +225,12 @@ class HierarchicalModel:
         of GibbsParameters.theta; basis_matrices() is not used."""
         return self._moment_plan().hamiltonian(theta)
 
+    def compress(self, q: np.ndarray) -> np.ndarray:
+        """Stack (m, r, r) of q^H B_k q for a d x r isometry q (see _MomentPlan)."""
+        if np.ndim(q) != 2 or len(q) != self.shape.dim:
+            raise ShapeError(f"isometry is {np.shape(q)}, the model demands {self.shape.dim} rows")
+        return self._moment_plan().compress(np.asarray(q, dtype=complex))
+
     def _moment_plan(self) -> "_MomentPlan":
         if self._plan is None:
             self._plan = _MomentPlan(self)
@@ -256,7 +257,7 @@ def _kron_stack(bases, patterns) -> np.ndarray:
 
 
 class _MomentPlan:
-    """tr(B_k x) and sum_k theta_k B_k of a model through maximal-set marginals.
+    """tr(B_k x), sum_k theta_k B_k and q^H B_k q through maximal-set marginals.
 
     An element is the identity outside its support, so on any maximal set A
     containing that support it is L_k (x) I / sqrt(d / d_A), with L_k in the
@@ -264,26 +265,18 @@ class _MomentPlan:
     it counts once.  The marginal x_A[a, a'] = sum_r x[(a, r), (a', r)] is
     one gather over d d_A flat positions of x, the moments of A's elements
     are Re tr(L_k x_A) / sqrt(d / d_A), and the Hamiltonian adds the local
-    sums back along the same positions.  Maximal sets of equal dimension d_A
-    form one group: their marginals are gathered together and contracted in
-    one matmul against the local algebra bases of every unit signature
+    sums back along the same positions.  On an isometry q, q^H B_k q is
+    sum L_k[a, a'] G_A[(a, a')] / sqrt(d / d_A), G_A[(a, a'), s, t] =
+    sum_r conj(q[(a, r), s]) q[(a', r), t] the Gram of q's rows at the same
+    positions.  Maximal sets of equal dimension d_A form one group,
+    contracted in one matmul against the local bases of every unit signature
     (sizes and kinds) in the group.
-
-    Small models, whose dense stack has at most FLAT_ENTRIES entries, stay
-    flat: the plan holds that stack and contracts it, the arithmetic of the
-    dense route, so their results are those of that route to the last bit.
     """
 
     def __init__(self, model: HierarchicalModel):
         self.size = model.n_elements
-        self.stack = None
-        if model.n_elements * model.shape.dim**2 <= FLAT_ENTRIES:
-            self.stack = model._dense_stack()
-            return
         shape = model.shape
-        sizes = shape.sizes
-        n_units = shape.N
-        d = shape.dim
+        sizes, n_units, d = shape.sizes, shape.N, shape.dim
         sets = [[i - 1 for i in a] for a in model.hypergraph.maximal_sets]
         pats = np.array(model.patterns).reshape(model.n_elements, n_units)
         member = np.zeros((len(sets), n_units), dtype=bool)
@@ -342,20 +335,31 @@ class _MomentPlan:
         self.dim = d
 
     def moments(self, x: np.ndarray) -> np.ndarray:
-        if self.stack is not None:
-            return expectation_values(x, self.stack)
         flat = np.ascontiguousarray(x, dtype=complex).reshape(-1)
         # Re tr(L x_A) = Re sum conj(L) * x_A for hermitian L: a real dot
         # product of the (re, im) pairs of the two matrices
         ys = [flat[pos].sum(axis=2).view(np.float64) @ real.T for pos, real, _ in self.groups]
         return np.concatenate([y.reshape(-1) for y in ys])[self.slot]
 
+    def compress(self, q: np.ndarray) -> np.ndarray:
+        r = q.shape[1]
+        if self.size * r * r > STACK_GUARD:
+            raise MemoryError(f"{self.size} x {r} x {r} exceeds the materialization guard")
+        out = []
+        for pos, real, _ in self.groups:
+            g, d_a2, rest = pos.shape
+            d_a = math.isqrt(d_a2)
+            # rows (a, r) of q on each set, from the positions of the diagonal (a, a)
+            qa = q[pos[:, ::d_a + 1] // self.dim].transpose(0, 2, 1, 3).reshape(g, rest, d_a * r)
+            gram = (qa.conj().transpose(0, 2, 1) @ qa).reshape(g, d_a, r, d_a, r)
+            gram = gram.transpose(0, 1, 3, 2, 4).reshape(g, d_a2, r * r)
+            out.append((real.view(complex) @ gram).reshape(-1, r, r))
+        return np.concatenate(out)[self.slot]
+
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.size - 1,):
             raise ValueError("parameter count does not match the model")
-        if self.stack is not None:
-            return np.tensordot(theta, self.stack[1:], axes=(0, 0))
         z = np.bincount(self.slot[1:], weights=theta, minlength=self.n_slots)
         vals = [
             (z[first:first + pos.shape[0] * real.shape[0]].reshape(pos.shape[0], -1) @ real)

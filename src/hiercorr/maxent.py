@@ -177,25 +177,23 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------- face loop
 
 
-def _face_loop(start, cuts, relative, defect_rtol, solve_face, model, b, tol, best=None):
-    """Re-solve a boundary projection on faces cut from the spectrum of start.
+def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, best=None):
+    """Re-solve a boundary projection on faces cut from the caller's last
+    iterate, given by its eigenpairs (w ascending, u).
 
-    Each cut keeps the eigenvectors of start above it (times the largest
-    eigenvalue when relative); None keeps the whole space in the standard
-    basis.  Cuts keeping no vector, or as many as a face already tried, are
-    skipped, as are faces whose compressed constraints miss the moments by
-    more than defect_rtol.  Compressing q^H B_k q needs the model's dense
-    stack, built on the first face tried.  solve_face(q, red, c, free)
-    returns a solution in q's coordinates, or None, and its iterations.
-    Lifts are checked against the full constraints; the lowest residual wins,
-    stopping at tol.
+    Each cut keeps the eigenvectors above it (times the largest eigenvalue
+    when relative); None keeps the whole space in the standard basis.  Cuts
+    keeping no vector, or as many as a face already tried, are skipped, as
+    are faces whose constraints q^H B_k q (model.compress) miss the moments
+    by more than defect_rtol.  solve_face(q, red, c, free) returns a solution
+    in q's coordinates, or None, and its iterations.  Lifts are checked
+    against the full constraints; the lowest residual wins, stopping at tol.
 
     best, a full-space record (matrix, residual, round, rank, iterations)
     already in hand, marks the full rank as tried.  Returns the best record
     (None if there is none) and the iterations spent on faces.
     """
-    d = start.shape[0]
-    w, u = np.linalg.eigh(start)
+    d = u.shape[0]
     scale = max(float(w[-1]), 1e-300) if relative else 1.0
     bound = defect_rtol * max(1.0, float(np.max(np.abs(b))))
     tried = {0} if best is None else {0, d}
@@ -206,8 +204,7 @@ def _face_loop(start, cuts, relative, defect_rtol, solve_face, model, b, tol, be
         if cut is not None and r in tried:
             continue
         tried.add(r)
-        cdirs = np.einsum("ia,kij,jb->kab", q.conj(), model.basis_matrices(), q)
-        red, c, free, defect = _reduce_constraints(cdirs, b)
+        red, c, free, defect = _reduce_constraints(model.compress(q), b)
         if defect > bound:
             continue  # cut too deep, this face cannot carry the moments
         face, nit = solve_face(q, red, c, free)
@@ -325,7 +322,7 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, maxiter: in
         return tau, face_it
 
     best, face_its = _face_loop(
-        pi, PEEL_SCHEDULE, True, 1e-8, solve_face, model, b, tol, best=(pi, resid, 0, d, nit)
+        p, u, PEEL_SCHEDULE, True, 1e-8, solve_face, model, b, tol, best=(pi, resid, 0, d, nit)
     )
     pi, _, rounds, rank, _ = best
     info.update(rounds=rounds, support_dim=rank)
@@ -353,29 +350,36 @@ def _max_psd_blend(rho_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     return (1.0 - lo) * rho_mat + lo * q_mat
 
 
-def _affine_psd_repair(mat: np.ndarray, stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _span(model: HierarchicalModel, c: np.ndarray) -> np.ndarray:
+    """sum_k c_k B_k over every element; element 0 is the identity / sqrt(d)."""
+    h = model.hamiltonian(c[1:])
+    h.flat[:: len(h) + 1] += c[0] / np.sqrt(len(h))
+    return h
+
+
+def _affine_psd_repair(mat: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> np.ndarray:
     for _ in range(4):
-        mat = mat + np.tensordot(b - expectation_values(mat, stack), stack, axes=(0, 0))
+        mat = mat + _span(model, b - model.moments(mat))
         w, u = np.linalg.eigh(mat)
         if w[0] >= -1e-14:
             return mat
         mat = (u * np.clip(w, 0.0, None)) @ u.conj().T
-    return mat + np.tensordot(b - expectation_values(mat, stack), stack, axes=(0, 0))
+    return mat + _span(model, b - model.moments(mat))
 
 
-def _entropy_ascent(tau, stack, b, maxiter: int, gtol: float = 1e-9):
+def _entropy_ascent(tau, model, b, maxiter: int, gtol: float = 1e-9):
     """Projected gradient ascent on entropy over the affine slice of states.
 
     Serves as support detection for the Newton stage; eigenvalues are
     floored inside the log so the gradient stays finite on the boundary.
     """
-    tau = _affine_psd_repair(tau, stack, b)
+    tau = _affine_psd_repair(tau, model, b)
     fails = 0
     it = 0
     for it in range(1, maxiter + 1):
         w, u = np.linalg.eigh(tau)
         g = -(u * np.log(np.clip(w, 1e-13, None))) @ u.conj().T
-        gt = g - np.tensordot(expectation_values(g, stack), stack, axes=(0, 0))
+        gt = g - _span(model, model.moments(g))
         gn = float(np.linalg.norm(gt))
         if gn <= gtol:
             break
@@ -383,7 +387,7 @@ def _entropy_ascent(tau, stack, b, maxiter: int, gtol: float = 1e-9):
         alpha = 1.0 / max(1.0, gn)
         moved = False
         for _ in range(40):
-            cand = _affine_psd_repair(tau + alpha * gt, stack, b)
+            cand = _affine_psd_repair(tau + alpha * gt, model, b)
             # entropy is blind to clipped negative eigenvalues, so staying
             # essentially inside the cone is part of the acceptance test
             inside = float(np.linalg.eigvalsh(cand)[0]) >= -1e-12
@@ -428,7 +432,7 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
             g = expectation_values(grad_mat, free)
             if float(np.max(np.abs(g))) <= gtol:
                 break
-            ft = np.einsum("ia,kij,jb->kab", u.conj(), free, u)
+            ft = u.conj().T @ free @ u
             weight = _log_divided_differences(w, lw)
             if mu > 0.0:
                 weight = weight + mu / np.outer(w, w)
@@ -465,14 +469,11 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
 
 def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float,
                   maxiter: int):
-    d = rho_mat.shape[0]
-    stack = model.basis_matrices()
     # the euclidean projection of rho onto the model span carries the same
     # moments, so any PSD blend of the two is a feasible starting point
-    q = np.tensordot(b, stack, axes=(0, 0))
-    tau = _max_psd_blend(rho_mat, q)
-    tau, ascent_iters = _entropy_ascent(tau, stack, b, maxiter)
-    info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": d}
+    tau = _max_psd_blend(rho_mat, _span(model, b))
+    tau, ascent_iters = _entropy_ascent(tau, model, b, maxiter)
+    info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": len(rho_mat)}
 
     def solve_face(qmat, red, c, free):
         r = qmat.shape[1]
@@ -491,7 +492,8 @@ def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, 
             tau_c = affine((uc * np.clip(wc, 1e-12, None)) @ uc.conj().T)
         return None, 0
 
-    best, _ = _face_loop(tau, SNAP_SCHEDULE, False, 1e-7, solve_face, model, b, tol)
+    w, u = np.linalg.eigh(tau)
+    best, _ = _face_loop(w, u, SNAP_SCHEDULE, False, 1e-7, solve_face, model, b, tol)
     if best is None:
         # no support candidate admitted an interior start; report the raw
         # ascent iterate rather than failing outright
@@ -631,9 +633,7 @@ def _run(rho, rho_w, model, method, tol, max_iter) -> ProjectionResult:
         # the identity D(rho||pi) = S(pi) - S(rho) of the projection
         converged = (resid <= max(tol, BOUNDARY_TOL)
                      and abs(direct - divergence) <= ENTROPY_MATCH_TOL)
-    diagnostics = dict(info)
-    diagnostics["support_dim"] = support
-    diagnostics["relative_entropy_direct"] = direct
+    diagnostics = {**info, "support_dim": support, "relative_entropy_direct": direct}
     return ProjectionResult(
         state=pi,
         divergence=divergence,

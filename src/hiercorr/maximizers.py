@@ -54,12 +54,8 @@ def check_exponential_form(rho: State, model: HierarchicalModel) -> float:
     """
     w, u = np.linalg.eigh(rho.matrix)
     keep = w > RANK_RTOL * max(float(w[-1]), 1e-300)
-    q = u[:, keep]
-    log_restricted = np.diag(np.log(w[keep]))
-    stack = model.basis_matrices()
-    cdirs = np.einsum("ia,kij,jb->kab", q.conj(), stack, q)
-    a = hermitian_realvec(cdirs).T
-    y = hermitian_realvec(log_restricted)
+    a = hermitian_realvec(model.compress(u[:, keep])).T
+    y = hermitian_realvec(np.diag(np.log(w[keep])))
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     return float(np.linalg.norm(a @ coef - y))
 

@@ -249,23 +249,40 @@ def _moment_map_cases():
 
 
 class TestMomentMap:
-    """The model's moment map against the dense stack it replaces."""
+    """The model's moment plan against the dense stack it replaces."""
 
+    # default: moments, Hamiltonian and the compression onto the whole space
+    # (q = I); local: the compression onto seeded faces of rank 1 and 3
     @pytest.mark.parametrize("local", [False, True], ids=["default", "local"])
     @pytest.mark.parametrize("shape,hg", [c[1:] for c in _moment_map_cases()],
                              ids=[c[0] for c in _moment_map_cases()])
-    def test_matches_dense_stack(self, shape, hg, local, monkeypatch):
-        if local:  # small models stay flat by default; take them through the gathers too
-            monkeypatch.setattr(hierarchy, "FLAT_ENTRIES", 0)
+    def test_matches_dense_stack(self, shape, hg, local):
         rng = np.random.default_rng(7)
         model = build_model(shape, hg)
         stack = build_model(shape, hg).basis_matrices()
-        x = random_density(shape, rng).matrix
-        assert np.max(np.abs(model.moments(x) - expectation_values(x, stack))) <= 1e-13
-        theta = rng.normal(size=model.n_elements - 1)
-        want = np.tensordot(theta, stack[1:], axes=(0, 0))
-        assert np.max(np.abs(model.hamiltonian(theta) - want)) <= 1e-13
+        d = shape.dim
+        if local:
+            faces = [np.linalg.qr(rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))[0]
+                     for r in (1, 3)]
+        else:
+            x = random_density(shape, rng).matrix
+            assert np.max(np.abs(model.moments(x) - expectation_values(x, stack))) <= 1e-13
+            theta = rng.normal(size=model.n_elements - 1)
+            want = np.tensordot(theta, stack[1:], axes=(0, 0))
+            assert np.max(np.abs(model.hamiltonian(theta) - want)) <= 1e-13
+            faces = [np.eye(d)]
+        for q in faces:
+            want = np.einsum("ia,kij,jb->kab", q.conj(), stack, q, optimize=True)
+            assert np.max(np.abs(model.compress(q) - want)) <= 1e-13
         assert model._stack is None
+
+    def test_compression_guard(self):
+        # 8 qubits at k=2 on the whole space: 277 x 256 x 256 entries
+        model = build_model(SystemShape.qubits(8), hypergraph_k(8, 2))
+        assert model.n_elements * 256**2 > hierarchy.STACK_GUARD
+        with pytest.raises(MemoryError, match="materialization guard"):
+            model.compress(np.eye(256))
+        assert model.compress(np.eye(256)[:, :2]).shape == (model.n_elements, 2, 2)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_rejects_wrong_matrix_size(self, n):
@@ -276,6 +293,9 @@ class TestMomentMap:
                 model.moments(np.eye(size) / size)
         with pytest.raises(ShapeError):
             model.moments(np.ones(d * d) / d)
+        for q in (np.eye(d + 1)[:, :2], np.eye(d - 1)[:, :2], np.ones(d)):
+            with pytest.raises(ShapeError):
+                model.compress(q)
 
     def test_rejects_wrong_parameter_count(self):
         model = build_model(SystemShape.qubits(4), hypergraph_k(4, 2))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hiercorr import hierarchy, maxent
+from hiercorr import maxent
 from hiercorr.algebra import (
     ShapeError,
     State,
@@ -14,13 +14,13 @@ from hiercorr.algebra import (
 )
 from hiercorr.hierarchy import (
     STACK_GUARD,
-    HierarchicalModel,
     build_model,
     full_model,
     hypergraph_k,
     independence_hypergraph,
 )
 from hiercorr.maxent import (
+    INTERIOR_TOL,
     GibbsParameters,
     _reduce_constraints,
     chain_step_divergence,
@@ -143,15 +143,10 @@ class TestDualSolver:
         assert np.max(np.abs(res.theta.state(model).matrix - res.state.matrix)) <= 1e-10
         assert res.iterations <= 50
 
-    def test_interior_projection_builds_no_stack(self, monkeypatch):
+    def test_interior_projection_builds_no_stack(self, no_dense_stack):
         shape = SystemShape.qubits(4)
         model = build_model(shape, hypergraph_k(4, 2))
         rho = random_density(shape, np.random.default_rng(42))
-
-        def refuse(self):
-            raise AssertionError("the interior dual route asked for the dense stack")
-
-        monkeypatch.setattr(HierarchicalModel, "basis_matrices", refuse)
         res = maxent_project(rho, model, method="dual")
         assert res.converged and res.diagnostics["rounds"] == 0
         res.theta.state(model)
@@ -195,30 +190,41 @@ class TestBoundaryCases:
         assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
 
     def test_auto_retries_primal_when_dual_misses(self):
-        # rank-2 state whose pairwise projection the dual leaves at residual
-        # ~1e-4 after its whole iteration budget
+        # rank-2 state whose pairwise projection the dual misses: its whole
+        # descent ends above the interior tolerance on a support that is not
+        # rho's, and auto falls back to primal
         sh = SystemShape.qubits(3)
         rho = random_density(sh, np.random.default_rng(4), rank=2)
         model = build_model(sh, hypergraph_k(3, 2))
         dual = maxent_project(rho, model, method="dual")
         assert not dual.converged
-        assert 1e-5 < dual.residual < 1e-3
+        assert INTERIOR_TOL < dual.residual < 1e-3
         res = maxent_project(rho, model)
         assert res.method == "primal"
         assert res.converged
         assert res.residual < 1e-9
 
-    def test_auto_retries_primal_when_the_dual_state_is_off(self, monkeypatch):
-        # the state above with its moments taken through the maximal-set
-        # gathers: the dual then ends near the moments on a support that
-        # misses rho's, and auto must still return the projection, rho itself
-        monkeypatch.setattr(hierarchy, "FLAT_ENTRIES", 0)
+    def test_auto_retries_primal_when_the_dual_state_is_off(self):
+        # rank-2 state whose pairwise projection is rho itself: the dual spends
+        # its budget on a chaotic descent that ends near the moments on a
+        # support that misses rho's, and auto must still return rho
         sh = SystemShape.qubits(3)
         rho = random_density(sh, np.random.default_rng(4), rank=2)
         model = build_model(sh, hypergraph_k(3, 2))
         assert not maxent_project(rho, model, method="dual").converged
         res = maxent_project(rho, model)
         assert res.method == "primal"
+        assert res.converged
+        assert res.divergence < 1e-9
+        assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
+
+    def test_primal_builds_no_stack(self, no_dense_stack):
+        # the state above: the primal route's ascent, repair and face snaps
+        # all run through the model's moment plan
+        sh = SystemShape.qubits(3)
+        rho = random_density(sh, np.random.default_rng(4), rank=2)
+        model = build_model(sh, hypergraph_k(3, 2))
+        res = maxent_project(rho, model, method="primal")
         assert res.converged
         assert res.divergence < 1e-9
         assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
@@ -290,10 +296,12 @@ class TestBoundaryCases:
             assert res.state.matrix[0, 0].real <= 1e-9, method
             assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-7, method
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-    def test_dual_ghz_settles_on_two_point_support(self, n):
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_dual_ghz_settles_on_two_point_support(self, n, no_dense_stack):
         # the pairwise projection of GHZ_n is the even mixture of |0..0> and
-        # |1..1>: support 2 and divergence log 2
+        # |1..1>: support 2 and divergence log 2; the faces are compressed
+        # from the moment plan (the GHZ_8 stack, 277 x 256 x 256, is above
+        # STACK_GUARD)
         ghz = ghz_state(n)
         res = maxent_project(ghz, build_model(ghz.shape, hypergraph_k(n, 2)), method="dual")
         assert res.converged, res.residual
@@ -317,6 +325,22 @@ class TestBoundaryCases:
         assert max(dec["residuals"]) <= 1e-5
 
 
+def count_decompositions(monkeypatch):
+    """Count eigh, eigvalsh and Gibbs-map calls from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0, "gibbs": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(maxent, "_gibbs_eigh", counting("gibbs", maxent._gibbs_eigh))
+    return calls
+
+
 class TestSpectralPass:
     def test_eigendecomposition_budget(self, monkeypatch):
         # an interior dual projection diagonalizes each Gibbs iterate, pi once
@@ -324,21 +348,23 @@ class TestSpectralPass:
         shape = SystemShape.qubits(5)
         model = build_model(shape, hypergraph_k(5, 2))
         rho = random_density(shape, np.random.default_rng(44))
-        calls = {"eigh": 0, "eigvalsh": 0, "gibbs": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(maxent, "_gibbs_eigh", counting("gibbs", maxent._gibbs_eigh))
+        calls = count_decompositions(monkeypatch)
         res = maxent_project(rho, model, method="dual")
         assert res.converged and res.diagnostics["rounds"] == 0
         assert calls["gibbs"] >= res.iterations + 1
         assert calls["eigh"] == calls["gibbs"] + 1
+        assert calls["eigvalsh"] == 1
+
+    def test_eigendecomposition_budget_on_a_face(self, monkeypatch):
+        # a peeled dual projection cuts its faces from the last Gibbs
+        # iterate's eigenpairs; beyond the Gibbs maps it diagonalizes only the
+        # face answer (in _clean) and pi for the cross-check
+        ghz = ghz_state(7)
+        model = build_model(ghz.shape, hypergraph_k(7, 2))
+        calls = count_decompositions(monkeypatch)
+        res = maxent_project(ghz, model, method="dual")
+        assert res.converged and res.diagnostics["rounds"] >= 1
+        assert calls["eigh"] == calls["gibbs"] + 2
         assert calls["eigvalsh"] == 1
 
     def test_ladder_takes_rho_spectrum_once(self, monkeypatch):

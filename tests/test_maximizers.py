@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from hiercorr.algebra import State, SystemShape
+from hiercorr.algebra import State, SystemShape, hermitian_realvec
 from hiercorr.hierarchy import build_model, hypergraph_k
 from hiercorr.maxent import maxent_project
 from hiercorr.maximizers import (
@@ -63,6 +63,29 @@ class TestExponentialForm:
         rho = random_density(sh, rng)
         pi = maxent_project(rho, model).state
         assert check_exponential_form(pi, model) < 1e-7
+
+    def test_search_maximizer_certified_without_the_dense_stack(self, no_dense_stack):
+        # the residual compresses the model onto the support through the
+        # model's moment plan, and agrees with the dense compression
+        def dense_residual(rho, model):
+            stack = np.stack([model.element_matrix(j) for j in range(model.n_elements)])
+            w, u = np.linalg.eigh(rho.matrix)
+            keep = w > 1e-9 * w[-1]
+            q = u[:, keep]
+            a = hermitian_realvec(np.einsum("ia,kij,jb->kab", q.conj(), stack, q)).T
+            y = hermitian_realvec(np.diag(np.log(w[keep])))
+            return np.linalg.norm(a @ np.linalg.lstsq(a, y, rcond=None)[0] - y)
+
+        bits = SystemShape.bits(3)
+        model = build_model(bits, hypergraph_k(3, 2))
+        rep = search_local_maximizers(bits, model, n_restarts=2, seed=13)
+        assert rep.best.exp_residual < 1e-8
+        assert abs(rep.best.exp_residual - dense_residual(rep.best.state, model)) <= 1e-12
+        qubits = SystemShape.qubits(2)
+        rho = random_density(qubits, np.random.default_rng(72), rank=3)
+        model = build_model(qubits, hypergraph_k(2, 1))
+        assert check_exponential_form(rho, model) > 0.05
+        assert abs(check_exponential_form(rho, model) - dense_residual(rho, model)) <= 1e-12
 
 
 class TestGradients:

@@ -467,11 +467,6 @@ def expectation_values(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.real(np.tensordot(stack, mat.T, axes=([1, 2], [0, 1])))
 
 
-def hilbert_schmidt(a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product tr(a b) of two hermitian matrices."""
-    return float(np.real(np.sum(a * b.T)))
-
-
 _SQRT2 = math.sqrt(2.0)
 
 

@@ -114,36 +114,31 @@ def independence_hypergraph(N: int) -> Hypergraph:
 
 def covering_hypergraphs(N: int):
     """Yield every covering hypergraph on 1..N, one per antichain of
-    generating sets.  Exponential in 2^N; intended for N <= 4."""
+    generating sets, in increasing order of the antichain's bitmask over the
+    nonempty subsets (listed by size, then lexicographically).  A depth-first
+    search adds only sets incomparable with those already chosen, so the cost
+    follows the number of antichains: 114 covers at N=4, 6894 at N=5."""
     if not 1 <= N <= 5:
         raise HypergraphError(f"enumeration supported for 1 <= N <= 5, got {N}")
     subsets = [frozenset(v) for r in range(1, N + 1)
                for v in itertools.combinations(range(1, N + 1), r)]
-    n_sub = len(subsets)
     # comparable[i]: bitmask of every j whose set nests with subset i
-    comparable = []
-    for i, a in enumerate(subsets):
-        m = 0
-        for j, b in enumerate(subsets):
-            if a <= b or b <= a:
-                m |= 1 << j
-        comparable.append(m)
-    unit_bits = [sum(1 << j for j, b in enumerate(subsets) if i in b)
-                 for i in range(1, N + 1)]
-    for mask in range(1, 1 << n_sub):
-        if any(not mask & ub for ub in unit_bits):
-            continue
-        chosen = mask
-        ok = True
-        while chosen:
-            low = chosen & -chosen
-            i = low.bit_length() - 1
-            if mask & comparable[i] != low:
-                ok = False
-                break
-            chosen ^= low
-        if ok:
-            gens = [subsets[i] for i in range(n_sub) if mask >> i & 1]
+    comparable = [sum(1 << j for j, b in enumerate(subsets) if a <= b or b <= a)
+                  for a in subsets]
+    units = set(range(1, N + 1))
+
+    def antichains(below: int, allowed: int):
+        # masks of the antichains within `allowed` on bits < below, ascending:
+        # the empty one, then by highest bit, each followed by smaller bits
+        yield 0
+        for top in range(below):
+            if allowed >> top & 1:
+                for rest in antichains(top, allowed & ~comparable[top]):
+                    yield rest | 1 << top
+
+    for mask in antichains(len(subsets), (1 << len(subsets)) - 1):
+        gens = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
+        if gens and set().union(*gens) == units:
             yield Hypergraph(N, downward_closure(N, gens))
 
 

@@ -62,6 +62,11 @@ LBFGS_MEMORY = 10
 LBFGS_FTOL = 1e-18
 ARMIJO_C1 = 1e-4
 BACKTRACK_STEPS = 20
+# iteration caps: IPF sweeps, L-BFGS steps of the dual (each face solve gets
+# the same budget again) and entropy-ascent steps of the primal route
+IPF_SWEEPS = 20000
+DUAL_STEPS = 2000
+PRIMAL_STEPS = 400
 
 METHODS = ("auto", "exact", "product", "ipf", "dual", "primal")
 
@@ -136,10 +141,6 @@ def _residual(pi_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> fl
 def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
     """Eigenvalues of an ascending spectrum above rtol times the largest."""
     return int(np.sum(w > rtol * max(float(w[-1]), 1e-300)))
-
-
-def _support_dim(mat: np.ndarray, rtol: float = 1e-9) -> int:
-    return _support_size(np.linalg.eigvalsh(mat), rtol)
 
 
 def _relative_entropy_direct(rho_mat: np.ndarray, rho_entropy: float, pi_mat: np.ndarray) -> float:
@@ -288,7 +289,7 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxit
     return theta, lz, pi, eig, nit
 
 
-def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, maxiter: int):
+def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
     """Returns the projection, its iterations, diagnostics and, at the
     interior exit, its Gibbs parameters; there the projection comes as the
     eigenpairs (p, u) of the last Gibbs state rather than as a matrix."""
@@ -296,7 +297,7 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, maxiter: in
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
     theta, lz, pi, (p, u), nit = _dual_minimize(
-        model.hamiltonian, lambda x: model.moments(x)[1:], b[1:], 0.1 * tol, maxiter
+        model.hamiltonian, lambda x: model.moments(x)[1:], b[1:], 0.1 * tol, DUAL_STEPS
     )
     resid = _residual(pi, model, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
@@ -317,7 +318,7 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, maxiter: in
         _, _, tau, _, face_it = _dual_minimize(
             lambda t: np.tensordot(t, red, axes=(0, 0)),
             lambda x: expectation_values(x, red),
-            c, 0.1 * tol, maxiter,
+            c, 0.1 * tol, DUAL_STEPS,
         )
         return tau, face_it
 
@@ -467,12 +468,11 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
     return tau, total
 
 
-def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float,
-                  maxiter: int):
+def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float):
     # the euclidean projection of rho onto the model span carries the same
     # moments, so any PSD blend of the two is a feasible starting point
     tau = _max_psd_blend(rho_mat, _span(model, b))
-    tau, ascent_iters = _entropy_ascent(tau, model, b, maxiter)
+    tau, ascent_iters = _entropy_ascent(tau, model, b, PRIMAL_STEPS)
     info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": len(rho_mat)}
 
     def solve_face(qmat, red, c, free):
@@ -506,7 +506,7 @@ def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, 
 # ----------------------------------------------------------------- ipf route
 
 
-def _ipf_solve(rho: State, model: HierarchicalModel, tol: float, maxiter: int):
+def _ipf_solve(rho: State, model: HierarchicalModel, tol: float):
     shape = rho.shape
     if not shape.all_classical:
         raise ShapeError("iterative proportional fitting needs an all-classical shape")
@@ -519,7 +519,7 @@ def _ipf_solve(rho: State, model: HierarchicalModel, tol: float, maxiter: int):
         axes = tuple(i - 1 for i in range(1, n + 1) if i not in a)
         plans.append((axes, p.sum(axis=axes, keepdims=True)))
     sweeps = 0
-    for sweeps in range(1, maxiter + 1):
+    for sweeps in range(1, IPF_SWEEPS + 1):
         for axes, mp in plans:
             mq = q.sum(axis=axes, keepdims=True)
             safe = np.where(mq > 0.0, mq, 1.0)
@@ -541,7 +541,6 @@ def maxent_project(
     model: HierarchicalModel,
     method: str = "auto",
     tol: float = INTERIOR_TOL,
-    max_iter: int | None = None,
 ) -> ProjectionResult:
     """Project a state onto a hierarchical family by entropy maximization.
 
@@ -554,10 +553,10 @@ def maxent_project(
     divergence within ENTROPY_MATCH_TOL of the cross-check
     diagnostics["relative_entropy_direct"] (see _relative_entropy_direct).
     """
-    return _project(rho, model, None, method, tol, max_iter)
+    return _project(rho, model, None, method, tol)
 
 
-def _project(rho, model, rho_w, method="auto", tol=INTERIOR_TOL, max_iter=None):
+def _project(rho, model, rho_w, method="auto", tol=INTERIOR_TOL):
     """maxent_project, reusing rho's ascending spectrum rho_w when the
     caller has it (None: take it here)."""
     if method not in METHODS:
@@ -578,20 +577,20 @@ def _project(rho, model, rho_w, method="auto", tol=INTERIOR_TOL, max_iter=None):
             method = "ipf"
         else:
             method = "dual"
-            result = _run(rho, rho_w, model, "dual", tol, max_iter)
+            result = _run(rho, rho_w, model, "dual", tol)
             if result.converged:
                 return result
-            fallback = _run(rho, rho_w, model, "primal", tol, max_iter)
+            fallback = _run(rho, rho_w, model, "primal", tol)
             # a converged answer wins; between two misses, the lower residual
             return fallback if fallback.converged or fallback.residual < result.residual else result
     if method == "exact" and not full:
         raise ValueError("method 'exact' needs the full interaction set in the family")
     if method == "product" and not is_independence(hg):
         raise ValueError("method 'product' only applies to the independence family")
-    return _run(rho, rho_w, model, method, tol, max_iter)
+    return _run(rho, rho_w, model, method, tol)
 
 
-def _run(rho, rho_w, model, method, tol, max_iter) -> ProjectionResult:
+def _run(rho, rho_w, model, method, tol) -> ProjectionResult:
     if method == "exact":
         # the family holds every moment of rho, so rho is its own projection
         # and the dense basis stack is never needed
@@ -606,11 +605,11 @@ def _run(rho, rho_w, model, method, tol, max_iter) -> ProjectionResult:
         pi_mat = tensor(*[marginal(rho, (i,)).matrix for i in range(1, rho.shape.N + 1)])
         iters, info = 0, {}
     elif method == "ipf":
-        pi_mat, iters, info, theta = _ipf_solve(rho, model, tol, max_iter or 20000)
+        pi_mat, iters, info, theta = _ipf_solve(rho, model, tol)
     elif method == "dual":
-        pi_mat, iters, info, theta = _dual_solve(model, b, tol, max_iter or 2000)
+        pi_mat, iters, info, theta = _dual_solve(model, b, tol)
     else:
-        pi_mat, iters, info, theta = _primal_solve(rho.matrix, model, b, tol, max_iter or 400)
+        pi_mat, iters, info, theta = _primal_solve(rho.matrix, model, b, tol)
 
     # one spectral pass: the state and its spectrum come from the route's
     # last eigendecomposition, and one independent eigh of pi checks them

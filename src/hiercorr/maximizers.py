@@ -10,17 +10,14 @@ that local maximizers have to satisfy on their support.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .algebra import (
-    State,
-    SystemShape,
-    hermitian_realvec,
-)
+from .algebra import State, SystemShape, algebra_mask, hermitian_realvec
 from .hierarchy import HierarchicalModel, Hypergraph, build_model, model_dim
-from .maxent import _support_dim, maxent_project
+from .maxent import _support_size, maxent_project
 
 SNAP_EPS = 1e-12
 RANK_RTOL = 1e-9
@@ -102,105 +99,94 @@ class _Objective:
         return res.divergence, res.state
 
 
-def _ascend_classical(p0: np.ndarray, shape: SystemShape, fun: _Objective,
-                      max_steps: int):
-    """Mirror ascent on the simplex; multiplicative steps keep zeros fixed
-    and the snap removes mass that decays below resolution."""
-    p = p0.copy()
-    val, pi = fun(State.from_probabilities(shape, p))
-    eta = 1.0
+def _ascend(x, eta: float, state_of, direction, fun: _Objective, max_steps: int):
+    """Backtracking ascent from coordinates x, whose state is state_of(x).
+
+    direction(x, rho, pi) gives the size of the ascent direction at rho
+    (projection pi) and the trial map eta -> coordinates.  A trial is taken
+    when it raises the divergence; eta halves after each miss and grows
+    after each hit.  Two steps in a row without a rise end the run.
+    """
+    rho = state_of(x)
+    val, pi = fun(rho)
     stall = 0
     for _ in range(max_steps):
-        live = p > 0.0
-        g = np.zeros_like(p)
-        qpi = np.clip(np.real(np.diag(pi.matrix)), 1e-300, None)
-        g[live] = np.log(p[live]) - np.log(qpi[live])
-        g[live] -= g[live].mean()
-        if np.max(np.abs(g), initial=0.0) < 1e-12:
+        size, trial = direction(x, rho, pi)
+        if size < 1e-12:
             break
-        moved = False
         for _ in range(25):
-            logits = np.full_like(p, -np.inf)
-            logits[live] = np.log(p[live]) + eta * g[live]
-            cand = np.exp(logits - logits[live].max())
-            cand /= cand.sum()
-            cand[cand < SNAP_EPS] = 0.0
-            cand /= cand.sum()
-            cval, cpi = fun(State.from_probabilities(shape, cand))
+            cand_x = trial(eta)
+            cand = state_of(cand_x)
+            cval, cpi = fun(cand)
             if cval > val + 1e-14:
-                p, val, pi = cand, cval, cpi
+                x, rho, val, pi = cand_x, cand, cval, cpi
                 eta *= 1.6
-                moved = True
+                stall = 0
                 break
             eta *= 0.5
-        if not moved:
+        else:
             stall += 1
             eta = max(eta, 1e-3)
             if stall >= 2:
                 break
-        else:
-            stall = 0
-    return val, State.from_probabilities(shape, p)
+    return val, rho
+
+
+def _mirror_direction(p: np.ndarray, rho: State, pi: State):
+    """Mirror ascent on the simplex; multiplicative steps keep zeros fixed
+    and the snap removes mass that decays below resolution."""
+    live = p > 0.0
+    g = np.zeros_like(p)
+    qpi = np.clip(np.real(np.diag(pi.matrix)), 1e-300, None)
+    g[live] = np.log(p[live]) - np.log(qpi[live])
+    g[live] -= g[live].mean()
+
+    def trial(eta):
+        logits = np.full_like(p, -np.inf)
+        logits[live] = np.log(p[live]) + eta * g[live]
+        cand = np.exp(logits - logits[live].max())
+        cand /= cand.sum()
+        cand[cand < SNAP_EPS] = 0.0
+        return cand / cand.sum()
+
+    return np.max(np.abs(g), initial=0.0), trial
 
 
 def _state_from_factor(m: np.ndarray, shape: SystemShape) -> State:
+    """rho = M M*/tr, pinched into the algebra when a unit is classical."""
     rho = m @ m.conj().T
+    if not shape.all_quantum:
+        rho = np.where(algebra_mask(shape), rho, 0.0)
     rho = rho / np.trace(rho).real
     return State(shape, 0.5 * (rho + rho.conj().T))
 
 
-def _ascend_quantum(m0: np.ndarray, shape: SystemShape, fun: _Objective,
-                    max_steps: int):
-    """Ascent on a purification factor: rho = M M*/tr, so positivity and
-    normalization are free and the rank can only drop."""
-    m = m0.copy()
-    rho = _state_from_factor(m, shape)
-    val, pi = fun(rho)
-    eta = 0.5
-    stall = 0
-    for _ in range(max_steps):
-        t = float(np.real(np.trace(m @ m.conj().T)))
-        w, u = np.linalg.eigh(rho.matrix)
-        lr = (u * np.log(np.clip(w, 1e-13, None))) @ u.conj().T
-        wp, up = np.linalg.eigh(pi.matrix)
-        lp = (up * np.log(np.clip(wp, 1e-13, None))) @ up.conj().T
-        g = lr - lp
-        mean = float(np.real(np.trace(g @ rho.matrix)))
-        grad = (2.0 / t) * (g - mean * np.eye(g.shape[0])) @ m
-        gn = float(np.linalg.norm(grad))
-        if gn < 1e-12:
-            break
-        moved = False
-        for _ in range(25):
-            cand_m = m + (eta / max(1.0, gn)) * grad
-            sv = np.linalg.svd(cand_m, compute_uv=False)
-            if sv[0] > 0.0:
-                keep = sv > 1e-7 * sv[0]
-                if keep.sum() < cand_m.shape[1]:
-                    uu, ss, vv = np.linalg.svd(cand_m, full_matrices=False)
-                    cand_m = uu[:, keep] * ss[keep]
-            cand = _state_from_factor(cand_m, shape)
-            cval, cpi = fun(cand)
-            if cval > val + 1e-14:
-                m, val, rho, pi = cand_m, cval, cand, cpi
-                eta *= 1.6
-                moved = True
-                break
-            eta *= 0.5
-        if not moved:
-            stall += 1
-            eta = max(eta, 1e-3)
-            if stall >= 2:
-                break
-        else:
-            stall = 0
-    return val, rho
+def _log_psd(mat: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(mat)
+    return (u * np.log(np.clip(w, 1e-13, None))) @ u.conj().T
 
 
-def _support_size(state: State) -> int:
-    if state.shape.all_classical:
-        return int(np.sum(state.probabilities() > 1e-10))
-    return _support_dim(state.matrix, RANK_RTOL)
+def _factor_direction(m: np.ndarray, rho: State, pi: State):
+    """Ascent on a purification factor: positivity and normalization are
+    free and the rank can only drop.  log rho - log pi lies in the algebra,
+    so the pinch leaves the gradient (2/t)(log rho - log pi - mean) M as is."""
+    t = float(np.real(np.trace(m @ m.conj().T)))
+    g = _log_psd(rho.matrix) - _log_psd(pi.matrix)
+    mean = float(np.real(np.trace(g @ rho.matrix)))
+    grad = (2.0 / t) * (g - mean * np.eye(g.shape[0])) @ m
+    gn = float(np.linalg.norm(grad))
+
+    def trial(eta):
+        cand = m + (eta / max(1.0, gn)) * grad
+        sv = np.linalg.svd(cand, compute_uv=False)
+        if sv[0] > 0.0:
+            keep = sv > 1e-7 * sv[0]
+            if keep.sum() < cand.shape[1]:
+                uu, ss, _ = np.linalg.svd(cand, full_matrices=False)
+                cand = uu[:, keep] * ss[keep]
+        return cand
+
+    return gn, trial
 
 
 def search_local_maximizers(
@@ -212,8 +198,9 @@ def search_local_maximizers(
 ) -> SearchReport:
     """Multistart local search for divergence maximizers.
 
-    Classical shapes use mirror ascent on the probability simplex; other
-    shapes ascend a purification factor.  Runs are deduplicated into value
+    All-classical shapes use mirror ascent on the probability simplex;
+    other shapes ascend a purification factor, whose state is pinched into
+    the algebra when some unit is classical.  Runs are deduplicated into value
     clusters (1e-6 wide) and reported best first.
     """
     model = family if isinstance(family, HierarchicalModel) else build_model(shape, family)
@@ -226,12 +213,13 @@ def search_local_maximizers(
     outcomes = []
     for _ in range(n_restarts):
         if shape.all_classical:
-            p0 = rng.dirichlet(np.ones(d))
-            val, state = _ascend_classical(p0, shape, fun, max_steps)
+            x, eta, direction = rng.dirichlet(np.ones(d)), 1.0, _mirror_direction
+            state_of = functools.partial(State.from_probabilities, shape)
         else:
-            m0 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            val, state = _ascend_quantum(m0, shape, fun, max_steps)
-        outcomes.append((val, state))
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            eta, direction = 0.5, _factor_direction
+            state_of = functools.partial(_state_from_factor, shape=shape)
+        outcomes.append(_ascend(x, eta, state_of, direction, fun, max_steps))
 
     outcomes.sort(key=lambda vs: -vs[0])
     clusters: list[MaximizerRecord] = []
@@ -245,7 +233,7 @@ def search_local_maximizers(
                 MaximizerRecord(
                     value=val,
                     state=state,
-                    support_dim=_support_size(state),
+                    support_dim=_support_size(np.linalg.eigvalsh(state.matrix), RANK_RTOL),
                     exp_residual=check_exponential_form(state, model),
                     hits=1,
                 )

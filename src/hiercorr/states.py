@@ -114,16 +114,3 @@ def random_density(shape: SystemShape, rng: np.random.Generator, rank: int | Non
     mat = np.where(mask, mat, 0.0)
     mat /= np.trace(mat).real
     return State(shape, 0.5 * (mat + mat.conj().T))
-
-
-def random_mixture_of_pures(shape: SystemShape, rng: np.random.Generator, terms: int) -> State:
-    """Convex mixture of Haar-random pure states with Dirichlet weights."""
-    if not shape.all_quantum:
-        raise ShapeError("random_mixture_of_pures requires an all-quantum shape")
-    w = rng.dirichlet(np.ones(terms))
-    mat = np.zeros((shape.dim, shape.dim), dtype=complex)
-    for wi in w:
-        v = rng.normal(size=shape.dim) + 1j * rng.normal(size=shape.dim)
-        v /= np.linalg.norm(v)
-        mat += wi * np.outer(v, v.conj())
-    return State(shape, 0.5 * (mat + mat.conj().T))

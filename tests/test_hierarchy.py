@@ -328,3 +328,16 @@ class TestCoveringEnumeration:
         from hiercorr.hierarchy import covering_hypergraphs
 
         assert sum(1 for _ in covering_hypergraphs(4)) == 114
+        # antichains of the nonempty subsets of a 5-set that cover it (OEIS A006126)
+        assert sum(1 for _ in covering_hypergraphs(5)) == 6894
+
+    def test_order_follows_generator_bitmask(self):
+        from hiercorr.hierarchy import covering_hypergraphs
+
+        for n in (3, 4):
+            subsets = [frozenset(v) for r in range(1, n + 1)
+                       for v in itertools.combinations(range(1, n + 1), r)]
+            masks = [sum(1 << subsets.index(frozenset(g)) for g in hg.maximal_sets)
+                     for hg in covering_hypergraphs(n)]
+            assert masks == sorted(masks)
+            assert len(set(masks)) == len(masks)

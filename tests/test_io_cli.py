@@ -277,6 +277,15 @@ class TestCLI:
         assert abs(rep["results"]["records"][0]["value"] - LOG2) < 1e-6
         assert rep["results"]["bound"]["proven"] is True
 
+    def test_maximize_mixed_shape(self, capsys):
+        code = main(["maximize", "--shape", "2,2", "--kind", "classical,quantum", "--k", "1",
+                     "--restarts", "4"])
+        rep = _report(capsys)
+        assert code == 0
+        assert abs(rep["results"]["records"][0]["value"] - LOG2) < 1e-6
+        assert rep["results"]["bound"]["argument"] == "conservative"
+        assert rep["diagnostics"]["projection_failures"] == 0
+
     def test_demo_subset(self, capsys):
         code = main(["demo", "--only", "parity-kernel"])
         out = capsys.readouterr().out

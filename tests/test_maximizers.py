@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from hiercorr.algebra import State, SystemShape, hermitian_realvec
+from hiercorr.algebra import State, SystemShape, algebra_mask, hermitian_realvec
 from hiercorr.hierarchy import build_model, hypergraph_k
 from hiercorr.maxent import maxent_project
 from hiercorr.maximizers import (
@@ -90,35 +90,41 @@ class TestExponentialForm:
 
 class TestGradients:
     def test_purification_gradient_matches_finite_differences(self):
-        # envelope property: the projection's own variation drops out
+        # envelope property: the projection's own variation drops out; with a
+        # classical unit the factor's state is pinched into the algebra, and
+        # the gradient keeps its form because log rho - log pi lies there
         rng = np.random.default_rng(72)
-        sh = SystemShape.qubits(2)
-        model = build_model(sh, hypergraph_k(2, 1))
+        for kinds in (("quantum", "quantum"), ("classical", "quantum")):
+            sh = SystemShape((2, 2), kinds)
+            model = build_model(sh, hypergraph_k(2, 1))
+            mask = algebra_mask(sh)
 
-        def value(m):
-            rho = m @ m.conj().T
-            rho /= np.trace(rho).real
-            return maxent_project(State(sh, 0.5 * (rho + rho.conj().T)), model).divergence
+            def state(m):
+                rho = np.where(mask, m @ m.conj().T, 0.0)
+                rho /= np.trace(rho).real
+                return State(sh, 0.5 * (rho + rho.conj().T))
 
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho_mat = m @ m.conj().T
-        t = np.trace(rho_mat).real
-        rho = State(sh, 0.5 * (rho_mat + rho_mat.conj().T) / t)
-        pi = maxent_project(rho, model).state
-        w, u = np.linalg.eigh(rho.matrix)
-        lr = (u * np.log(np.clip(w, 1e-13, None))) @ u.conj().T
-        wp, up = np.linalg.eigh(pi.matrix)
-        lp = (up * np.log(np.clip(wp, 1e-13, None))) @ up.conj().T
-        g = lr - lp
-        mean = np.real(np.trace(g @ rho.matrix))
-        grad = (2.0 / t) * (g - mean * np.eye(4)) @ m
+            def value(m):
+                return maxent_project(state(m), model).divergence
 
-        eps = 1e-6
-        for _ in range(3):
-            delta = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            num = (value(m + eps * delta) - value(m - eps * delta)) / (2 * eps)
-            ana = float(np.real(np.sum(np.conj(grad) * delta)))
-            assert abs(num - ana) < 1e-5 * max(1.0, abs(ana))
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            t = np.trace(m @ m.conj().T).real
+            rho = state(m)
+            pi = maxent_project(rho, model).state
+            w, u = np.linalg.eigh(rho.matrix)
+            lr = (u * np.log(np.clip(w, 1e-13, None))) @ u.conj().T
+            wp, up = np.linalg.eigh(pi.matrix)
+            lp = (up * np.log(np.clip(wp, 1e-13, None))) @ up.conj().T
+            g = lr - lp
+            mean = np.real(np.trace(g @ rho.matrix))
+            grad = (2.0 / t) * (g - mean * np.eye(4)) @ m
+
+            eps = 1e-6
+            for _ in range(3):
+                delta = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                num = (value(m + eps * delta) - value(m - eps * delta)) / (2 * eps)
+                ana = float(np.real(np.sum(np.conj(grad) * delta)))
+                assert abs(num - ana) < 1e-5 * max(1.0, abs(ana))
 
     def test_mirror_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(73)
@@ -176,3 +182,24 @@ class TestSearch:
                                     n_restarts=4, seed=15)
         assert a.best.value == b.best.value
         assert np.array_equal(a.best.state.matrix, b.best.state.matrix)
+
+
+class TestMixedShapeSearch:
+    # the purification-factor step pinches its state into the algebra, so
+    # shapes with classical and quantum units search like quantum ones
+    def test_classical_quantum_independence(self):
+        sh = SystemShape((2, 2), ("classical", "quantum"))
+        rep = search_local_maximizers(sh, hypergraph_k(2, 1), n_restarts=4, seed=16)
+        assert abs(rep.best.value - LOG2) < 1e-6
+        assert rep.projection_failures == 0
+        assert rep.bound.argument == "conservative"
+        assert rep.bound_satisfied
+        assert np.all(rep.best.state.matrix[~algebra_mask(sh)] == 0.0)
+
+    def test_quantum_classical_quantum_pairwise(self):
+        sh = SystemShape((2, 2, 2), ("quantum", "classical", "quantum"))
+        rep = search_local_maximizers(sh, hypergraph_k(3, 2), n_restarts=2, seed=17)
+        assert rep.projection_failures == 0
+        assert rep.evaluations > 0
+        assert all(r.exp_residual <= 1e-5 for r in rep.records)
+        assert sum(r.hits for r in rep.records) == 2

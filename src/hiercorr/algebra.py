@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -86,11 +86,12 @@ class SystemShape:
             out *= self.unit_algebra_dim(i)
         return out
 
-    @property
+    # cached: the projection routes branch on these at every step
+    @cached_property
     def all_classical(self) -> bool:
         return all(k == CLASSICAL for k in self.kinds)
 
-    @property
+    @cached_property
     def all_quantum(self) -> bool:
         return all(k == QUANTUM for k in self.kinds)
 
@@ -175,7 +176,15 @@ class State:
         tr = np.trace(mat).real
         if abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * self.shape.dim):
             raise ShapeError(f"state trace is {tr!r}, expected 1")
-        wmin = float(np.linalg.eigvalsh(mat)[0])
+        # Gershgorin: no eigenvalue lies below a diagonal entry minus the
+        # off-diagonal weight of its row, which a classical shape keeps at
+        # rounding level; only a bound below PSD_ATOL needs the spectrum
+        wmin = -np.inf
+        if self.shape.all_classical:
+            diag = np.real(np.diagonal(mat))
+            wmin = float(np.min(diag + np.abs(diag) - np.abs(mat).sum(axis=1)))
+        if wmin < PSD_ATOL:
+            wmin = float(np.linalg.eigvalsh(mat)[0])
         if wmin < PSD_ATOL:
             raise ShapeError(f"state has eigenvalue {wmin:.2e} below {PSD_ATOL:.0e}")
         object.__setattr__(self, "matrix", mat)

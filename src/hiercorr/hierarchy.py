@@ -209,8 +209,12 @@ class HierarchicalModel:
 
     def moments(self, x: np.ndarray) -> np.ndarray:
         """Real vector of tr(B_k x), in element order, from the marginals of x
-        on the maximal sets (see _MomentPlan); basis_matrices() is not used."""
+        on the maximal sets (see _MomentPlan); basis_matrices() is not used.
+        On an all-classical shape x may also be the length-d diagonal of a
+        matrix, a probability vector for a state."""
         d = self.shape.dim
+        if self.shape.all_classical and np.shape(x) == (d,):
+            return self._classical_plan().diagonal_moments(np.asarray(x, dtype=float))
         if np.shape(x) != (d, d):
             raise ShapeError(f"matrix is {np.shape(x)}, the model demands ({d}, {d})")
         return self._moment_plan().moments(x)
@@ -219,6 +223,25 @@ class HierarchicalModel:
         """sum_k theta_k B_k over the non-identity elements 1..m-1, the order
         of GibbsParameters.theta; basis_matrices() is not used."""
         return self._moment_plan().hamiltonian(theta)
+
+    def hamiltonian_diagonal(self, theta: np.ndarray) -> np.ndarray:
+        """Diagonal of hamiltonian(theta) on an all-classical shape, where the
+        elements are diagonal: the energy of every configuration."""
+        return self._classical_plan().diagonal_hamiltonian(theta)
+
+    def marginal_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """On an all-classical shape, (cells, starts): cells[s, c] is the cell
+        of configuration c in the marginal on maximal set s (maximal_sets
+        order), the joint index of its values on the set's units, the first
+        most significant; starts[s] is where set s begins in the stacked
+        vector of all marginals (see marginals)."""
+        plan = self._classical_plan()
+        return plan.cells, plan.starts
+
+    def marginals(self, p: np.ndarray) -> np.ndarray:
+        """Marginals of a length-d vector on every maximal set, stacked in
+        maximal_sets order (see marginal_cells); all-classical shapes only."""
+        return self._classical_plan().marginals(np.asarray(p, dtype=float))
 
     def compress(self, q: np.ndarray) -> np.ndarray:
         """Stack (m, r, r) of q^H B_k q for a d x r isometry q (see _MomentPlan)."""
@@ -230,6 +253,11 @@ class HierarchicalModel:
         if self._plan is None:
             self._plan = _MomentPlan(self)
         return self._plan
+
+    def _classical_plan(self) -> "_MomentPlan":
+        if not self.shape.all_classical:
+            raise ShapeError("diagonal moment maps need an all-classical shape")
+        return self._moment_plan()
 
 
 def _kron_stack(bases, patterns) -> np.ndarray:
@@ -266,6 +294,12 @@ class _MomentPlan:
     positions.  Maximal sets of equal dimension d_A form one group,
     contracted in one matmul against the local bases of every unit signature
     (sizes and kinds) in the group.
+
+    On an all-classical shape every element is diagonal, and the diagonal
+    maps run on length-d vectors: the marginal of a vector on A is a
+    histogram over A's cells (the joint values of its units), all of them
+    one stacked bincount, and the energy of a configuration adds up the
+    local energies of its cell in every maximal set.
     """
 
     def __init__(self, model: HierarchicalModel):
@@ -294,6 +328,7 @@ class _MomentPlan:
             groups.setdefault(math.prod(sizes[i] for i in a), []).append(s)
         self.slot = np.empty(model.n_elements, dtype=np.intp)
         self.groups = []  # (positions (g, d_A^2, d / d_A), local bases as reals, first slot)
+        diagonals = []  # (maximal sets of the group, diagonals (n_local, d_A) of its local bases)
         positions, sources = [], []
         n_slots = n_vals = 0
         for d_a, members in groups.items():
@@ -320,6 +355,7 @@ class _MomentPlan:
                 self.slot[own] = n_slots + t * n_local + first + pats[own][:, a] @ radix
             pos = np.stack(pos)
             self.groups.append((pos, local.view(np.float64), n_slots))
+            diagonals.append((members, np.real(local[:, ::d_a + 1])))
             positions.append(pos.ravel())
             sources.append(n_vals + np.repeat(np.arange(pos.shape[0] * pos.shape[1]), pos.shape[2]))
             n_slots += len(members) * n_local
@@ -328,6 +364,39 @@ class _MomentPlan:
         self.positions = np.concatenate(positions)
         self.sources = np.concatenate(sources)
         self.dim = d
+        if shape.all_classical:
+            digits = np.indices(sizes).reshape(n_units, d)
+            self.cells = np.stack([np.ravel_multi_index(tuple(digits[a]), [sizes[i] for i in a])
+                                   for a in sets])
+            self.starts = np.concatenate([[0], np.cumsum([math.prod(sizes[i] for i in a)
+                                                          for a in sets])])
+            self.stacked = (self.cells + self.starts[:-1, None]).ravel()
+            self.configs = np.tile(np.arange(d), len(sets))  # of each stacked entry
+            # per group: each member's cells in the stacked marginals
+            self.diagonals = [(self.starts[members][:, None] + np.arange(diag.shape[1]), diag)
+                              for members, diag in diagonals]
+
+    def _weights(self, theta: np.ndarray) -> np.ndarray:
+        """theta spread over the slots of the local elements."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.size - 1,):
+            raise ValueError("parameter count does not match the model")
+        return np.bincount(self.slot[1:], weights=theta, minlength=self.n_slots)
+
+    def marginals(self, p: np.ndarray) -> np.ndarray:
+        return np.bincount(self.stacked, weights=p[self.configs], minlength=self.starts[-1])
+
+    def diagonal_moments(self, p: np.ndarray) -> np.ndarray:
+        marg = self.marginals(p)
+        ys = [marg[cells] @ diag.T for cells, diag in self.diagonals]
+        return np.concatenate([y.reshape(-1) for y in ys])[self.slot]
+
+    def diagonal_hamiltonian(self, theta: np.ndarray) -> np.ndarray:
+        z = self._weights(theta)
+        energy = np.empty(self.starts[-1])  # of every cell of every maximal set
+        for (_, _, first), (cells, diag) in zip(self.groups, self.diagonals):
+            energy[cells] = z[first:first + cells.shape[0] * len(diag)].reshape(len(cells), -1) @ diag
+        return energy[self.stacked].reshape(len(self.cells), -1).sum(axis=0)
 
     def moments(self, x: np.ndarray) -> np.ndarray:
         flat = np.ascontiguousarray(x, dtype=complex).reshape(-1)
@@ -352,10 +421,7 @@ class _MomentPlan:
         return np.concatenate(out)[self.slot]
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.size - 1,):
-            raise ValueError("parameter count does not match the model")
-        z = np.bincount(self.slot[1:], weights=theta, minlength=self.n_slots)
+        z = self._weights(theta)
         vals = [
             (z[first:first + pos.shape[0] * real.shape[0]].reshape(pos.shape[0], -1) @ real)
             .view(complex).reshape(-1)
@@ -413,18 +479,31 @@ def numerical_basis_rank(model: HierarchicalModel) -> int:
     matrices (real, as the basis is hermitian), built for the check and
     dropped after it unless the model already caches them; an eigenvalue
     counts when it exceeds 1e-8 times the largest, i.e. a singular value
-    above 1e-4 of the largest.  Large models use the tensor structure: the
-    Gram matrix of the distinct patterns factors through the per-unit Grams,
-    so after certifying those to near machine precision it is diagonally
-    dominant and therefore non-singular.
+    above 1e-4 of the largest.  When every unit basis is diagonal (all
+    units classical), so is every element, and the Gram matrix is that of
+    the materialized length-d diagonals.  Large models use the tensor
+    structure: the Gram matrix of the distinct patterns factors through the
+    per-unit Grams, so after certifying those to near machine precision it
+    is diagonally dominant and therefore non-singular.
     """
     d = model.shape.dim
     m = model.n_elements
     if m * d * d <= 2**20:
-        stack = model._stack if model._stack is not None else model._dense_stack()
+        units = [np.stack(basis) for basis in model.unit_bases]
+        if all(not np.any(u * ~np.eye(u.shape[1], dtype=bool)) for u in units):
+            # diagonal unit bases: the entries off the diagonal of every
+            # element are exact zeros, which add nothing to tr(B_k B_l)
+            pats = np.array(model.patterns).reshape(m, len(units))
+            flat = np.ones((m, 1), dtype=complex)
+            for i, u in enumerate(units):
+                diag = np.diagonal(u, axis1=1, axis2=2)[pats[:, i]]
+                flat = (flat[:, :, None] * diag[:, None, :]).reshape(m, -1)
+        else:
+            stack = model._stack if model._stack is not None else model._dense_stack()
+            flat = np.ascontiguousarray(stack).reshape(m, d * d)
         # tr(B_k B_l) of hermitian matrices is real: the dot product of the
         # (re, im) pairs of the flattened matrices
-        flat = np.ascontiguousarray(stack).reshape(m, d * d).view(np.float64)
+        flat = flat.view(np.float64)
         w = np.linalg.eigvalsh(flat @ flat.T)
         return int(np.sum(w > 1e-8 * max(float(w[-1]), 1e-300)))
     distinct = len(set(model.patterns))

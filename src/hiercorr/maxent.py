@@ -16,11 +16,17 @@ The divergence from the family is reported as the entropy gap between the
 projection and the input, which agrees with the relative entropy to the
 projection for every family handled here (including boundary cases, where
 the projection is a limit of the exponential family).
+
+On all-classical shapes, the commutative case, every route but ``primal``
+runs on probability vectors: the basis is diagonal, the Gibbs map is a
+softmax and a state's spectrum is its sorted entries, so no
+eigendecomposition is taken.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import reduce
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from .algebra import (
     State,
     SystemShape,
     _gibbs_eigh,
+    _partial_trace,
     algebra_mask,
     expectation_values,
     gibbs_with_log_partition,
@@ -92,7 +99,7 @@ class GibbsParameters:
 
     def state(self, model: HierarchicalModel) -> State:
         pi, _ = gibbs_with_log_partition(self.hamiltonian(model))
-        return State(model.shape, _clean(pi, model.shape)[0])
+        return State(model.shape, _density(_clean(pi, model.shape)[0]))
 
 
 @dataclasses.dataclass
@@ -120,22 +127,43 @@ def _from_spectrum(w: np.ndarray, u: np.ndarray, shape: SystemShape) -> np.ndarr
     return 0.5 * (out + out.conj().T)
 
 
-def _clean(mat: np.ndarray, shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
+def _density(x: np.ndarray) -> np.ndarray:
+    """Density matrix of a state given as a matrix or, on an all-classical
+    shape, as its probability vector."""
+    return x if x.ndim == 2 else np.diag(x.astype(complex))
+
+
+def _clean(out: np.ndarray, shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
     """Nearest state in the algebra by conditional expectation and eigenvalue
     clip, both of which can only move the matrix toward the feasible cone.
-    Returns the state and its spectrum (ascending, summing to one)."""
-    mat = _in_algebra(0.5 * (mat + mat.conj().T), shape)
-    w, u = np.linalg.eigh(mat)
+    Returns the state and its spectrum (ascending, summing to one).
+
+    On an all-classical shape the state is a probability vector: out itself,
+    or the diagonal of the matrix out (its conditional expectation), which
+    is also its spectrum, clipped and renormalized."""
+    if shape.all_classical:
+        w = np.real(out if out.ndim == 1 else np.diagonal(out))
+    else:
+        w, u = np.linalg.eigh(_in_algebra(0.5 * (out + out.conj().T), shape))
     w = np.clip(w, 0.0, None)
     s = w.sum()
     if s <= 0.0:
         raise ConvergenceError("projection collapsed to the zero matrix")
     w = w / s
+    if shape.all_classical:
+        return w, np.sort(w)
     return _from_spectrum(w, u, shape), w
 
 
-def _residual(pi_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> float:
-    return float(np.max(np.abs(model.moments(pi_mat) - b)))
+def _residual(x: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> float:
+    return float(np.max(np.abs(model.moments(x) - b)))
+
+
+def _spectrum(rho: State) -> np.ndarray:
+    """rho's ascending spectrum; on an all-classical shape, its sorted diagonal."""
+    if rho.shape.all_classical:
+        return np.sort(rho.probabilities())
+    return np.linalg.eigvalsh(rho.matrix)
 
 
 def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
@@ -143,7 +171,7 @@ def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
     return int(np.sum(w > rtol * max(float(w[-1]), 1e-300)))
 
 
-def _relative_entropy_direct(rho_mat: np.ndarray, rho_entropy: float, pi_mat: np.ndarray) -> float:
+def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, x: np.ndarray) -> float:
     """D(rho||pi) = -S(rho) - tr(rho log pi) from an eigh of pi of its own.
 
     The cross-check of a projection: the divergence is S(pi) - S(rho) from
@@ -152,9 +180,14 @@ def _relative_entropy_direct(rho_mat: np.ndarray, rho_entropy: float, pi_mat: np
     normal double, so tiny positive ones keep their exact logarithm (a
     fitting limit with an entry of 4e-11 stays finite), while mass of rho on
     pi's kernel weighs about 708 per unit instead of making D infinite.
+    Probability vectors rho_x and x (all-classical shapes) need no eigh:
+    pi is diagonal in the standard basis.
     """
-    w, v = np.linalg.eigh(pi_mat)
-    r = np.real(np.sum(v.conj() * (rho_mat @ v), axis=0))  # diagonal of v^H rho v
+    if x.ndim == 1:
+        w, r = x, rho_x
+    else:
+        w, v = np.linalg.eigh(x)
+        r = np.real(np.sum(v.conj() * (rho_x @ v), axis=0))  # diagonal of v^H rho v
     return max(0.0, -rho_entropy - float(r @ np.log(np.maximum(w, np.finfo(float).tiny))))
 
 
@@ -187,10 +220,12 @@ def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, bes
     keeping no vector, or as many as a face already tried, are skipped, as
     are faces whose constraints q^H B_k q (model.compress) miss the moments
     by more than defect_rtol.  solve_face(q, red, c, free) returns a solution
-    in q's coordinates, or None, and its iterations.  Lifts are checked
-    against the full constraints; the lowest residual wins, stopping at tol.
+    in q's coordinates (on a classical face, whose q are columns of the
+    identity, a probability vector), or None, and its iterations.  Lifts
+    are checked against the full constraints; the lowest residual wins,
+    stopping at tol.
 
-    best, a full-space record (matrix, residual, round, rank, iterations)
+    best, a full-space record (state, residual, round, rank, iterations)
     already in hand, marks the full rank as tried.  Returns the best record
     (None if there is none) and the iterations spent on faces.
     """
@@ -212,7 +247,7 @@ def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, bes
         total += nit
         if face is None:
             continue
-        pi = q @ face @ q.conj().T
+        pi = q @ face @ q.conj().T if face.ndim == 2 else np.real(q @ face)
         resid = _residual(pi, model, b)
         if best is None or resid < best[1]:
             best = (pi, resid, rounds, r, nit)
@@ -242,20 +277,33 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxiter: int):
+def _gibbs_softmax(h: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """_gibbs_eigh of a diagonal Hamiltonian given as its diagonal h: the
+    Gibbs state is the softmax of h, a probability vector p.  Its ascending
+    spectrum is p[order], and the eigenvectors are the columns order of the
+    identity, which only a caller that needs them builds."""
+    order = np.argsort(h, kind="stable")
+    top = h[order[-1]]
+    lz = float(top + np.log1p(np.exp(h[order[:-1]] - top).sum()))
+    p = np.exp(h - lz)
+    return p, lz, p[order], order
+
+
+def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxiter: int, gibbs):
     """Minimize log Z(theta) - theta . targets by L-BFGS with backtracking.
 
-    hamiltonian(theta) is sum_k theta_k B_k and moments(x) the vector of
-    tr(B_k x), over the directions B_k the targets belong to.  Stops when
-    the largest gradient entry is at most gtol, when an accepted step lowers
-    the objective by at most LBFGS_FTOL relative to its size, when no step
-    along steepest descent decreases it, or after maxiter steps.
-    Returns theta, log Z, the Gibbs state at theta, its eigenpairs (p, u)
-    and the steps taken.
+    hamiltonian(theta) is sum_k theta_k B_k, gibbs the Gibbs map of such an
+    operator (_gibbs_eigh, or _gibbs_softmax of diagonals) and moments(x)
+    the vector of tr(B_k x), over the directions B_k the targets belong
+    to.  Stops when the largest gradient entry is at most gtol, when an
+    accepted step lowers the objective by at most LBFGS_FTOL relative to its
+    size, when no step along steepest descent decreases it, or after
+    maxiter steps.  Returns theta, log Z, the Gibbs state at theta, its
+    eigenpairs (p, u) as gibbs gives them and the steps taken.
     """
 
     def fg(theta):
-        pi, lz, p, u = _gibbs_eigh(hamiltonian(theta))
+        pi, lz, p, u = gibbs(hamiltonian(theta))
         return lz - theta @ targets, moments(pi) - targets, pi, lz, (p, u)
 
     theta = np.zeros(targets.size)
@@ -292,19 +340,29 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxit
 def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
     """Returns the projection, its iterations, diagnostics and, at the
     interior exit, its Gibbs parameters; there the projection comes as the
-    eigenpairs (p, u) of the last Gibbs state rather than as a matrix."""
+    eigenpairs (p, u) of the last Gibbs state rather than as a matrix.
+
+    On an all-classical shape every element is diagonal: the Gibbs map is a
+    softmax of the configuration energies, and the projection comes as a
+    probability vector."""
     d = model.shape.dim
+    classical = model.shape.all_classical
+    # the Gibbs map is looked up here, at call time
+    gibbs = _gibbs_softmax if classical else _gibbs_eigh
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
     theta, lz, pi, (p, u), nit = _dual_minimize(
-        model.hamiltonian, lambda x: model.moments(x)[1:], b[1:], 0.1 * tol, DUAL_STEPS
+        model.hamiltonian_diagonal if classical else model.hamiltonian,
+        lambda x: model.moments(x)[1:], b[1:], 0.1 * tol, DUAL_STEPS, gibbs,
     )
     resid = _residual(pi, model, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
     # an iterate with eigenvalues at kernel level is a boundary answer, however
     # small its residual: only full support ends here with parameters
     if resid <= tol and info["theta_max"] <= THETA_BLOWUP and _support_size(p) == d:
-        return (p, u), nit, info, GibbsParameters(theta.copy(), lz)
+        return pi if classical else (p, u), nit, info, GibbsParameters(theta.copy(), lz)
+    if classical:  # the eigenvectors, from the order of the probabilities
+        u = np.eye(d)[:, u]
 
     # boundary regime: the optimum has a kernel and the parameters diverge.
     # Peel off the eigenspace the iterate is abandoning and re-solve on the
@@ -315,11 +373,12 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
         # forever; move c onto trace one so that direction is flat
         v = np.real(np.trace(red, axis1=1, axis2=2))
         c = c + v * (1.0 - v @ c) / (v @ v)
-        _, _, tau, _, face_it = _dual_minimize(
-            lambda t: np.tensordot(t, red, axes=(0, 0)),
-            lambda x: expectation_values(x, red),
-            c, 0.1 * tol, DUAL_STEPS,
-        )
+        if classical:  # the face's constraints are diagonal too
+            diag = np.real(np.diagonal(red, axis1=1, axis2=2))
+            maps = (lambda t: t @ diag), (lambda x: diag @ x)
+        else:
+            maps = (lambda t: np.tensordot(t, red, axes=(0, 0))), (lambda x: expectation_values(x, red))
+        _, _, tau, _, face_it = _dual_minimize(*maps, c, 0.1 * tol, DUAL_STEPS, gibbs)
         return tau, face_it
 
     best, face_its = _face_loop(
@@ -506,31 +565,41 @@ def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, 
 # ----------------------------------------------------------------- ipf route
 
 
-def _ipf_solve(rho: State, model: HierarchicalModel, tol: float):
-    shape = rho.shape
-    if not shape.all_classical:
+def _ipf_solve(p: np.ndarray, model: HierarchicalModel, tol: float):
+    """Fit the marginals of the probability vector p on each maximal set in
+    turn, by rescaling every cell of the set; the gap is taken over all
+    marginals after each sweep."""
+    if not model.shape.all_classical:
         raise ShapeError("iterative proportional fitting needs an all-classical shape")
-    sizes = shape.sizes
-    n = shape.N
-    p = rho.probabilities().reshape(sizes)
-    q = np.full(sizes, 1.0 / shape.dim)
-    plans = []
-    for a in model.hypergraph.maximal_sets:
-        axes = tuple(i - 1 for i in range(1, n + 1) if i not in a)
-        plans.append((axes, p.sum(axis=axes, keepdims=True)))
+    cells, starts = model.marginal_cells()
+    target = model.marginals(p)
+    fits = [(cell, target[lo:hi], hi - lo) for cell, lo, hi in zip(cells, starts[:-1], starts[1:])]
+    q = np.full(len(p), 1.0 / len(p))
+    tiny = np.finfo(float).tiny
     sweeps = 0
     for sweeps in range(1, IPF_SWEEPS + 1):
-        for axes, mp in plans:
-            mq = q.sum(axis=axes, keepdims=True)
-            safe = np.where(mq > 0.0, mq, 1.0)
-            q = q * np.where(mq > 0.0, mp / safe, 0.0)
-        gap = max(
-            float(np.max(np.abs(q.sum(axis=axes, keepdims=True) - mp)))
-            for axes, mp in plans
-        )
-        if gap <= 0.1 * tol:
+        for cell, mp, size in fits:
+            mq = np.bincount(cell, weights=q, minlength=size)
+            # an empty cell has no mass to rescale: the floor only keeps its
+            # ratio finite
+            q = q * (mp / np.maximum(mq, tiny))[cell]
+        if float(np.abs(model.marginals(q) - target).max()) <= 0.1 * tol:
             break
-    return np.diag(q.reshape(-1).astype(complex)), sweeps, {"sweeps": sweeps}, None
+    return q, sweeps, {"sweeps": sweeps}, None
+
+
+def _product(x: np.ndarray, shape: SystemShape) -> np.ndarray:
+    """Product of the unit marginals of x: Kronecker products of the reduced
+    matrices, or on an all-classical shape outer products of the marginal
+    vectors."""
+    units = range(shape.N)
+    if x.ndim == 1:
+        t = x.reshape(shape.sizes)
+        vecs = [t.sum(axis=tuple(j for j in units if j != i)) for i in units]
+        return reduce(np.multiply.outer, vecs).reshape(-1)
+    mats = [_partial_trace(x, shape.sizes, [i]) for i in units]
+    # hermitian to the last bit, as marginal() leaves them
+    return tensor(*[0.5 * (m + m.conj().T) for m in mats])
 
 
 # --------------------------------------------------------------- public API
@@ -566,7 +635,7 @@ def _project(rho, model, rho_w, method="auto", tol=INTERIOR_TOL):
     hg = model.hypergraph
     full = set(range(1, rho.shape.N + 1)) in hg
     if rho_w is None:
-        rho_w = np.linalg.eigvalsh(rho.matrix)
+        rho_w = _spectrum(rho)
 
     if method == "auto":
         if full:
@@ -599,34 +668,38 @@ def _run(rho, rho_w, model, method, tol) -> ProjectionResult:
             iterations=0,
             diagnostics={"support_dim": _support_size(rho_w), "relative_entropy_direct": 0.0},
         )
-    b = model.moments(rho.matrix)
+    shape = rho.shape
+    # on an all-classical shape every state from here on is a probability
+    # vector, the diagonal of its matrix
+    rho_x = rho.probabilities() if shape.all_classical else rho.matrix
+    b = model.moments(rho_x)
     theta = None
     if method == "product":
-        pi_mat = tensor(*[marginal(rho, (i,)).matrix for i in range(1, rho.shape.N + 1)])
-        iters, info = 0, {}
+        out, iters, info = _product(rho_x, shape), 0, {}
     elif method == "ipf":
-        pi_mat, iters, info, theta = _ipf_solve(rho, model, tol)
+        out, iters, info, theta = _ipf_solve(rho_x, model, tol)
     elif method == "dual":
-        pi_mat, iters, info, theta = _dual_solve(model, b, tol)
+        out, iters, info, theta = _dual_solve(model, b, tol)
     else:
-        pi_mat, iters, info, theta = _primal_solve(rho.matrix, model, b, tol)
+        out, iters, info, theta = _primal_solve(rho.matrix, model, b, tol)
 
     # one spectral pass: the state and its spectrum come from the route's
-    # last eigendecomposition, and one independent eigh of pi checks them
-    if isinstance(pi_mat, tuple):  # the dual's interior exit, full rank
-        p, u = pi_mat
+    # last eigendecomposition, or from the probability vector, and one
+    # independent eigh of pi (none for a vector) checks them
+    if isinstance(out, tuple):  # the dual's interior exit on a quantum shape
+        p, u = out
         w = p / p.sum()
-        pi_mat = _from_spectrum(w, u, rho.shape)
+        x = _from_spectrum(w, u, shape)
     else:
-        pi_mat, w = _clean(pi_mat, rho.shape)
-    pi = State._trusted(rho.shape, pi_mat)
-    resid = _residual(pi.matrix, model, b)
+        x, w = _clean(out, shape)
+    pi = State._trusted(shape, _density(x))
+    resid = _residual(x, model, b)
     support = _support_size(w)
     rho_entropy = spectrum_entropy(rho_w)
     divergence = max(0.0, spectrum_entropy(w) - rho_entropy)
-    direct = _relative_entropy_direct(rho.matrix, rho_entropy, pi.matrix)
+    direct = _relative_entropy_direct(rho_x, rho_entropy, x)
     converged = resid <= tol
-    if support < rho.shape.dim:
+    if support < shape.dim:
         # the moments pin a boundary answer only loosely: a state far from the
         # projection can sit within BOUNDARY_TOL of them, so it must also meet
         # the identity D(rho||pi) = S(pi) - S(rho) of the projection
@@ -682,7 +755,7 @@ def correlation_decomposition(rho: State, **kw) -> dict:
     none) and "converged" whether every projection converged.
     """
     n = rho.shape.N
-    w = np.linalg.eigvalsh(rho.matrix)  # one spectrum of rho for every order
+    w = _spectrum(rho)  # one spectrum of rho for every order
     runs = [_project(rho, build_model(rho.shape, hypergraph_k(n, k)), w, **kw) for k in range(1, n)]
     c = [r.divergence for r in runs] + [0.0]
     incr = {k: c[k - 2] - c[k - 1] for k in range(2, n + 1)}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hiercorr.algebra import (
+    PSD_ATOL,
     HermitianObservable,
     ShapeError,
     State,
@@ -92,6 +93,25 @@ class TestStateValidation:
         p = np.array([0.1, 0.2, 0.3, 0.4])
         st = State.from_probabilities(sh, p)
         assert np.allclose(st.probabilities(), p)
+
+    # least diagonal entry, whether the Gershgorin bound defers to the spectrum
+    @pytest.mark.parametrize("low, deferred", [
+        (0.0, False), (-5e-11, False), (-9.99e-11, True), (-2e-10, True),
+    ])
+    def test_classical_bound_keeps_the_spectrum_decision(self, low, deferred, count_decompositions):
+        # off-diagonal dust of 1e-13, within the block-structure tolerance:
+        # a classical state is bounded from its diagonal, and the spectrum
+        # is taken only when that bound falls below PSD_ATOL
+        mat = np.full((4, 4), 1e-13) + np.diag(np.array([low, 0.3, 0.3, 0.4 - low]) - 1e-13)
+        accept = float(np.linalg.eigvalsh(mat)[0]) >= PSD_ATOL
+        calls = count_decompositions()
+        if accept:
+            State(SystemShape.bits(2), mat)
+        else:
+            with pytest.raises(ShapeError, match="eigenvalue"):
+                State(SystemShape.bits(2), mat)
+        assert accept == (low >= -1e-10)
+        assert calls["eigvalsh"] == deferred
 
 
 class TestTensor:

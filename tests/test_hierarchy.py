@@ -226,6 +226,21 @@ class TestModelBasis:
             recon = np.tensordot(coeff, stack, axes=1)
             assert np.max(np.abs(recon - e)) < 1e-12
 
+    def test_classical_rank_takes_the_diagonals(self, no_dense_stack):
+        for shape in (SystemShape.bits(4), SystemShape.classical((3, 2, 3))):
+            for k in (1, 2, shape.N):
+                model = build_model(shape, hypergraph_k(shape.N, k))
+                assert numerical_basis_rank(model) == model.dim_total
+        model = build_model(SystemShape.bits(3), hypergraph_k(3, 2))
+        dup = dataclasses.replace(model, patterns=model.patterns + (model.patterns[1],))
+        assert numerical_basis_rank(dup) == model.dim_total
+        # a dependent (still diagonal) unit basis: the rank of the
+        # materialized elements drops, and the diagonal Gram sees it
+        units = (model.unit_bases[0][:1] * 2,) + model.unit_bases[1:]
+        bad = dataclasses.replace(model, unit_bases=units)
+        flat = np.stack([bad.element_matrix(j).reshape(-1) for j in range(bad.n_elements)])
+        assert numerical_basis_rank(bad) == np.linalg.matrix_rank(flat) < model.dim_total
+
     def test_full_model_spans_algebra(self):
         sh = SystemShape((2, 2), ("classical", "quantum"))
         model = full_model(sh)
@@ -301,6 +316,51 @@ class TestMomentMap:
         model = build_model(SystemShape.qubits(4), hypergraph_k(4, 2))
         with pytest.raises(ValueError, match="parameter count"):
             model.hamiltonian(np.zeros(model.n_elements))
+
+
+def _classical_cases():
+    cases = [(f"b{n}-k{k}", SystemShape.bits(n), hypergraph_k(n, k))
+             for n in (3, 4) for k in range(1, n + 1)]
+    # maximal sets of different sizes on units of different sizes
+    mixed = SystemShape.classical((3, 2, 2))
+    cases += [(f"c322-{'-'.join(''.join(map(str, a)) for a in hg.maximal_sets)}", mixed, hg)
+              for hg in _all_covering_hypergraphs(3)]
+    return cases
+
+
+class TestDiagonalMaps:
+    """The diagonal maps of all-classical models against the dense stack."""
+
+    @pytest.mark.parametrize("shape,hg", [c[1:] for c in _classical_cases()],
+                             ids=[c[0] for c in _classical_cases()])
+    def test_matches_dense_stack(self, shape, hg):
+        rng = np.random.default_rng(8)
+        model = build_model(shape, hg)
+        stack = build_model(shape, hg).basis_matrices()
+        p = random_density(shape, rng).probabilities()
+        want = expectation_values(np.diag(p), stack)
+        assert np.max(np.abs(model.moments(p) - want)) <= 1e-13
+        theta = rng.normal(size=model.n_elements - 1)
+        want = np.diagonal(np.tensordot(theta, stack[1:], axes=(0, 0))).real
+        assert np.max(np.abs(model.hamiltonian_diagonal(theta) - want)) <= 1e-13
+        cells, starts = model.marginal_cells()
+        marginals = model.marginals(p)
+        configs = np.indices(shape.sizes).reshape(shape.N, -1)
+        for s, a in enumerate(hg.maximal_sets):
+            rest = tuple(i for i in range(shape.N) if i + 1 not in a)
+            want = p.reshape(shape.sizes).sum(axis=rest).reshape(-1)
+            assert np.max(np.abs(marginals[starts[s]:starts[s + 1]] - want)) <= 1e-15
+            sizes = [shape.sizes[i - 1] for i in a]
+            assert np.array_equal(cells[s], np.ravel_multi_index(configs[[i - 1 for i in a]], sizes))
+        assert model._stack is None
+
+    def test_need_an_all_classical_shape(self):
+        model = build_model(SystemShape((2, 2), ("classical", "quantum")), hypergraph_k(2, 1))
+        p = np.full(4, 0.25)
+        for call in (model.marginal_cells, lambda: model.marginals(p), lambda: model.moments(p),
+                     lambda: model.hamiltonian_diagonal(np.zeros(model.n_elements - 1))):
+            with pytest.raises(ShapeError):
+                call()
 
 
 class TestExhaustiveDims:

@@ -8,9 +8,11 @@ from hiercorr.algebra import (
     ShapeError,
     State,
     SystemShape,
+    expectation_values,
     gibbs_map,
     marginal,
     relative_entropy,
+    von_neumann_entropy,
 )
 from hiercorr.hierarchy import (
     STACK_GUARD,
@@ -325,43 +327,27 @@ class TestBoundaryCases:
         assert max(dec["residuals"]) <= 1e-5
 
 
-def count_decompositions(monkeypatch):
-    """Count eigh, eigvalsh and Gibbs-map calls from here on."""
-    calls = {"eigh": 0, "eigvalsh": 0, "gibbs": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(maxent, "_gibbs_eigh", counting("gibbs", maxent._gibbs_eigh))
-    return calls
-
-
 class TestSpectralPass:
-    def test_eigendecomposition_budget(self, monkeypatch):
+    def test_eigendecomposition_budget(self, count_decompositions):
         # an interior dual projection diagonalizes each Gibbs iterate, pi once
         # more for the cross-check, and rho once
         shape = SystemShape.qubits(5)
         model = build_model(shape, hypergraph_k(5, 2))
         rho = random_density(shape, np.random.default_rng(44))
-        calls = count_decompositions(monkeypatch)
+        calls = count_decompositions()
         res = maxent_project(rho, model, method="dual")
         assert res.converged and res.diagnostics["rounds"] == 0
         assert calls["gibbs"] >= res.iterations + 1
         assert calls["eigh"] == calls["gibbs"] + 1
         assert calls["eigvalsh"] == 1
 
-    def test_eigendecomposition_budget_on_a_face(self, monkeypatch):
+    def test_eigendecomposition_budget_on_a_face(self, count_decompositions):
         # a peeled dual projection cuts its faces from the last Gibbs
         # iterate's eigenpairs; beyond the Gibbs maps it diagonalizes only the
         # face answer (in _clean) and pi for the cross-check
         ghz = ghz_state(7)
         model = build_model(ghz.shape, hypergraph_k(7, 2))
-        calls = count_decompositions(monkeypatch)
+        calls = count_decompositions()
         res = maxent_project(ghz, model, method="dual")
         assert res.converged and res.diagnostics["rounds"] >= 1
         assert calls["eigh"] == calls["gibbs"] + 2
@@ -399,6 +385,72 @@ class TestSpectralPass:
         again = State(rho.shape, res.state.matrix)
         assert np.max(np.abs(again.matrix - res.state.matrix)) <= 1e-15
         assert abs(res.divergence - res.diagnostics["relative_entropy_direct"]) <= 1e-8
+
+
+# (state, k, method) -> (converged, iterations, rounds, support_dim, divergence)
+# of the dense classical routes these vector routes replaced
+CLASSICAL_ROUTES = {
+    ("b3", 3, "exact"): (True, 0, None, 8, 0.0),
+    ("b3", 1, "product"): (True, 0, None, 8, 0.29502266411147593),
+    ("b3", 2, "ipf"): (True, 16, None, 8, 0.08614289168235123),
+    ("b3", 2, "dual"): (True, 16, 0, 8, 0.08614289256354413),
+    ("b4", 4, "exact"): (True, 0, None, 16, 0.0),
+    ("b4", 1, "product"): (True, 0, None, 16, 0.19297999549776623),
+    ("b4", 2, "ipf"): (True, 20, None, 16, 0.04980274358265602),
+    ("b4", 2, "dual"): (True, 18, 0, 16, 0.049802742096232144),
+    ("two-point", 2, "dual"): (True, 30, 1, 2, 0.0),
+    # the interior descent toward this boundary target ends at the rounding
+    # floor of its objective, so its step count (46 on the dense route)
+    # moves with the last bits of the arithmetic and is not compared
+    ("parity-triple", 2, "dual"): (True, None, 1, 3, 0.0),
+}
+
+
+def _classical_state(name):
+    if name in ("b3", "b4"):
+        n = int(name[1])
+        return random_density(SystemShape.bits(n), np.random.default_rng(n))
+    support = {"two-point": [(0, 0, 0), (1, 0, 0)],
+               "parity-triple": [(1, 0, 0), (0, 1, 0), (0, 0, 1)]}[name]
+    return uniform_on(SystemShape.bits(3), support)
+
+
+class TestClassicalVectors:
+    """All-classical projections run on probability vectors, with no
+    eigendecomposition, and repeat the dense routes they replaced."""
+
+    @pytest.mark.parametrize("case", list(CLASSICAL_ROUTES),
+                             ids=[f"{name}-k{k}-{method}" for name, k, method in CLASSICAL_ROUTES])
+    def test_routes_take_no_eigendecomposition(self, case, no_eigendecomposition, monkeypatch):
+        name, k, method = case
+        rho = _classical_state(name)
+        model = build_model(rho.shape, hypergraph_k(rho.shape.N, k))
+        res = maxent_project(rho, model, method=method)
+        monkeypatch.undo()  # the dense reference below diagonalizes
+        converged, iterations, rounds, support, divergence = CLASSICAL_ROUTES[case]
+        assert (res.converged, res.diagnostics.get("rounds"), res.diagnostics["support_dim"]) \
+            == (converged, rounds, support)
+        if iterations is not None:
+            assert res.iterations == iterations
+        assert abs(res.divergence - divergence) <= 1e-12
+        # dense reference: spectra, relative entropy and the stack's moments
+        pi = res.state.matrix
+        assert abs(res.divergence - max(0.0, von_neumann_entropy(pi) - von_neumann_entropy(rho))) \
+            <= 1e-12
+        assert abs(res.diagnostics["relative_entropy_direct"] - relative_entropy(rho.matrix, pi)) \
+            <= 1e-12
+        stack = model.basis_matrices()
+        resid = np.max(np.abs(expectation_values(pi, stack) - expectation_values(rho.matrix, stack)))
+        assert abs(res.residual - resid) <= 1e-12
+        w = np.linalg.eigvalsh(pi)
+        assert res.diagnostics["support_dim"] == np.sum(w > 1e-9 * w[-1])
+
+    def test_ladder_takes_no_eigendecomposition(self, no_eigendecomposition, monkeypatch):
+        rho = _classical_state("b4")
+        dec = correlation_decomposition(rho)
+        monkeypatch.undo()
+        assert dec["converged"]
+        assert abs(dec["total"] - multi_information(rho)) <= 1e-12
 
 
 class TestCorrelationQuantities:

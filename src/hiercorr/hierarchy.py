@@ -472,6 +472,27 @@ def full_model(shape: SystemShape) -> HierarchicalModel:
     return build_model(shape, hypergraph_k(shape.N, shape.N))
 
 
+def _materialized_diagonals(model: HierarchicalModel) -> np.ndarray | None:
+    """(m, d) diagonals of the elements of an all-classical model, or None.
+
+    Only when every unit basis is diagonal is every element diagonal, with
+    exact zeros off the diagonal that add nothing to tr(B_k B_l); so each
+    unit basis is checked first.  Entry for entry the products of
+    element_matrix, restricted to the diagonal.
+    """
+    if not model.shape.all_classical:
+        return None
+    units = [np.stack(basis) for basis in model.unit_bases]
+    if any(np.any(u * ~np.eye(u.shape[1], dtype=bool)) for u in units):
+        return None
+    pats = np.array(model.patterns).reshape(model.n_elements, len(units))
+    flat = np.ones((model.n_elements, 1), dtype=complex)
+    for i, u in enumerate(units):
+        diag = np.diagonal(u, axis1=1, axis2=2)[pats[:, i]]
+        flat = (flat[:, :, None] * diag[:, None, :]).reshape(model.n_elements, -1)
+    return flat
+
+
 def numerical_basis_rank(model: HierarchicalModel) -> int:
     """Numerical rank of the constructed basis.
 
@@ -479,8 +500,8 @@ def numerical_basis_rank(model: HierarchicalModel) -> int:
     matrices (real, as the basis is hermitian), built for the check and
     dropped after it unless the model already caches them; an eigenvalue
     counts when it exceeds 1e-8 times the largest, i.e. a singular value
-    above 1e-4 of the largest.  When every unit basis is diagonal (all
-    units classical), so is every element, and the Gram matrix is that of
+    above 1e-4 of the largest.  On an all-classical model with diagonal
+    unit bases every element is diagonal, and the Gram matrix is that of
     the materialized length-d diagonals.  Large models use the tensor
     structure: the Gram matrix of the distinct patterns factors through the
     per-unit Grams, so after certifying those to near machine precision it
@@ -489,16 +510,8 @@ def numerical_basis_rank(model: HierarchicalModel) -> int:
     d = model.shape.dim
     m = model.n_elements
     if m * d * d <= 2**20:
-        units = [np.stack(basis) for basis in model.unit_bases]
-        if all(not np.any(u * ~np.eye(u.shape[1], dtype=bool)) for u in units):
-            # diagonal unit bases: the entries off the diagonal of every
-            # element are exact zeros, which add nothing to tr(B_k B_l)
-            pats = np.array(model.patterns).reshape(m, len(units))
-            flat = np.ones((m, 1), dtype=complex)
-            for i, u in enumerate(units):
-                diag = np.diagonal(u, axis1=1, axis2=2)[pats[:, i]]
-                flat = (flat[:, :, None] * diag[:, None, :]).reshape(m, -1)
-        else:
+        flat = _materialized_diagonals(model)
+        if flat is None:
             stack = model._stack if model._stack is not None else model._dense_stack()
             flat = np.ascontiguousarray(stack).reshape(m, d * d)
         # tr(B_k B_l) of hermitian matrices is real: the dot product of the

@@ -347,7 +347,7 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
     probability vector."""
     d = model.shape.dim
     classical = model.shape.all_classical
-    # the Gibbs map is looked up here, at call time
+    # looked up at each call, so a patched _gibbs_eigh is the one used
     gibbs = _gibbs_softmax if classical else _gibbs_eigh
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization

@@ -134,6 +134,47 @@ def algebra_mask(shape: SystemShape) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=32)
+def block_layout(shape: SystemShape) -> np.ndarray:
+    """Flat positions (d_C, d_Q, d_Q) of the algebra's entries in the (d, d) matrix.
+
+    The algebra is a direct sum of d_C full d_Q x d_Q matrix algebras, one
+    per joint configuration c of the classical units, indexed by the joint
+    quantum digits of row and column; joint indices run in unit order, the
+    first unit most significant.  An all-quantum shape is one d x d block,
+    an all-classical one d blocks of 1 x 1.  Shared and read-only.
+    """
+    order = [i for i, k in enumerate(shape.kinds) if k == CLASSICAL]
+    d_c = math.prod(shape.sizes[i] for i in order)
+    order += [i for i, k in enumerate(shape.kinds) if k == QUANTUM]
+    d = shape.dim
+    # rows[c, a]: the configuration with classical digits c and quantum digits a
+    rows = np.arange(d).reshape(shape.sizes).transpose(order).reshape(d_c, d // d_c)
+    layout = rows[:, :, None] * d + rows[:, None, :]
+    layout.setflags(write=False)
+    return layout
+
+
+def to_blocks(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
+    """The block array (d_C, d_Q, d_Q) of a (d, d) matrix: a gather of the
+    algebra's entries (block_layout), the conditional expectation onto the
+    algebra; a view on an all-quantum shape, whose one block is the matrix."""
+    if shape.all_quantum:
+        return mat.reshape(1, shape.dim, shape.dim)
+    return mat.reshape(-1)[block_layout(shape)]
+
+
+def from_blocks(x: np.ndarray, shape: SystemShape) -> np.ndarray:
+    """The complex (d, d) matrix of a block array: a scatter, with zeros
+    outside the algebra; on an all-quantum shape a view when x is complex."""
+    d = shape.dim
+    if shape.all_quantum:
+        return x.reshape(d, d).astype(complex, copy=False)
+    out = np.zeros(d * d, dtype=complex)
+    out[block_layout(shape)] = x
+    return out.reshape(d, d)
+
+
 def _as_matrix(x) -> np.ndarray:
     mat = getattr(x, "matrix", x)
     return np.asarray(mat, dtype=complex)
@@ -287,11 +328,6 @@ def marginal(state: State, units) -> State:
     return State(sub, mat)
 
 
-def _clipped_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(mat)
-    return np.clip(w, 0.0, 1.0)
-
-
 def spectrum_entropy(w: np.ndarray) -> float:
     """Entropy -sum w log w in nats of a spectrum, eigenvalues clipped to [0, 1]."""
     w = np.clip(w, 0.0, 1.0)
@@ -323,7 +359,7 @@ def relative_entropy(rho, sigma) -> float:
     diag = np.real(np.sum(vs.conj() * (r @ vs), axis=0))  # diagonal of vs^H r vs
     if kernel.any() and float(np.sum(diag[kernel])) > KERNEL_MASS_TOL:
         return float("inf")
-    wr = _clipped_eigvalsh(r)
+    wr = np.clip(np.linalg.eigvalsh(r), 0.0, 1.0)
     pos = wr > 0.0
     term1 = float(np.sum(wr[pos] * np.log(wr[pos])))
     supp = ~kernel
@@ -334,25 +370,37 @@ def relative_entropy(rho, sigma) -> float:
     return val
 
 
-def gibbs_with_log_partition(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp(a) / tr exp(a) of a hermitian matrix, and log tr exp(a).
+def _eigh_blocks(x: np.ndarray, vectors: bool = True):
+    """Eigenvalues (n, k), ascending within each block, and with vectors the
+    eigenvectors (n, k, k) of a hermitian block array x (n, k, k).  A 1 x 1
+    block is its own eigenvalue, with eigenvector 1: no LAPACK call."""
+    if x.shape[-1] == 1:
+        w = x[:, :, 0].real
+        return (w, np.ones_like(x)) if vectors else w
+    return np.linalg.eigh(x) if vectors else np.linalg.eigvalsh(x)
 
-    The spectrum is normalized through log-sum-exp shifted by the largest
-    eigenvalue, so no eigenvalue overflows; the matrix is rebuilt in one pass
-    over the eigenvectors.
-    """
-    pi, lz, _, _ = _gibbs_eigh(a)
-    return pi, lz
+
+def _compose(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The block array (u * w) @ u^H of eigenpairs (w, u) of _eigh_blocks."""
+    return (u * w[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
 
-def _gibbs_eigh(a: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """gibbs_with_log_partition, also returning the eigenpairs (p, u) of the
-    Gibbs state: p ascending, summing to one, and pi = (u * p) @ u^H."""
-    w, u = np.linalg.eigh(a)
-    # eigh sorts ascending: w[-1] is the shift, and its own term is the 1
-    lz = float(w[-1] + np.log1p(np.exp(w[:-1] - w[-1]).sum()))
+def _gibbs_blocks(h: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """exp(h) / tr exp(h) of a hermitian block array h, log tr exp(h), and
+    the Gibbs state's eigenpairs (p, u), p summing to one.  Log-sum-exp is
+    shifted by the largest eigenvalue, so none overflows."""
+    w, u = _eigh_blocks(h)
+    s = np.sort(w, axis=None)
+    lz = float(s[-1] + np.log1p(np.exp(s[:-1] - s[-1]).sum()))
     p = np.exp(w - lz)
-    return (u * p) @ u.conj().T, lz, p, u
+    return _compose(p, u), lz, p, u
+
+
+def gibbs_with_log_partition(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(a) / tr exp(a) of a hermitian matrix, and log tr exp(a), from one
+    eigendecomposition (see _gibbs_blocks)."""
+    pi, lz, _, _ = _gibbs_blocks(a[None])
+    return pi[0], lz
 
 
 def gibbs_map(a):

@@ -10,10 +10,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ShapeError, SystemShape, tensor, unit_hermitian_basis
+from .algebra import (
+    CLASSICAL,
+    ShapeError,
+    SystemShape,
+    algebra_mask,
+    from_blocks,
+    tensor,
+    to_blocks,
+    unit_hermitian_basis,
+)
 
 # materialization guard: refuse to build dense (m, r, r) stacks above this entry count
 STACK_GUARD = 2**23
@@ -208,40 +218,19 @@ class HierarchicalModel:
         return _kron_stack(self.unit_bases, self.patterns)
 
     def moments(self, x: np.ndarray) -> np.ndarray:
-        """Real vector of tr(B_k x), in element order, from the marginals of x
-        on the maximal sets (see _MomentPlan); basis_matrices() is not used.
-        On an all-classical shape x may also be the length-d diagonal of a
-        matrix, a probability vector for a state."""
+        """Real vector of tr(B_k x), in element order, for a (d, d) matrix x,
+        from its block array (algebra.to_blocks) through the moment plan;
+        basis_matrices() is not used."""
         d = self.shape.dim
-        if self.shape.all_classical and np.shape(x) == (d,):
-            return self._classical_plan().diagonal_moments(np.asarray(x, dtype=float))
         if np.shape(x) != (d, d):
             raise ShapeError(f"matrix is {np.shape(x)}, the model demands ({d}, {d})")
-        return self._moment_plan().moments(x)
+        return self._moment_plan().moments(to_blocks(np.asarray(x), self.shape))
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         """sum_k theta_k B_k over the non-identity elements 1..m-1, the order
-        of GibbsParameters.theta; basis_matrices() is not used."""
-        return self._moment_plan().hamiltonian(theta)
-
-    def hamiltonian_diagonal(self, theta: np.ndarray) -> np.ndarray:
-        """Diagonal of hamiltonian(theta) on an all-classical shape, where the
-        elements are diagonal: the energy of every configuration."""
-        return self._classical_plan().diagonal_hamiltonian(theta)
-
-    def marginal_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """On an all-classical shape, (cells, starts): cells[s, c] is the cell
-        of configuration c in the marginal on maximal set s (maximal_sets
-        order), the joint index of its values on the set's units, the first
-        most significant; starts[s] is where set s begins in the stacked
-        vector of all marginals (see marginals)."""
-        plan = self._classical_plan()
-        return plan.cells, plan.starts
-
-    def marginals(self, p: np.ndarray) -> np.ndarray:
-        """Marginals of a length-d vector on every maximal set, stacked in
-        maximal_sets order (see marginal_cells); all-classical shapes only."""
-        return self._classical_plan().marginals(np.asarray(p, dtype=float))
+        of GibbsParameters.theta, as a (d, d) matrix; basis_matrices() is not
+        used."""
+        return from_blocks(self._moment_plan().hamiltonian(theta), self.shape)
 
     def compress(self, q: np.ndarray) -> np.ndarray:
         """Stack (m, r, r) of q^H B_k q for a d x r isometry q (see _MomentPlan)."""
@@ -253,11 +242,6 @@ class HierarchicalModel:
         if self._plan is None:
             self._plan = _MomentPlan(self)
         return self._plan
-
-    def _classical_plan(self) -> "_MomentPlan":
-        if not self.shape.all_classical:
-            raise ShapeError("diagonal moment maps need an all-classical shape")
-        return self._moment_plan()
 
 
 def _kron_stack(bases, patterns) -> np.ndarray:
@@ -279,33 +263,37 @@ def _kron_stack(bases, patterns) -> np.ndarray:
     return out
 
 
+class _Group(NamedTuple):  # maximal sets of equal dimension d_A and local entry count
+    pos: np.ndarray  # (g, n_e, d / d_A): block-array position of local entry e at rest r
+    real: np.ndarray  # (n_local, 2 n_e): local bases of the group's signatures, as reals
+    first: int  # first slot of the group
+    rows: np.ndarray  # (g, d_A, d / d_A): configuration of local index a at rest r
+    entries: np.ndarray  # (g, n_e): flat local index a d_A + a' of each local entry
+
+
 class _MomentPlan:
     """tr(B_k x), sum_k theta_k B_k and q^H B_k q through maximal-set marginals.
 
+    States and Hamiltonians are flat block arrays (algebra.block_layout).
     An element is the identity outside its support, so on any maximal set A
     containing that support it is L_k (x) I / sqrt(d / d_A), with L_k in the
     local basis of A's units.  Each element is owned by the first such A, so
-    it counts once.  The marginal x_A[a, a'] = sum_r x[(a, r), (a', r)] is
-    one gather over d d_A flat positions of x, the moments of A's elements
-    are Re tr(L_k x_A) / sqrt(d / d_A), and the Hamiltonian adds the local
-    sums back along the same positions.  On an isometry q, q^H B_k q is
-    sum L_k[a, a'] G_A[(a, a')] / sqrt(d / d_A), G_A[(a, a'), s, t] =
-    sum_r conj(q[(a, r), s]) q[(a', r), t] the Gram of q's rows at the same
-    positions.  Maximal sets of equal dimension d_A form one group,
-    contracted in one matmul against the local bases of every unit signature
-    (sizes and kinds) in the group.
-
-    On an all-classical shape every element is diagonal, and the diagonal
-    maps run on length-d vectors: the marginal of a vector on A is a
-    histogram over A's cells (the joint values of its units), all of them
-    one stacked bincount, and the energy of a configuration adds up the
-    local energies of its cell in every maximal set.
+    it counts once.  The marginal x_A[a, a'] = sum_r x[(a, r), (a', r)] has
+    entries only in the local algebra (a and a' share their classical
+    digits), as the L_k do: one gather-sum over the block array for all.
+    The moments of A's elements are Re tr(L_k x_A) / sqrt(d / d_A), and the
+    Hamiltonian adds the local sums back along the same positions.
+    On an isometry q, q^H B_k q is sum L_k[a, a'] G_A[(a, a')] / sqrt(d / d_A),
+    G_A[(a, a'), s, t] = sum_r conj(q[(a, r), s]) q[(a', r), t] the Gram of
+    q's rows.  Maximal sets of equal dimension and local entry count form
+    one group, contracted in one matmul against the local bases of every
+    unit signature (sizes and kinds) in the group.
     """
 
     def __init__(self, model: HierarchicalModel):
         self.size = model.n_elements
         shape = model.shape
-        sizes, n_units, d = shape.sizes, shape.N, shape.dim
+        sizes, kinds, n_units, d = shape.sizes, shape.kinds, shape.N, shape.dim
         sets = [[i - 1 for i in a] for a in model.hypergraph.maximal_sets]
         pats = np.array(model.patterns).reshape(model.n_elements, n_units)
         member = np.zeros((len(sets), n_units), dtype=bool)
@@ -313,25 +301,37 @@ class _MomentPlan:
             member[s, a] = True
         # the first maximal set that leaves no unit of the support outside
         owner = np.argmin(((pats != 0)[:, None, :] & ~member).any(axis=2), axis=1)
-        strides = [math.prod(sizes[i + 1:]) for i in range(n_units)]
+        classical = [k == CLASSICAL for k in kinds]
+        d_c = math.prod(n for n, c in zip(sizes, classical) if c)
+        d_q = d // d_c
+        self.blocks = (d_c, d_q, d_q)
+        # entry (row, column) sits at sum_i row_i row_stride_i + column_i col_stride_i
+        # of the block array, row_i the digit of unit i; a classical unit's
+        # digit is the same in row and column and counts once, in the block index
+        within = [math.prod(sizes[j] for j in range(i + 1, n_units) if classical[j] == classical[i])
+                  for i in range(n_units)]
+        row_stride = [w * d_q * d_q if c else w * d_q for w, c in zip(within, classical)]
+        col_stride = [0 if c else w for w, c in zip(within, classical)]
+        strides = [math.prod(sizes[i + 1:]) for i in range(n_units)]  # of the configuration
 
-        def offsets(units):
-            # flat offsets of the joint index over units, the first most significant
+        def offsets(units, stride):
+            # offsets of the joint index over units, the first most significant
             off = np.zeros(1, dtype=np.intp)
             for i in units:
-                off = (off[:, None] + strides[i] * np.arange(sizes[i])).ravel()
+                off = (off[:, None] + stride[i] * np.arange(sizes[i])).ravel()
             return off
 
-        sigs = [tuple((sizes[i], shape.kinds[i]) for i in a) for a in sets]
+        sigs = [tuple((sizes[i], kinds[i]) for i in a) for a in sets]
+        # flat local indices a d_A + a' of the entries of A's local algebra
+        keeps = [np.flatnonzero(algebra_mask(SystemShape(*zip(*sig)))) for sig in sigs]
         groups = {}
         for s, a in enumerate(sets):
-            groups.setdefault(math.prod(sizes[i] for i in a), []).append(s)
+            groups.setdefault((math.prod(sizes[i] for i in a), len(keeps[s])), []).append(s)
         self.slot = np.empty(model.n_elements, dtype=np.intp)
-        self.groups = []  # (positions (g, d_A^2, d / d_A), local bases as reals, first slot)
-        diagonals = []  # (maximal sets of the group, diagonals (n_local, d_A) of its local bases)
+        self.groups = []
         positions, sources = [], []
         n_slots = n_vals = 0
-        for d_a, members in groups.items():
+        for (d_a, _), members in groups.items():
             signatures = {}  # unit sizes and kinds -> (first local row, radix of the local index)
             stacks = []
             for s in members:
@@ -340,22 +340,23 @@ class _MomentPlan:
                     dims = [len(b) for b in bases]
                     radix = np.array([math.prod(dims[j + 1:]) for j in range(len(dims))])
                     signatures[sigs[s]] = (sum(len(x) for x in stacks), radix)
-                    stacks.append(_kron_stack(bases, list(itertools.product(*map(range, dims)))))
-            local = np.concatenate(stacks).reshape(-1, d_a * d_a) / math.sqrt(d // d_a)
+                    full = _kron_stack(bases, list(itertools.product(*map(range, dims))))
+                    stacks.append(full.reshape(len(full), -1)[:, keeps[s]])
+            local = np.ascontiguousarray(np.concatenate(stacks) / math.sqrt(d // d_a))
             n_local = local.shape[0]
-            pos = []
+            pos, rows = [], []
             for t, s in enumerate(members):
                 a = sets[s]
-                oa = offsets(a)
-                orest = offsets([i for i in range(n_units) if i not in a])
-                rows = oa[:, None, None] + orest  # entry ((a, r), (a', r)) of x
-                pos.append((rows * d + oa[None, :, None] + orest).reshape(d_a * d_a, -1))
+                rest = [i for i in range(n_units) if i not in a]
+                entry = (offsets(a, row_stride)[:, None] + offsets(a, col_stride)).ravel()[keeps[s]]
+                pos.append(entry[:, None] + offsets(rest, np.add(row_stride, col_stride)))
+                rows.append(offsets(a, strides)[:, None] + offsets(rest, strides))
                 first, radix = signatures[sigs[s]]
                 own = np.flatnonzero(owner == s)
                 self.slot[own] = n_slots + t * n_local + first + pats[own][:, a] @ radix
             pos = np.stack(pos)
-            self.groups.append((pos, local.view(np.float64), n_slots))
-            diagonals.append((members, np.real(local[:, ::d_a + 1])))
+            self.groups.append(_Group(pos, local.view(np.float64), n_slots, np.stack(rows),
+                                      np.stack([keeps[s] for s in members])))
             positions.append(pos.ravel())
             sources.append(n_vals + np.repeat(np.arange(pos.shape[0] * pos.shape[1]), pos.shape[2]))
             n_slots += len(members) * n_local
@@ -363,18 +364,6 @@ class _MomentPlan:
         self.n_slots = n_slots
         self.positions = np.concatenate(positions)
         self.sources = np.concatenate(sources)
-        self.dim = d
-        if shape.all_classical:
-            digits = np.indices(sizes).reshape(n_units, d)
-            self.cells = np.stack([np.ravel_multi_index(tuple(digits[a]), [sizes[i] for i in a])
-                                   for a in sets])
-            self.starts = np.concatenate([[0], np.cumsum([math.prod(sizes[i] for i in a)
-                                                          for a in sets])])
-            self.stacked = (self.cells + self.starts[:-1, None]).ravel()
-            self.configs = np.tile(np.arange(d), len(sets))  # of each stacked entry
-            # per group: each member's cells in the stacked marginals
-            self.diagonals = [(self.starts[members][:, None] + np.arange(diag.shape[1]), diag)
-                              for members, diag in diagonals]
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
         """theta spread over the slots of the local elements."""
@@ -383,26 +372,12 @@ class _MomentPlan:
             raise ValueError("parameter count does not match the model")
         return np.bincount(self.slot[1:], weights=theta, minlength=self.n_slots)
 
-    def marginals(self, p: np.ndarray) -> np.ndarray:
-        return np.bincount(self.stacked, weights=p[self.configs], minlength=self.starts[-1])
-
-    def diagonal_moments(self, p: np.ndarray) -> np.ndarray:
-        marg = self.marginals(p)
-        ys = [marg[cells] @ diag.T for cells, diag in self.diagonals]
-        return np.concatenate([y.reshape(-1) for y in ys])[self.slot]
-
-    def diagonal_hamiltonian(self, theta: np.ndarray) -> np.ndarray:
-        z = self._weights(theta)
-        energy = np.empty(self.starts[-1])  # of every cell of every maximal set
-        for (_, _, first), (cells, diag) in zip(self.groups, self.diagonals):
-            energy[cells] = z[first:first + cells.shape[0] * len(diag)].reshape(len(cells), -1) @ diag
-        return energy[self.stacked].reshape(len(self.cells), -1).sum(axis=0)
-
     def moments(self, x: np.ndarray) -> np.ndarray:
         flat = np.ascontiguousarray(x, dtype=complex).reshape(-1)
+        # the marginals' local-algebra entries, one gather-sum per group; then
         # Re tr(L x_A) = Re sum conj(L) * x_A for hermitian L: a real dot
         # product of the (re, im) pairs of the two matrices
-        ys = [flat[pos].sum(axis=2).view(np.float64) @ real.T for pos, real, _ in self.groups]
+        ys = [np.add.reduce(flat[grp.pos], axis=2).view(np.float64) @ grp.real.T for grp in self.groups]
         return np.concatenate([y.reshape(-1) for y in ys])[self.slot]
 
     def compress(self, q: np.ndarray) -> np.ndarray:
@@ -410,29 +385,28 @@ class _MomentPlan:
         if self.size * r * r > STACK_GUARD:
             raise MemoryError(f"{self.size} x {r} x {r} exceeds the materialization guard")
         out = []
-        for pos, real, _ in self.groups:
-            g, d_a2, rest = pos.shape
-            d_a = math.isqrt(d_a2)
-            # rows (a, r) of q on each set, from the positions of the diagonal (a, a)
-            qa = q[pos[:, ::d_a + 1] // self.dim].transpose(0, 2, 1, 3).reshape(g, rest, d_a * r)
+        for grp in self.groups:
+            g, d_a, rest = grp.rows.shape
+            qa = q[grp.rows].transpose(0, 2, 1, 3).reshape(g, rest, d_a * r)
             gram = (qa.conj().transpose(0, 2, 1) @ qa).reshape(g, d_a, r, d_a, r)
-            gram = gram.transpose(0, 1, 3, 2, 4).reshape(g, d_a2, r * r)
-            out.append((real.view(complex) @ gram).reshape(-1, r, r))
+            gram = gram.transpose(0, 1, 3, 2, 4).reshape(g, d_a * d_a, r * r)
+            gram = np.take_along_axis(gram, grp.entries[:, :, None], axis=1)
+            out.append((grp.real.view(complex) @ gram).reshape(-1, r, r))
         return np.concatenate(out)[self.slot]
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         z = self._weights(theta)
         vals = [
-            (z[first:first + pos.shape[0] * real.shape[0]].reshape(pos.shape[0], -1) @ real)
-            .view(complex).reshape(-1)
-            for pos, real, first in self.groups
+            (z[grp.first:grp.first + grp.pos.shape[0] * grp.real.shape[0]].reshape(grp.pos.shape[0], -1)
+             @ grp.real).view(complex).reshape(-1)
+            for grp in self.groups
         ]
         v = np.concatenate(vals)[self.sources]
-        d2 = self.dim * self.dim
-        h = np.empty(d2, dtype=complex)
-        h.real = np.bincount(self.positions, weights=v.real, minlength=d2)
-        h.imag = np.bincount(self.positions, weights=v.imag, minlength=d2)
-        return h.reshape(self.dim, self.dim)
+        n = math.prod(self.blocks)
+        h = np.empty(n, dtype=complex)
+        h.real = np.bincount(self.positions, weights=v.real, minlength=n)
+        h.imag = np.bincount(self.positions, weights=v.imag, minlength=n)
+        return h.reshape(self.blocks)
 
 
 def _patterns_for(shape: SystemShape, hg: Hypergraph) -> list[tuple[int, ...]]:
@@ -472,51 +446,46 @@ def full_model(shape: SystemShape) -> HierarchicalModel:
     return build_model(shape, hypergraph_k(shape.N, shape.N))
 
 
-def _materialized_diagonals(model: HierarchicalModel) -> np.ndarray | None:
-    """(m, d) diagonals of the elements of an all-classical model, or None.
+def _algebra_entries(model: HierarchicalModel) -> np.ndarray:
+    """(m, n) entries of every element in the algebra, for the Gram matrix.
 
-    Only when every unit basis is diagonal is every element diagonal, with
-    exact zeros off the diagonal that add nothing to tr(B_k B_l); so each
-    unit basis is checked first.  Entry for entry the products of
-    element_matrix, restricted to the diagonal.
+    Per unit, the diagonals of a basis whose elements are all exactly
+    diagonal (a classical unit's, checked entry by entry) and all n^2
+    entries of any other, Kroneckered per pattern: entry for entry the
+    products of element_matrix, less exact zeros that add nothing to
+    tr(B_k B_l).  The Gram matrix does not depend on the entry order.
     """
-    if not model.shape.all_classical:
-        return None
-    units = [np.stack(basis) for basis in model.unit_bases]
-    if any(np.any(u * ~np.eye(u.shape[1], dtype=bool)) for u in units):
-        return None
-    pats = np.array(model.patterns).reshape(model.n_elements, len(units))
-    flat = np.ones((model.n_elements, 1), dtype=complex)
-    for i, u in enumerate(units):
-        diag = np.diagonal(u, axis1=1, axis2=2)[pats[:, i]]
-        flat = (flat[:, :, None] * diag[:, None, :]).reshape(model.n_elements, -1)
+    m = model.n_elements
+    pats = np.array(model.patterns).reshape(m, len(model.unit_bases))
+    flat = np.ones((m, 1), dtype=complex)
+    for i, basis in enumerate(model.unit_bases):
+        u = np.stack(basis)
+        if np.any(u * ~np.eye(u.shape[1], dtype=bool)):
+            entries = u.reshape(len(u), -1)
+        else:
+            entries = np.diagonal(u, axis1=1, axis2=2)
+        flat = (flat[:, :, None] * entries[pats[:, i]][:, None, :]).reshape(m, -1)
     return flat
 
 
 def numerical_basis_rank(model: HierarchicalModel) -> int:
     """Numerical rank of the constructed basis.
 
-    Small models get the spectrum of the m x m Gram matrix of the flattened
-    matrices (real, as the basis is hermitian), built for the check and
-    dropped after it unless the model already caches them; an eigenvalue
-    counts when it exceeds 1e-8 times the largest, i.e. a singular value
-    above 1e-4 of the largest.  On an all-classical model with diagonal
-    unit bases every element is diagonal, and the Gram matrix is that of
-    the materialized length-d diagonals.  Large models use the tensor
-    structure: the Gram matrix of the distinct patterns factors through the
-    per-unit Grams, so after certifying those to near machine precision it
-    is diagonally dominant and therefore non-singular.
+    Small models get the spectrum of the m x m Gram matrix of the elements'
+    algebra entries (real, as the basis is hermitian), built for the check
+    and dropped after it; an eigenvalue counts when it exceeds 1e-8 times
+    the largest, i.e. a singular value above 1e-4 of the largest.  Large
+    models use the tensor structure: the Gram matrix of the distinct
+    patterns factors through the per-unit Grams, so after certifying those
+    to near machine precision it is diagonally dominant and therefore
+    non-singular.
     """
     d = model.shape.dim
     m = model.n_elements
     if m * d * d <= 2**20:
-        flat = _materialized_diagonals(model)
-        if flat is None:
-            stack = model._stack if model._stack is not None else model._dense_stack()
-            flat = np.ascontiguousarray(stack).reshape(m, d * d)
         # tr(B_k B_l) of hermitian matrices is real: the dot product of the
-        # (re, im) pairs of the flattened matrices
-        flat = flat.view(np.float64)
+        # (re, im) pairs of the flattened entries
+        flat = _algebra_entries(model).view(np.float64)
         w = np.linalg.eigvalsh(flat @ flat.T)
         return int(np.sum(w > 1e-8 * max(float(w[-1]), 1e-300)))
     distinct = len(set(model.patterns))

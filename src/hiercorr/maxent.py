@@ -17,34 +17,37 @@ projection and the input, which agrees with the relative entropy to the
 projection for every family handled here (including boundary cases, where
 the projection is a limit of the exponential family).
 
-On all-classical shapes, the commutative case, every route but ``primal``
-runs on probability vectors: the basis is diagonal, the Gibbs map is a
-softmax and a state's spectrum is its sorted entries, so no
-eigendecomposition is taken.
+States and Hamiltonians live in the block layout of algebra.block_layout,
+one d_Q x d_Q block per configuration of the classical units, and every
+spectral step is one batched eigendecomposition of the blocks (1 x 1 blocks,
+all-classical shapes, take none).  ``primal`` keeps dense d x d iterates.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .algebra import (
+    CLASSICAL,
     ShapeError,
     State,
     SystemShape,
-    _gibbs_eigh,
+    _compose,
+    _eigh_blocks,
+    _gibbs_blocks,
     _partial_trace,
-    algebra_mask,
+    block_layout,
     expectation_values,
-    gibbs_with_log_partition,
+    from_blocks,
     hermitian_realvec,
     marginal,
     realvec_hermitian,
     relative_entropy,
     spectrum_entropy,
-    tensor,
+    to_blocks,
     von_neumann_entropy,
 )
 from .hierarchy import (
@@ -74,6 +77,7 @@ BACKTRACK_STEPS = 20
 IPF_SWEEPS = 20000
 DUAL_STEPS = 2000
 PRIMAL_STEPS = 400
+TINY = np.finfo(float).tiny  # the smallest normal double
 
 METHODS = ("auto", "exact", "product", "ipf", "dual", "primal")
 
@@ -98,8 +102,8 @@ class GibbsParameters:
         return model.hamiltonian(self.theta)
 
     def state(self, model: HierarchicalModel) -> State:
-        pi, _ = gibbs_with_log_partition(self.hamiltonian(model))
-        return State(model.shape, _density(_clean(pi, model.shape)[0]))
+        _, _, p, u = _gibbs_blocks(model._moment_plan().hamiltonian(self.theta))
+        return State(model.shape, from_blocks(_clean(p, u)[0], model.shape))
 
 
 @dataclasses.dataclass
@@ -114,65 +118,35 @@ class ProjectionResult:
     diagnostics: dict = dataclasses.field(default_factory=dict)
 
 
-def _in_algebra(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
-    """Conditional expectation onto the algebra: zero the entries the
-    classical units forbid (none on an all-quantum shape)."""
-    return mat if shape.all_quantum else np.where(algebra_mask(shape), mat, 0.0)
-
-
-def _from_spectrum(w: np.ndarray, u: np.ndarray, shape: SystemShape) -> np.ndarray:
-    """The density matrix (u * w) @ u^H of a spectrum w >= 0 summing to one,
-    kept in the algebra and hermitian."""
-    out = _in_algebra((u * w) @ u.conj().T, shape)
-    return 0.5 * (out + out.conj().T)
-
-
-def _density(x: np.ndarray) -> np.ndarray:
-    """Density matrix of a state given as a matrix or, on an all-classical
-    shape, as its probability vector."""
-    return x if x.ndim == 2 else np.diag(x.astype(complex))
-
-
-def _clean(out: np.ndarray, shape: SystemShape) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest state in the algebra by conditional expectation and eigenvalue
-    clip, both of which can only move the matrix toward the feasible cone.
-    Returns the state and its spectrum (ascending, summing to one).
-
-    On an all-classical shape the state is a probability vector: out itself,
-    or the diagonal of the matrix out (its conditional expectation), which
-    is also its spectrum, clipped and renormalized."""
-    if shape.all_classical:
-        w = np.real(out if out.ndim == 1 else np.diagonal(out))
-    else:
-        w, u = np.linalg.eigh(_in_algebra(0.5 * (out + out.conj().T), shape))
-    w = np.clip(w, 0.0, None)
+def _clean(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state of block eigenpairs (w, u), w clipped at zero (a move toward
+    the feasible cone) and scaled to sum to one, and its ascending spectrum."""
+    w = np.maximum(w, 0.0)
     s = w.sum()
     if s <= 0.0:
         raise ConvergenceError("projection collapsed to the zero matrix")
     w = w / s
-    if shape.all_classical:
-        return w, np.sort(w)
-    return _from_spectrum(w, u, shape), w
+    x = _compose(w, u)
+    return 0.5 * (x + x.conj().transpose(0, 2, 1)), np.sort(w, axis=None)
 
 
 def _residual(x: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> float:
-    return float(np.max(np.abs(model.moments(x) - b)))
+    return float(np.abs(model._moment_plan().moments(x) - b).max())
 
 
 def _spectrum(rho: State) -> np.ndarray:
-    """rho's ascending spectrum; on an all-classical shape, its sorted diagonal."""
-    if rho.shape.all_classical:
-        return np.sort(rho.probabilities())
-    return np.linalg.eigvalsh(rho.matrix)
+    """rho's ascending spectrum, from the eigenvalues of its blocks."""
+    return np.sort(_eigh_blocks(to_blocks(rho.matrix, rho.shape), vectors=False), axis=None)
 
 
 def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
-    """Eigenvalues of an ascending spectrum above rtol times the largest."""
-    return int(np.sum(w > rtol * max(float(w[-1]), 1e-300)))
+    """Eigenvalues of a spectrum above rtol times the largest."""
+    return int(np.count_nonzero(w > rtol * max(float(w.max()), 1e-300)))
 
 
 def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, x: np.ndarray) -> float:
-    """D(rho||pi) = -S(rho) - tr(rho log pi) from an eigh of pi of its own.
+    """D(rho||pi) = -S(rho) - tr(rho log pi) from an eigendecomposition of
+    pi's blocks of its own.
 
     The cross-check of a projection: the divergence is S(pi) - S(rho) from
     the spectrum the solve left, this is D from an independent
@@ -180,32 +154,29 @@ def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, x: np.ndarra
     normal double, so tiny positive ones keep their exact logarithm (a
     fitting limit with an entry of 4e-11 stays finite), while mass of rho on
     pi's kernel weighs about 708 per unit instead of making D infinite.
-    Probability vectors rho_x and x (all-classical shapes) need no eigh:
-    pi is diagonal in the standard basis.
+    rho_x and x are block arrays.
     """
-    if x.ndim == 1:
-        w, r = x, rho_x
-    else:
-        w, v = np.linalg.eigh(x)
-        r = np.real(np.sum(v.conj() * (rho_x @ v), axis=0))  # diagonal of v^H rho v
-    return max(0.0, -rho_entropy - float(r @ np.log(np.maximum(w, np.finfo(float).tiny))))
+    w, v = _eigh_blocks(x)
+    r = np.add.reduce(v.conj() * (rho_x @ v), axis=1).real  # diagonal of v^H rho v, per block
+    logs = np.log(np.maximum(w, TINY))
+    return max(0.0, -rho_entropy - float(r.ravel() @ logs.ravel()))
 
 
 def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
     """Orthonormalize a (possibly dependent) hermitian constraint stack.
 
-    Returns reduced orthonormal directions, their targets, the free
-    directions completing them, and the feasibility defect of the affine
-    system on this space.
+    Returns reduced orthonormal directions, their targets, and the
+    feasibility defect of the affine system on this space; the economy SVD
+    of the (m, r^2) constraint matrix suffices.
     """
     m, r, _ = dirs.shape
     vecs = hermitian_realvec(dirs)
-    uu, ss, vt = np.linalg.svd(vecs, full_matrices=True)
+    uu, ss, vt = np.linalg.svd(vecs, full_matrices=False)
     rank = int(np.sum(ss > max(ss[0], 1e-300) * 1e-12))
     c = (uu.T @ targets)[:rank] / ss[:rank]
     x_ls = vt[:rank].T @ c
     defect = float(np.max(np.abs(vecs @ x_ls - targets)))
-    return realvec_hermitian(vt[:rank], r), c, realvec_hermitian(vt[rank:], r), defect
+    return realvec_hermitian(vt[:rank], r), c, defect
 
 
 # ---------------------------------------------------------------- face loop
@@ -213,41 +184,51 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
 
 def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, best=None):
     """Re-solve a boundary projection on faces cut from the caller's last
-    iterate, given by its eigenpairs (w ascending, u).
+    iterate, given by its block eigenpairs (w, u) of _eigh_blocks.
 
     Each cut keeps the eigenvectors above it (times the largest eigenvalue
-    when relative); None keeps the whole space in the standard basis.  Cuts
+    when relative) as the columns of the d x r isometry q, by ascending
+    eigenvalue; None keeps the whole space in the standard basis.  Cuts
     keeping no vector, or as many as a face already tried, are skipped, as
     are faces whose constraints q^H B_k q (model.compress) miss the moments
-    by more than defect_rtol.  solve_face(q, red, c, free) returns a solution
-    in q's coordinates (on a classical face, whose q are columns of the
-    identity, a probability vector), or None, and its iterations.  Lifts
-    are checked against the full constraints; the lowest residual wins,
-    stopping at tol.
+    by more than defect_rtol.  solve_face(q, dirs, red, c), given those
+    constraints as compressed and as reduced, returns a block array over q's
+    columns (block j on columns j k .. j k + k - 1), or None, and its
+    iterations; the lift with the lowest residual wins, stopping at tol.
 
     best, a full-space record (state, residual, round, rank, iterations)
     already in hand, marks the full rank as tried.  Returns the best record
     (None if there is none) and the iterations spent on faces.
     """
-    d = u.shape[0]
-    scale = max(float(w[-1]), 1e-300) if relative else 1.0
+    d = model.shape.dim
+    rows = block_layout(model.shape)[:, :, 0] // d  # the configuration of each block entry
+    flat = w.ravel()
+    order = np.argsort(flat, kind="stable")
+    scale = max(float(flat.max()), 1e-300) if relative else 1.0
     bound = defect_rtol * max(1.0, float(np.max(np.abs(b))))
     tried = {0} if best is None else {0, d}
     total = 0
     for rounds, cut in enumerate(cuts, start=1):
-        q = np.eye(d, dtype=complex) if cut is None else u[:, w > cut * scale]
+        if cut is None:
+            q = np.eye(d, dtype=complex)
+        else:
+            blk, col = np.divmod(order[flat[order] > cut * scale], w.shape[1])
+            q = np.zeros((d, blk.size), dtype=u.dtype)
+            q[rows[blk].T, np.arange(blk.size)] = u[blk, :, col].T
         r = q.shape[1]
         if cut is not None and r in tried:
             continue
         tried.add(r)
-        red, c, free, defect = _reduce_constraints(model.compress(q), b)
+        dirs = model.compress(q)
+        red, c, defect = _reduce_constraints(dirs, b)
         if defect > bound:
             continue  # cut too deep, this face cannot carry the moments
-        face, nit = solve_face(q, red, c, free)
+        face, nit = solve_face(q, dirs, red, c)
         total += nit
         if face is None:
             continue
-        pi = q @ face @ q.conj().T if face.ndim == 2 else np.real(q @ face)
+        qb = q[rows].reshape(*rows.shape, *face.shape[:2])  # q's rows by block, columns by face block
+        pi = np.einsum("cajb,jbe,cdje->cad", qb, face, qb.conj(), optimize=True)  # q F q^H
         resid = _residual(pi, model, b)
         if best is None or resid < best[1]:
             best = (pi, resid, rounds, r, nit)
@@ -277,33 +258,20 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _gibbs_softmax(h: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """_gibbs_eigh of a diagonal Hamiltonian given as its diagonal h: the
-    Gibbs state is the softmax of h, a probability vector p.  Its ascending
-    spectrum is p[order], and the eigenvectors are the columns order of the
-    identity, which only a caller that needs them builds."""
-    order = np.argsort(h, kind="stable")
-    top = h[order[-1]]
-    lz = float(top + np.log1p(np.exp(h[order[:-1]] - top).sum()))
-    p = np.exp(h - lz)
-    return p, lz, p[order], order
-
-
-def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxiter: int, gibbs):
+def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxiter: int):
     """Minimize log Z(theta) - theta . targets by L-BFGS with backtracking.
 
-    hamiltonian(theta) is sum_k theta_k B_k, gibbs the Gibbs map of such an
-    operator (_gibbs_eigh, or _gibbs_softmax of diagonals) and moments(x)
-    the vector of tr(B_k x), over the directions B_k the targets belong
-    to.  Stops when the largest gradient entry is at most gtol, when an
-    accepted step lowers the objective by at most LBFGS_FTOL relative to its
-    size, when no step along steepest descent decreases it, or after
-    maxiter steps.  Returns theta, log Z, the Gibbs state at theta, its
-    eigenpairs (p, u) as gibbs gives them and the steps taken.
+    hamiltonian(theta) is sum_k theta_k B_k as a block array and moments(x)
+    the vector of tr(B_k x) of a block array, over the directions B_k the
+    targets belong to.  Stops when the largest gradient entry is at most
+    gtol, when an accepted step lowers the objective by at most LBFGS_FTOL
+    relative to its size, when no step along steepest descent decreases it,
+    or after maxiter steps.  Returns theta, log Z, the Gibbs state at theta,
+    its eigenpairs (p, u) from _gibbs_blocks and the steps taken.
     """
 
     def fg(theta):
-        pi, lz, p, u = gibbs(hamiltonian(theta))
+        pi, lz, p, u = _gibbs_blocks(hamiltonian(theta))
         return lz - theta @ targets, moments(pi) - targets, pi, lz, (p, u)
 
     theta = np.zeros(targets.size)
@@ -338,47 +306,41 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxit
 
 
 def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
-    """Returns the projection, its iterations, diagnostics and, at the
-    interior exit, its Gibbs parameters; there the projection comes as the
-    eigenpairs (p, u) of the last Gibbs state rather than as a matrix.
-
-    On an all-classical shape every element is diagonal: the Gibbs map is a
-    softmax of the configuration energies, and the projection comes as a
-    probability vector."""
+    """Returns the projection as a block array, its iterations, diagnostics
+    and, at the interior exit, its Gibbs parameters; there the projection
+    comes as the eigenpairs (p, u) of the last Gibbs state instead."""
     d = model.shape.dim
-    classical = model.shape.all_classical
-    # looked up at each call, so a patched _gibbs_eigh is the one used
-    gibbs = _gibbs_softmax if classical else _gibbs_eigh
+    plan = model._moment_plan()
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
     theta, lz, pi, (p, u), nit = _dual_minimize(
-        model.hamiltonian_diagonal if classical else model.hamiltonian,
-        lambda x: model.moments(x)[1:], b[1:], 0.1 * tol, DUAL_STEPS, gibbs,
+        plan.hamiltonian, lambda x: plan.moments(x)[1:], b[1:], 0.1 * tol, DUAL_STEPS
     )
     resid = _residual(pi, model, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
     # an iterate with eigenvalues at kernel level is a boundary answer, however
     # small its residual: only full support ends here with parameters
     if resid <= tol and info["theta_max"] <= THETA_BLOWUP and _support_size(p) == d:
-        return pi if classical else (p, u), nit, info, GibbsParameters(theta.copy(), lz)
-    if classical:  # the eigenvectors, from the order of the probabilities
-        u = np.eye(d)[:, u]
+        return (p, u), nit, info, GibbsParameters(theta.copy(), lz)
 
     # boundary regime: the optimum has a kernel and the parameters diverge.
     # Peel off the eigenspace the iterate is abandoning and re-solve on the
     # remaining support.
-    def solve_face(q, red, c, free):
+    def solve_face(q, dirs, red, c):
         # the face's constraints span its identity, along which log Z - tau.c
         # is linear with slope 1 - tr(x_ls), a defect the descent would chase
         # forever; move c onto trace one so that direction is flat
         v = np.real(np.trace(red, axis1=1, axis2=2))
         c = c + v * (1.0 - v @ c) / (v @ v)
-        if classical:  # the face's constraints are diagonal too
-            diag = np.real(np.diagonal(red, axis1=1, axis2=2))
-            maps = (lambda t: t @ diag), (lambda x: diag @ x)
-        else:
-            maps = (lambda t: np.tensordot(t, red, axes=(0, 0))), (lambda x: expectation_values(x, red))
-        _, _, tau, _, face_it = _dual_minimize(*maps, c, 0.1 * tol, DUAL_STEPS, gibbs)
+        # the face's block layout: r blocks of 1 x 1 when d_Q = 1 (q's columns
+        # are configurations), else one r x r block
+        red = np.real(np.diagonal(red, axis1=1, axis2=2))[..., None, None] if u.shape[-1] == 1 \
+            else red[:, None]
+        _, _, tau, _, face_it = _dual_minimize(
+            lambda t: np.tensordot(t, red, axes=(0, 0)),
+            lambda x: np.real(np.tensordot(red, np.swapaxes(x, 1, 2), axes=3)),
+            c, 0.1 * tol, DUAL_STEPS,
+        )
         return tau, face_it
 
     best, face_its = _face_loop(
@@ -528,15 +490,20 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
 
 
 def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float):
+    """Returns the projection as a block array, its iterations and
+    diagnostics; the iterates are dense d x d matrices."""
     # the euclidean projection of rho onto the model span carries the same
     # moments, so any PSD blend of the two is a feasible starting point
     tau = _max_psd_blend(rho_mat, _span(model, b))
     tau, ascent_iters = _entropy_ascent(tau, model, b, PRIMAL_STEPS)
     info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": len(rho_mat)}
 
-    def solve_face(qmat, red, c, free):
+    def solve_face(qmat, dirs, red, c):
         r = qmat.shape[1]
         rv = hermitian_realvec(red)
+        # the free directions complete the constraints: the trailing right
+        # singular vectors of the full SVD
+        free = realvec_hermitian(np.linalg.svd(hermitian_realvec(dirs))[2][len(red):], r)
 
         def affine(mat):  # exact affine projection within the compressed space
             x = hermitian_realvec(mat)
@@ -546,17 +513,18 @@ def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, 
         tau_c = affine(qmat.conj().T @ tau @ qmat)
         for _ in range(7):
             if float(np.linalg.eigvalsh(tau_c)[0]) > 1e-13:
-                return _newton_polish(tau_c, free, (1e-2, 1e-4, 1e-6, 1e-8, 0.0))
+                face, nit = _newton_polish(tau_c, free, (1e-2, 1e-4, 1e-6, 1e-8, 0.0))
+                return face[None], nit
             wc, uc = np.linalg.eigh(tau_c)
             tau_c = affine((uc * np.clip(wc, 1e-12, None)) @ uc.conj().T)
         return None, 0
 
-    w, u = np.linalg.eigh(tau)
+    w, u = _eigh_blocks(to_blocks(tau, model.shape))
     best, _ = _face_loop(w, u, SNAP_SCHEDULE, False, 1e-7, solve_face, model, b, tol)
     if best is None:
         # no support candidate admitted an interior start; report the raw
         # ascent iterate rather than failing outright
-        return tau, ascent_iters, info, None
+        return to_blocks(tau, model.shape), ascent_iters, info, None
     pi, _, _, rank, newton_iters = best
     info.update(newton_iters=newton_iters, support_dim=rank)
     return pi, ascent_iters + newton_iters, info, None
@@ -565,41 +533,58 @@ def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, 
 # ----------------------------------------------------------------- ipf route
 
 
-def _ipf_solve(p: np.ndarray, model: HierarchicalModel, tol: float):
-    """Fit the marginals of the probability vector p on each maximal set in
-    turn, by rescaling every cell of the set; the gap is taken over all
-    marginals after each sweep."""
+@lru_cache(maxsize=32)
+def _ipf_cells(plan) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Each maximal set's cell of every configuration, inverting the plan's
+    positions (cell, rest) on an all-classical shape; where each set starts
+    in the stacked marginals, which are np.bincount(stacked, v[configs])."""
+    sets = [pos for grp in plan.groups for pos in grp.pos]
+    cells = [np.argsort(pos, axis=None) // pos.shape[1] for pos in sets]
+    starts = np.cumsum([0] + [len(pos) for pos in sets])
+    stacked = np.concatenate([cell + lo for cell, lo in zip(cells, starts)])
+    return cells, starts, stacked, np.tile(np.arange(len(cells[0])), len(sets))
+
+
+def _ipf_solve(x: np.ndarray, model: HierarchicalModel, tol: float):
+    """Fit the marginals of the (d, 1, 1) block array x on each maximal set in
+    turn (the moment plan's order) by rescaling every cell of the set; the
+    gap is taken over all marginals after each sweep."""
     if not model.shape.all_classical:
         raise ShapeError("iterative proportional fitting needs an all-classical shape")
-    cells, starts = model.marginal_cells()
-    target = model.marginals(p)
+    cells, starts, stacked, configs = _ipf_cells(model._moment_plan())
+    p = np.real(x).reshape(-1)
+    target = np.bincount(stacked, p[configs])
     fits = [(cell, target[lo:hi], hi - lo) for cell, lo, hi in zip(cells, starts[:-1], starts[1:])]
     q = np.full(len(p), 1.0 / len(p))
-    tiny = np.finfo(float).tiny
     sweeps = 0
     for sweeps in range(1, IPF_SWEEPS + 1):
         for cell, mp, size in fits:
             mq = np.bincount(cell, weights=q, minlength=size)
             # an empty cell has no mass to rescale: the floor only keeps its
             # ratio finite
-            q = q * (mp / np.maximum(mq, tiny))[cell]
-        if float(np.abs(model.marginals(q) - target).max()) <= 0.1 * tol:
+            q = q * (mp / np.maximum(mq, TINY))[cell]
+        if float(np.abs(np.bincount(stacked, q[configs]) - target).max()) <= 0.1 * tol:
             break
-    return q, sweeps, {"sweeps": sweeps}, None
+    return q.reshape(-1, 1, 1), sweeps, {"sweeps": sweeps}, None
 
 
 def _product(x: np.ndarray, shape: SystemShape) -> np.ndarray:
-    """Product of the unit marginals of x: Kronecker products of the reduced
-    matrices, or on an all-classical shape outer products of the marginal
-    vectors."""
-    units = range(shape.N)
-    if x.ndim == 1:
-        t = x.reshape(shape.sizes)
-        vecs = [t.sum(axis=tuple(j for j in units if j != i)) for i in units]
-        return reduce(np.multiply.outer, vecs).reshape(-1)
-    mats = [_partial_trace(x, shape.sizes, [i]) for i in units]
-    # hermitian to the last bit, as marginal() leaves them
-    return tensor(*[0.5 * (m + m.conj().T) for m in mats])
+    """Product of the unit marginals of the block array x: the outer product
+    of the classical units' marginal vectors times the Kronecker product of
+    the quantum units' reduced matrices."""
+    classical = [k == CLASSICAL for k in shape.kinds]
+    axes = range(sum(classical))
+    t = x.trace(axis1=1, axis2=2).real.reshape([n for n, c in zip(shape.sizes, classical) if c])
+    vecs = [np.add.reduce(t, axis=tuple(j for j in axes if j != i)) for i in axes]
+    qsizes = tuple(n for n, c in zip(shape.sizes, classical) if not c)
+    out = np.reshape(reduce(np.multiply.outer, vecs, 1.0), (-1, 1, 1))
+    xq = np.add.reduce(x, axis=0)  # the quantum units' reduced matrix
+    for i in range(len(qsizes)):
+        m = _partial_trace(xq, qsizes, [i])
+        m = 0.5 * (m + m.conj().T)  # hermitian to the last bit, as marginal() leaves it
+        k, n = out.shape[1], len(m)  # the Kronecker product with m, in every block
+        out = (out[:, :, None, :, None] * m[:, None, :]).reshape(-1, k * n, k * n)
+    return out
 
 
 # --------------------------------------------------------------- public API
@@ -669,10 +654,8 @@ def _run(rho, rho_w, model, method, tol) -> ProjectionResult:
             diagnostics={"support_dim": _support_size(rho_w), "relative_entropy_direct": 0.0},
         )
     shape = rho.shape
-    # on an all-classical shape every state from here on is a probability
-    # vector, the diagonal of its matrix
-    rho_x = rho.probabilities() if shape.all_classical else rho.matrix
-    b = model.moments(rho_x)
+    rho_x = to_blocks(rho.matrix, shape)
+    b = model._moment_plan().moments(rho_x)
     theta = None
     if method == "product":
         out, iters, info = _product(rho_x, shape), 0, {}
@@ -684,15 +667,11 @@ def _run(rho, rho_w, model, method, tol) -> ProjectionResult:
         out, iters, info, theta = _primal_solve(rho.matrix, model, b, tol)
 
     # one spectral pass: the state and its spectrum come from the route's
-    # last eigendecomposition, or from the probability vector, and one
-    # independent eigh of pi (none for a vector) checks them
-    if isinstance(out, tuple):  # the dual's interior exit on a quantum shape
-        p, u = out
-        w = p / p.sum()
-        x = _from_spectrum(w, u, shape)
-    else:
-        x, w = _clean(out, shape)
-    pi = State._trusted(shape, _density(x))
+    # last eigenpairs (the dual's interior exit) or from one eigendecomposition
+    # of its answer's blocks, and one independent one of pi checks them
+    eig = out if isinstance(out, tuple) else _eigh_blocks(0.5 * (out + out.conj().transpose(0, 2, 1)))
+    x, w = _clean(*eig)
+    pi = State._trusted(shape, from_blocks(x, shape))
     resid = _residual(x, model, b)
     support = _support_size(w)
     rho_entropy = spectrum_entropy(rho_w)

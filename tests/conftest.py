@@ -18,14 +18,24 @@ def no_dense_stack(monkeypatch):
 
 @pytest.fixture
 def no_eigendecomposition(monkeypatch):
-    """Make np.linalg.eigh and eigvalsh fail.  A test that needs them again,
+    """no_eigendecomposition(k) makes np.linalg.eigh and eigvalsh fail from
+    there on on matrices larger than k x k, batches of them included: 0
+    refuses every call, the quantum dimension d_Q of a mixed shape lets
+    its blocks through and refuses d x d.  A test that needs them again,
     say for a dense reference, lifts this with monkeypatch.undo()."""
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a classical path asked for an eigendecomposition")
+    def start(largest):
+        def guarded(fn):
+            def wrapped(a, *args, **kwargs):
+                if np.shape(a)[-1] > largest:
+                    raise AssertionError(f"an eigendecomposition of {np.shape(a)} was asked for")
+                return fn(a, *args, **kwargs)
+            return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", guarded(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", guarded(np.linalg.eigvalsh))
+
+    return start
 
 
 @pytest.fixture
@@ -44,7 +54,7 @@ def count_decompositions(monkeypatch):
 
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(maxent, "_gibbs_eigh", counting("gibbs", maxent._gibbs_eigh))
+        monkeypatch.setattr(maxent, "_gibbs_blocks", counting("gibbs", maxent._gibbs_blocks))
         return calls
 
     return start

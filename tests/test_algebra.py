@@ -8,8 +8,10 @@ from hiercorr.algebra import (
     State,
     SystemShape,
     algebra_mask,
+    block_layout,
     classical_unit_basis,
     expectation_values,
+    from_blocks,
     gibbs_map,
     gibbs_with_log_partition,
     hermitize_basis,
@@ -17,6 +19,7 @@ from hiercorr.algebra import (
     matrix_fourier_basis,
     relative_entropy,
     tensor,
+    to_blocks,
     unit_hermitian_basis,
     von_neumann_entropy,
 )
@@ -419,6 +422,40 @@ class TestHelpers:
         assert algebra_mask(SystemShape((2, 2), ("c", "q"))) is mask
         with pytest.raises(ValueError):
             mask[0, 2] = True
+
+    @pytest.mark.parametrize("shape", [
+        SystemShape.qubits(3), SystemShape.bits(3), SystemShape.classical((3, 2)),
+        SystemShape((2, 3, 2), ("c", "q", "c")), SystemShape((3, 2, 2), ("q", "c", "q")),
+        SystemShape((2, 2, 3, 2), ("c", "q", "q", "c")),
+    ], ids=["q3", "b3", "c32", "cqc-232", "qcq-322", "cqqc-2232"])
+    def test_block_layout(self, shape):
+        rng = np.random.default_rng(34)
+        d = shape.dim
+        mask = algebra_mask(shape)
+        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        inside = np.where(mask, mat, 0.0)
+        layout = block_layout(shape)
+        d_c = int(np.prod([n for n, k in zip(shape.sizes, shape.kinds) if k == "classical"]))
+        assert layout.shape == (d_c, d // d_c, d // d_c)
+        # every entry of the algebra in exactly one place
+        assert np.array_equal(np.sort(layout, axis=None), np.flatnonzero(mask))
+        # to_blocks drops exactly the entries outside the mask, and the round
+        # trip is exact on the algebra
+        blocks = to_blocks(mat, shape)
+        assert np.array_equal(from_blocks(blocks, shape), inside)
+        assert np.array_equal(to_blocks(inside, shape), blocks)
+        # block c: the rows and columns of classical digits c, in the order of
+        # the quantum digits
+        digits = np.indices(shape.sizes).reshape(shape.N, d)
+        classical = [i for i, k in enumerate(shape.kinds) if k == "classical"]
+        block_of = np.ravel_multi_index(digits[classical], [shape.sizes[i] for i in classical]) \
+            if classical else np.zeros(d, dtype=int)
+        for c in range(d_c):
+            rows = np.flatnonzero(block_of == c)
+            assert np.array_equal(blocks[c], mat[np.ix_(rows, rows)])
+        assert block_layout(SystemShape(shape.sizes, shape.kinds)) is layout
+        with pytest.raises(ValueError):
+            layout[0, 0, 0] = 1
 
     def test_realvec_isometry(self):
         from hiercorr.algebra import hermitian_realvec, realvec_hermitian

@@ -12,6 +12,7 @@ from hiercorr.algebra import (
     expectation_values,
     hermitize_basis,
     matrix_fourier_basis,
+    to_blocks,
 )
 from hiercorr.hierarchy import (
     HypergraphError,
@@ -227,7 +228,10 @@ class TestModelBasis:
             assert np.max(np.abs(recon - e)) < 1e-12
 
     def test_classical_rank_takes_the_diagonals(self, no_dense_stack):
-        for shape in (SystemShape.bits(4), SystemShape.classical((3, 2, 3))):
+        # every small model takes the Gram of its algebra entries: the
+        # diagonals of classical units, all entries of quantum ones
+        for shape in (SystemShape.bits(4), SystemShape.classical((3, 2, 3)),
+                      SystemShape((2, 3, 2), ("c", "q", "c")), SystemShape.qubits(3)):
             for k in (1, 2, shape.N):
                 model = build_model(shape, hypergraph_k(shape.N, k))
                 assert numerical_basis_rank(model) == model.dim_total
@@ -263,33 +267,43 @@ def _moment_map_cases():
     return cases
 
 
+def _check_against_dense_stack(shape, hg, local, seed):
+    """The model's moment plan against the dense stack it replaces: with
+    local False the moments and the Hamiltonian, public (dense) and in the
+    block layout, and the compression onto the whole space (q = I); with
+    local True the compression onto seeded faces of rank 1 and 3."""
+    rng = np.random.default_rng(seed)
+    model = build_model(shape, hg)
+    stack = build_model(shape, hg).basis_matrices()
+    plan = model._moment_plan()
+    d = shape.dim
+    if local:
+        faces = [np.linalg.qr(rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))[0]
+                 for r in (1, 3)]
+    else:
+        x = random_density(shape, rng).matrix
+        want = expectation_values(x, stack)
+        assert np.max(np.abs(model.moments(x) - want)) <= 1e-13
+        assert np.max(np.abs(plan.moments(to_blocks(x, shape)) - want)) <= 1e-13
+        theta = rng.normal(size=model.n_elements - 1)
+        want = np.tensordot(theta, stack[1:], axes=(0, 0))
+        assert np.max(np.abs(model.hamiltonian(theta) - want)) <= 1e-13
+        assert np.max(np.abs(plan.hamiltonian(theta) - to_blocks(want, shape))) <= 1e-13
+        faces = [np.eye(d)]
+    for q in faces:
+        want = np.einsum("ia,kij,jb->kab", q.conj(), stack, q, optimize=True)
+        assert np.max(np.abs(model.compress(q) - want)) <= 1e-13
+    assert model._stack is None
+
+
 class TestMomentMap:
     """The model's moment plan against the dense stack it replaces."""
 
-    # default: moments, Hamiltonian and the compression onto the whole space
-    # (q = I); local: the compression onto seeded faces of rank 1 and 3
     @pytest.mark.parametrize("local", [False, True], ids=["default", "local"])
     @pytest.mark.parametrize("shape,hg", [c[1:] for c in _moment_map_cases()],
                              ids=[c[0] for c in _moment_map_cases()])
     def test_matches_dense_stack(self, shape, hg, local):
-        rng = np.random.default_rng(7)
-        model = build_model(shape, hg)
-        stack = build_model(shape, hg).basis_matrices()
-        d = shape.dim
-        if local:
-            faces = [np.linalg.qr(rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))[0]
-                     for r in (1, 3)]
-        else:
-            x = random_density(shape, rng).matrix
-            assert np.max(np.abs(model.moments(x) - expectation_values(x, stack))) <= 1e-13
-            theta = rng.normal(size=model.n_elements - 1)
-            want = np.tensordot(theta, stack[1:], axes=(0, 0))
-            assert np.max(np.abs(model.hamiltonian(theta) - want)) <= 1e-13
-            faces = [np.eye(d)]
-        for q in faces:
-            want = np.einsum("ia,kij,jb->kab", q.conj(), stack, q, optimize=True)
-            assert np.max(np.abs(model.compress(q) - want)) <= 1e-13
-        assert model._stack is None
+        _check_against_dense_stack(shape, hg, local, 7)
 
     def test_compression_guard(self):
         # 8 qubits at k=2 on the whole space: 277 x 256 x 256 entries
@@ -329,38 +343,14 @@ def _classical_cases():
 
 
 class TestDiagonalMaps:
-    """The diagonal maps of all-classical models against the dense stack."""
+    """The moment plan's check on all-classical shapes, whose block layout
+    is the diagonal: d blocks of 1 x 1."""
 
     @pytest.mark.parametrize("shape,hg", [c[1:] for c in _classical_cases()],
                              ids=[c[0] for c in _classical_cases()])
     def test_matches_dense_stack(self, shape, hg):
-        rng = np.random.default_rng(8)
-        model = build_model(shape, hg)
-        stack = build_model(shape, hg).basis_matrices()
-        p = random_density(shape, rng).probabilities()
-        want = expectation_values(np.diag(p), stack)
-        assert np.max(np.abs(model.moments(p) - want)) <= 1e-13
-        theta = rng.normal(size=model.n_elements - 1)
-        want = np.diagonal(np.tensordot(theta, stack[1:], axes=(0, 0))).real
-        assert np.max(np.abs(model.hamiltonian_diagonal(theta) - want)) <= 1e-13
-        cells, starts = model.marginal_cells()
-        marginals = model.marginals(p)
-        configs = np.indices(shape.sizes).reshape(shape.N, -1)
-        for s, a in enumerate(hg.maximal_sets):
-            rest = tuple(i for i in range(shape.N) if i + 1 not in a)
-            want = p.reshape(shape.sizes).sum(axis=rest).reshape(-1)
-            assert np.max(np.abs(marginals[starts[s]:starts[s + 1]] - want)) <= 1e-15
-            sizes = [shape.sizes[i - 1] for i in a]
-            assert np.array_equal(cells[s], np.ravel_multi_index(configs[[i - 1 for i in a]], sizes))
-        assert model._stack is None
-
-    def test_need_an_all_classical_shape(self):
-        model = build_model(SystemShape((2, 2), ("classical", "quantum")), hypergraph_k(2, 1))
-        p = np.full(4, 0.25)
-        for call in (model.marginal_cells, lambda: model.marginals(p), lambda: model.moments(p),
-                     lambda: model.hamiltonian_diagonal(np.zeros(model.n_elements - 1))):
-            with pytest.raises(ShapeError):
-                call()
+        for local in (False, True):
+            _check_against_dense_stack(shape, hg, local, 8)
 
 
 class TestExhaustiveDims:

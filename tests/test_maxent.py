@@ -10,8 +10,10 @@ from hiercorr.algebra import (
     SystemShape,
     expectation_values,
     gibbs_map,
+    hermitian_realvec,
     marginal,
     relative_entropy,
+    to_blocks,
     von_neumann_entropy,
 )
 from hiercorr.hierarchy import (
@@ -240,7 +242,7 @@ class TestBoundaryCases:
         rho = State(sh, np.eye(8) / 8)
         even = np.diag([0.25, 0, 0, 0.25, 0, 0.25, 0.25, 0]).astype(complex)
         model = build_model(sh, hypergraph_k(3, 2))
-        monkeypatch.setattr(maxent, "_dual_solve", lambda *args: (even, 0, {}, None))
+        monkeypatch.setattr(maxent, "_dual_solve", lambda *args: (to_blocks(even, sh), 0, {}, None))
         dual = maxent_project(rho, model, method="dual")
         assert dual.residual < 1e-12
         assert dual.diagnostics["support_dim"] == 4
@@ -359,7 +361,7 @@ class TestSpectralPass:
         eigvalsh = np.linalg.eigvalsh
 
         def counting(mat, *args, **kwargs):
-            calls.append(mat is rho.matrix)
+            calls.append(np.shares_memory(mat, rho.matrix))
             return eigvalsh(mat, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -416,7 +418,7 @@ def _classical_state(name):
 
 
 class TestClassicalVectors:
-    """All-classical projections run on probability vectors, with no
+    """All-classical projections run on 1 x 1 blocks, with no
     eigendecomposition, and repeat the dense routes they replaced."""
 
     @pytest.mark.parametrize("case", list(CLASSICAL_ROUTES),
@@ -425,6 +427,7 @@ class TestClassicalVectors:
         name, k, method = case
         rho = _classical_state(name)
         model = build_model(rho.shape, hypergraph_k(rho.shape.N, k))
+        no_eigendecomposition(0)
         res = maxent_project(rho, model, method=method)
         monkeypatch.undo()  # the dense reference below diagonalizes
         converged, iterations, rounds, support, divergence = CLASSICAL_ROUTES[case]
@@ -447,10 +450,45 @@ class TestClassicalVectors:
 
     def test_ladder_takes_no_eigendecomposition(self, no_eigendecomposition, monkeypatch):
         rho = _classical_state("b4")
+        no_eigendecomposition(0)
         dec = correlation_decomposition(rho)
         monkeypatch.undo()
         assert dec["converged"]
         assert abs(dec["total"] - multi_information(rho)) <= 1e-12
+
+
+MIXED_SHAPES = {
+    "cqx3": SystemShape((2,) * 6, ("c", "q") * 3),
+    "cqc-232": SystemShape((2, 3, 2), ("c", "q", "c")),
+    "qcq-322": SystemShape((3, 2, 2), ("q", "c", "q")),
+}
+
+
+class TestMixedBlocks:
+    """Mixed shapes diagonalize their d_Q x d_Q blocks, never a d x d matrix."""
+
+    @pytest.mark.parametrize("method", ["auto", "dual", "product"])
+    @pytest.mark.parametrize("name", list(MIXED_SHAPES))
+    def test_routes_take_block_eigendecompositions(self, name, method, no_eigendecomposition,
+                                                   monkeypatch):
+        shape = MIXED_SHAPES[name]
+        rho = random_density(shape, np.random.default_rng(47))
+        model = build_model(shape, hypergraph_k(shape.N, 1 if method == "product" else 2))
+        d_q = math.prod(n for n, kind in zip(shape.sizes, shape.kinds) if kind == "quantum")
+        no_eigendecomposition(d_q)
+        res = maxent_project(rho, model, method=method)
+        monkeypatch.undo()  # the dense reference below diagonalizes
+        assert res.converged and res.method == ("dual" if method == "auto" else method)
+        assert res.diagnostics["support_dim"] == shape.dim
+        pi = res.state.matrix
+        assert abs(res.divergence - (von_neumann_entropy(pi) - von_neumann_entropy(rho))) <= 1e-12
+        assert abs(res.diagnostics["relative_entropy_direct"] - relative_entropy(rho.matrix, pi)) \
+            <= 1e-12
+        stack = model.basis_matrices()
+        resid = np.max(np.abs(expectation_values(pi, stack) - expectation_values(rho.matrix, stack)))
+        assert abs(res.residual - resid) <= 1e-12
+        if res.theta is not None:
+            assert np.max(np.abs(gibbs_map(res.theta.hamiltonian(model)) - pi)) <= 1e-10
 
 
 class TestCorrelationQuantities:
@@ -549,10 +587,12 @@ class TestReduction:
         dirs = np.concatenate([base, base[:1] + base[1:2]])  # dependent row
         tau = np.eye(4, dtype=complex) / 4
         targets = np.real(np.einsum("kij,ji->k", dirs, tau))
-        red, c, free, defect = _reduce_constraints(dirs, targets)
+        red, c, defect = _reduce_constraints(dirs, targets)
         assert red.shape[0] == 3
         assert defect < 1e-10
         gram = np.real(np.einsum("kij,lji->kl", red, red))
         assert np.allclose(gram, np.eye(3), atol=1e-10)
-        cross = np.einsum("kij,lji->kl", red, free)
-        assert np.max(np.abs(cross)) < 1e-10
+        # the reduced directions span the constraints, and carry their targets
+        vecs, basis = hermitian_realvec(dirs), hermitian_realvec(red)
+        assert np.max(np.abs(vecs @ basis.T @ basis - vecs)) < 1e-10
+        assert np.max(np.abs(basis @ hermitian_realvec(tau) - c)) < 1e-10

@@ -18,6 +18,9 @@ from .algebra import ShapeError, SystemShape
 from .states import all_configs
 
 SUBSET_GUARD = 2**20
+# entries of the largest array one pass of enumerate_feasibility holds, a
+# (supports, configurations) float32 block: 1 MB whatever the total work
+BLOCK_ENTRIES = 2**18
 # relative tolerance on the two sides of each binomial relation
 TORIC_RTOL = 1e-9
 
@@ -50,8 +53,11 @@ class InteractionMatrix:
         return self.matrix.shape[0]
 
 
-def _restrict(config: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(config[i - 1] for i in nu)
+def _check_family(shape: SystemShape, k: int) -> None:
+    if not shape.all_classical:
+        raise ShapeError("interaction matrices are defined for all-classical shapes")
+    if not 1 <= k <= shape.N:
+        raise ValueError(f"k must lie in 1..{shape.N}, got {k}")
 
 
 def build_interaction_matrix(shape: SystemShape, k: int) -> InteractionMatrix:
@@ -61,23 +67,20 @@ def build_interaction_matrix(shape: SystemShape, k: int) -> InteractionMatrix:
     significant; rows iterate subsets nu of size k lexicographically and,
     within each nu, local configurations in the same mixed-radix order.
     """
-    if not shape.all_classical:
-        raise ShapeError("interaction matrices are defined for all-classical shapes")
-    if not 1 <= k <= shape.N:
-        raise ValueError(f"k must lie in 1..{shape.N}, got {k}")
+    _check_family(shape, k)
     configs = all_configs(shape)
+    digits = np.array(configs, dtype=np.int64)
     rows = []
+    blocks = []
     for nu in itertools.combinations(range(1, shape.N + 1), k):
-        local_sizes = [shape.sizes[i - 1] for i in nu]
         local = [()]
-        for n in local_sizes:
+        for n in (shape.sizes[i - 1] for i in nu):
             local = [c + (s,) for c in local for s in range(n)]
         rows.extend((nu, y) for y in local)
-    mat = np.zeros((len(rows), len(configs)), dtype=np.int64)
-    for r, (nu, y) in enumerate(rows):
-        for c, x in enumerate(configs):
-            if _restrict(x, nu) == y:
-                mat[r, c] = 1
+        # a column matches a row when its digits on nu are the row's local ones
+        on_nu = digits[:, [i - 1 for i in nu]]
+        blocks.append(np.all(np.array(local)[:, None, :] == on_nu[None], axis=2))
+    mat = np.concatenate(blocks).astype(np.int64)
     return InteractionMatrix(shape=shape, k=k, rows=rows, configs=configs, matrix=mat)
 
 
@@ -99,12 +102,20 @@ def monomial_map(imat: InteractionMatrix, t) -> np.ndarray:
     return out
 
 
-def _subset_iter(imat: InteractionMatrix):
-    seen = set()
-    for nu, _ in imat.rows:
-        if nu not in seen:
-            seen.add(nu)
-            yield nu
+def _in_closure(cells: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Closure membership (m, configurations) of m supports of one size.
+
+    cells is the boolean configuration x cell incidence, the transposed
+    interaction matrix, whose rows (nu, y) are the cells; supports is an
+    (m, l) array of configuration indices.  A configuration is in a
+    support's closure iff each of its cells holds some member of the support.
+    """
+    covered = cells[supports[:, 0]]
+    for col in supports.T[1:]:
+        covered = covered | cells[col]
+    # float32 counts of uncovered cells are exact far beyond any row count
+    uncovered = (~covered).astype(np.float32) @ cells.T.astype(np.float32)
+    return uncovered == 0
 
 
 def cylinder_closure(imat: InteractionMatrix, support) -> frozenset:
@@ -120,14 +131,13 @@ def cylinder_closure(imat: InteractionMatrix, support) -> frozenset:
     configs = frozenset(tuple(int(s) for s in c) for c in support)
     if not configs:
         raise ValueError("support must be non-empty")
-    unknown = configs.difference(imat.configs)
+    index = {c: i for i, c in enumerate(imat.configs)}
+    unknown = configs.difference(index)
     if unknown:
         raise ShapeError(f"configuration {min(unknown)} does not match the shape")
-    subsets = list(_subset_iter(imat))
-    covered = {(nu, _restrict(y, nu)) for y in configs for nu in subsets}
-    return frozenset(
-        x for x in imat.configs if all((nu, _restrict(x, nu)) in covered for nu in subsets)
-    )
+    members = np.array([[index[c] for c in configs]])
+    inside = _in_closure(imat.matrix.T.astype(bool), members)[0]
+    return frozenset(x for x, keep in zip(imat.configs, inside.tolist()) if keep)
 
 
 def is_k_feasible(imat: InteractionMatrix, support) -> bool:
@@ -168,32 +178,45 @@ def enumerate_feasibility(shape: SystemShape, k: int, max_size: int) -> Feasibil
 
     Also confirms that every support of size <= k is feasible, and collects
     the non-feasible supports of the smallest size at which any appear.
-    Refuses workloads above SUBSET_GUARD subsets.
+    Refuses workloads above SUBSET_GUARD subsets before building anything.
+    Supports are classified in blocks of at most BLOCK_ENTRIES array entries,
+    in itertools.combinations order.
     """
-    imat = build_interaction_matrix(shape, k)
-    configs = imat.configs
-    total_work = sum(math.comb(len(configs), l) for l in range(1, max_size + 1))
+    _check_family(shape, k)
+    n = shape.dim
+    total_work = sum(math.comb(n, l) for l in range(1, max_size + 1))
     if total_work > SUBSET_GUARD:
         raise GuardExceeded(
             f"{total_work} subsets exceed the enumeration guard of {SUBSET_GUARD}"
         )
+    imat = build_interaction_matrix(shape, k)
+    configs = imat.configs
+    cells = imat.matrix.T.astype(bool)
+    block = max(1, BLOCK_ENTRIES // max(cells.shape))
     by_size: dict[int, tuple[int, int]] = {}
     minimal: list[tuple[tuple[int, ...], ...]] = []
     min_size = None
     small_ok = True
     for l in range(1, max_size + 1):
         total = feas = 0
-        for fam in itertools.combinations(configs, l):
-            total += 1
-            ok = is_k_feasible(imat, fam)
-            feas += ok
-            if not ok:
-                if l <= k:
-                    small_ok = False
-                if min_size is None:
-                    min_size = l
-                if l == min_size:
-                    minimal.append(fam)
+        combos = itertools.combinations(range(n), l)
+        while True:
+            flat = itertools.chain.from_iterable(itertools.islice(combos, block))
+            supports = np.fromiter(flat, dtype=np.intp).reshape(-1, l)
+            if not len(supports):
+                break
+            # the closure contains the support, so equal sizes mean equal sets
+            ok = _in_closure(cells, supports).sum(axis=1) == l
+            total += len(supports)
+            feas += int(np.count_nonzero(ok))
+            if ok.all():
+                continue
+            if l <= k:
+                small_ok = False
+            if min_size is None:
+                min_size = l
+            if l == min_size:
+                minimal.extend(tuple(configs[i] for i in fam) for fam in supports[~ok].tolist())
         by_size[l] = (total, feas)
     return FeasibilityReport(
         shape=shape,

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hiercorr import factorization
 from hiercorr.algebra import ShapeError, SystemShape
 from hiercorr.factorization import (
     GuardExceeded,
@@ -18,6 +20,8 @@ from hiercorr.factorization import (
 from hiercorr.states import all_configs, uniform_on
 
 BITS3 = SystemShape.bits(3)
+MIXED_32 = SystemShape((3, 2), ("c", "c"))
+MIXED_232 = SystemShape((2, 3, 2), ("c", "c", "c"))
 
 # the 12 x 8 matrix for three bits with pairwise interactions, rows labeled
 # (pair, local configuration), columns in mixed-radix order 000..111
@@ -138,6 +142,102 @@ class TestFeasibility:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             enumerate_feasibility(SystemShape.bits(5), 2, max_size=32)
+
+    def test_guard_refuses_before_building_anything(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("work began before the guard")
+
+        monkeypatch.setattr(factorization, "build_interaction_matrix", built)
+        monkeypatch.setattr(factorization, "all_configs", built)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded):
+                enumerate_feasibility(SystemShape.bits(40), 2, max_size=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        # shape and order errors still come first
+        with pytest.raises(ShapeError):
+            enumerate_feasibility(SystemShape.qubits(40), 2, max_size=2)
+        with pytest.raises(ValueError):
+            enumerate_feasibility(SystemShape.bits(40), 41, max_size=2)
+
+    def test_working_set_of_a_pass_near_the_guard(self):
+        # an unblocked pass over the 41 490 supports holds about 12 MB
+        tracemalloc.start()
+        try:
+            rep = enumerate_feasibility(SystemShape.bits(5), 2, max_size=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.by_size[4] == (35960, 9040)
+        assert peak < 4 * 2**20
+
+
+def _set_closure(imat, support):
+    """Cylinder closure from sets of restrictions, one support at a time."""
+    subsets = sorted({nu for nu, _ in imat.rows})
+    seen = {(nu, tuple(y[i - 1] for i in nu)) for y in support for nu in subsets}
+    return frozenset(
+        x for x in imat.configs
+        if all((nu, tuple(x[i - 1] for i in nu)) in seen for nu in subsets)
+    )
+
+
+def _per_support_report(shape, k, max_size):
+    imat = build_interaction_matrix(shape, k)
+    by_size, minimal, min_size, small_ok = {}, [], None, True
+    for size in range(1, max_size + 1):
+        fams = list(itertools.combinations(imat.configs, size))
+        bad = [fam for fam in fams if not is_k_feasible(imat, fam)]
+        by_size[size] = (len(fams), len(fams) - len(bad))
+        if bad:
+            small_ok = small_ok and size > k
+            if min_size is None:
+                min_size, minimal = size, bad
+    return by_size, small_ok, min_size, minimal
+
+
+ENUMERATION_CASES = [
+    (BITS3, 2, 8),
+    (SystemShape.bits(4), 2, 4),
+    (MIXED_32, 1, 6),
+    (MIXED_232, 2, 12),
+]
+
+
+class TestArrayEnumeration:
+    @pytest.mark.parametrize("shape,k,max_size", ENUMERATION_CASES)
+    def test_matches_per_support_classification(self, shape, k, max_size, monkeypatch):
+        by_size, small_ok, min_size, minimal = _per_support_report(shape, k, max_size)
+        # the default block, and blocks of a few supports that split every size
+        for entries in (factorization.BLOCK_ENTRIES, 50):
+            monkeypatch.setattr(factorization, "BLOCK_ENTRIES", entries)
+            rep = enumerate_feasibility(shape, k, max_size)
+            assert rep.by_size == by_size
+            assert rep.small_sets_all_feasible is small_ok
+            assert rep.min_nonfeasible_size == min_size
+            assert rep.minimal_nonfeasible == minimal  # combinations order
+
+    @pytest.mark.parametrize("shape,k", [(BITS3, 2), (BITS3, 1), (MIXED_32, 1), (MIXED_232, 2)])
+    def test_closure_matches_set_closure(self, shape, k):
+        imat = build_interaction_matrix(shape, k)
+        for size in (1, 2, 3, len(imat.configs) - 1):
+            for fam in itertools.combinations(imat.configs, size):
+                assert cylinder_closure(imat, fam) == _set_closure(imat, fam), fam
+
+    @pytest.mark.parametrize("shape,k", [(BITS3, 1), (BITS3, 2), (BITS3, 3),
+                                         (SystemShape.bits(4), 2), (MIXED_32, 1),
+                                         (MIXED_32, 2), (MIXED_232, 2)])
+    def test_interaction_matrix_entrywise(self, shape, k):
+        imat = build_interaction_matrix(shape, k)
+        assert imat.matrix.dtype == np.int64
+        want = [[int(tuple(x[i - 1] for i in nu) == y) for x in imat.configs]
+                for nu, y in imat.rows]
+        assert imat.matrix.tolist() == want
+        subsets = list(itertools.combinations(range(1, shape.N + 1), k))
+        assert sorted({nu for nu, _ in imat.rows}) == subsets
 
 
 class TestIntegerKernel:

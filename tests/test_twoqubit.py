@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,11 @@ from scipy.special import xlogy
 
 from hiercorr.algebra import marginal, relative_entropy
 from hiercorr.maxent import multi_information
-from hiercorr.states import bell_state
+from hiercorr import twoqubit
+from hiercorr.algebra import State
+from hiercorr.states import bell_state, bell_vector
 from hiercorr.twoqubit import (
+    PAULIS,
     bell_from_lambda,
     bell_from_t,
     classical_witness,
@@ -193,3 +197,118 @@ class TestGeometryRows:
                 assert math.isnan(r["mutual_information"])
         vertex_rows = [r for r in rows if r["role"] == "entangled-vertex"]
         assert all(not r["separable"] for r in vertex_rows)
+
+
+def _scalar_bell(t):
+    """The single-sample route: kron assembly, one quadratic form per line."""
+    rho = np.eye(4, dtype=complex)
+    for ti, sigma in zip(t, PAULIS):
+        rho = rho + ti * np.kron(sigma, sigma)
+    rho = rho / 4.0
+    lam = np.array([float(np.real(bell_vector(j).conj() @ rho @ bell_vector(j)))
+                    for j in (1, 2, 3, 4)])
+    lam = np.clip(lam, 0.0, None)
+    return lam / lam.sum(), State(twoqubit.TWO_QUBITS, rho)
+
+
+def _reference_report(n_samples, seed):
+    """verify_mutual_information_bound one sample at a time."""
+    rng = np.random.default_rng(seed)
+    worst, worst_t, violations = -np.inf, None, 0
+    for _ in range(n_samples):
+        bd = bell_from_t(sample_octahedron(rng))
+        assert is_separable(bd)
+        info = mutual_information_bd(bd)
+        if info > worst:
+            worst, worst_t = info, bd.t
+        violations += info > LOG2 + 1e-9
+    return float(worst), [float(x) for x in worst_t], violations
+
+
+def _nan_free(rows):
+    return [{k: "nan" if isinstance(v, float) and math.isnan(v) else v for k, v in r.items()}
+            for r in rows]
+
+
+class TestArrayPass:
+    def test_draws_keep_the_choice_stream(self):
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(200):
+                want = b.dirichlet(np.ones(4))[:3] * b.choice([-1.0, 1.0], size=3)
+                got = sample_octahedron(a)
+                assert got.tobytes() == want.tobytes()
+
+    def test_bell_from_t_matches_the_scalar_route_bitwise(self):
+        rng = np.random.default_rng(87)
+        for _ in range(300):
+            t = sample_octahedron(rng) * rng.uniform(1.0, 3.0)
+            if not is_physical_t(t):
+                continue
+            lam, state = _scalar_bell(t)
+            bd = bell_from_t(t)
+            assert bd.lam.tobytes() == lam.tobytes()
+            assert bd.state.matrix.tobytes() == state.matrix.tobytes()
+            assert not bd.state.matrix.flags.writeable
+
+    def test_mutual_information_is_the_left_to_right_sum(self):
+        # libm's log and a left-to-right sum; numpy's own log differs from
+        # libm in the last bit on about one spectrum in two thousand
+        lams = np.random.default_rng(88).dirichlet(np.ones(4), size=20_000)
+        lams[:100, 0] = 0.0
+        want = []
+        for lam in lams.tolist():
+            acc = 0.0
+            for x in lam:
+                if x > 0.0:
+                    acc += x * math.log(x)
+            want.append(2.0 * LOG2 + acc)
+        assert twoqubit._mutual_information(lams).tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 86])
+    def test_bound_report_matches_per_sample_reference(self, seed, monkeypatch):
+        n = 1000  # a multiple of neither block size below
+        worst, worst_t, violations = _reference_report(n, seed)
+        for block in (twoqubit.BLOCK, 96):
+            monkeypatch.setattr(twoqubit, "BLOCK", block)
+            rep = verify_mutual_information_bound(n_samples=n, seed=seed)
+            assert rep["max_mutual_information"] == worst
+            assert rep["argmax_t"] == worst_t
+            assert rep["violations"] == violations == 0
+            assert rep["n_samples"] == n and rep["passed"] is True
+
+    def test_outside_the_state_space_is_refused(self):
+        with pytest.raises(ValueError, match="outside the state space"):
+            twoqubit._bell_batch(np.array([[0.1, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+        with pytest.raises(ValueError):
+            verify_mutual_information_bound(n_samples=0)
+
+    def test_geometry_rows_match_per_point_reference(self):
+        for grid in (5, 7):
+            rows = correlation_geometry_rows(grid=grid)
+            grid_rows = [r for r in rows if r["role"] == "grid"]
+            axis = np.linspace(-1, 1, grid)
+            want = []
+            for t1 in axis:
+                for t2 in axis:
+                    for t3 in axis:
+                        t = np.array([t1, t2, t3])
+                        row = {"role": "grid", "t1": float(t1), "t2": float(t2),
+                               "t3": float(t3), "physical": False, "separable": False,
+                               "mutual_information": float("nan"), "note": ""}
+                        if is_physical_t(t):
+                            bd = bell_from_t(t)
+                            row.update(physical=True, separable=is_separable(bd),
+                                       mutual_information=mutual_information_bd(bd))
+                        want.append(row)
+            assert _nan_free(grid_rows) == _nan_free(want)
+
+    def test_working_set_does_not_grow_with_samples(self):
+        # an unblocked pass over 4 * BLOCK + 1 samples holds about 8 MB
+        tracemalloc.start()
+        try:
+            verify_mutual_information_bound(n_samples=4 * twoqubit.BLOCK + 1, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

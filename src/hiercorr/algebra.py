@@ -120,16 +120,11 @@ class SystemShape:
 
 @lru_cache(maxsize=32)
 def algebra_mask(shape: SystemShape) -> np.ndarray:
-    """Boolean (d, d) mask of entries an element of the algebra may populate.
-
-    Classical units force block-diagonality: an entry survives only where the
-    classical components of its row and column multi-index agree.  The mask
-    is built once per shape and shared, so it is read-only.
-    """
-    blocks = []
-    for n, kind in zip(shape.sizes, shape.kinds):
-        blocks.append(np.eye(n, dtype=bool) if kind == CLASSICAL else np.ones((n, n), dtype=bool))
-    mask = reduce(np.kron, blocks)
+    """Boolean (d, d) mask of entries an element of the algebra may populate:
+    those of block_layout, where the classical digits of row and column
+    agree.  Shared and read-only."""
+    mask = np.zeros((shape.dim, shape.dim), dtype=bool)
+    mask.reshape(-1)[block_layout(shape)] = True
     mask.setflags(write=False)
     return mask
 
@@ -142,7 +137,8 @@ def block_layout(shape: SystemShape) -> np.ndarray:
     per joint configuration c of the classical units, indexed by the joint
     quantum digits of row and column; joint indices run in unit order, the
     first unit most significant.  An all-quantum shape is one d x d block,
-    an all-classical one d blocks of 1 x 1.  Shared and read-only.
+    an all-classical one d blocks of 1 x 1.  Shared and read-only; the
+    configuration of each block row is block_layout(shape)[:, :, 0] // d.
     """
     order = [i for i, k in enumerate(shape.kinds) if k == CLASSICAL]
     d_c = math.prod(shape.sizes[i] for i in order)
@@ -205,42 +201,70 @@ def _algebra_element(matrix, shape: SystemShape, what: str) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+def _checked_states(x: np.ndarray, hermitized: bool = False) -> np.ndarray:
+    """State's checks on a stack (n, d_C, d_Q, d_Q) of block arrays, in order:
+    hermitian (skipped when the caller has hermitized x), unit trace, no
+    eigenvalue below PSD_ATOL, the eigenvalues taken block by block (a 1 x 1
+    block is its own).  Returns the hermitized stack."""
+    if not hermitized:
+        adj = x.conj().swapaxes(-1, -2)
+        herm = abs(x - adj).max()
+        if herm > HERMITIAN_ATOL:
+            raise ShapeError(f"state is not hermitian: max deviation {herm:.2e}")
+        x = 0.5 * (x + adj)
+    _, d_c, k, _ = x.shape
+    tr = x.diagonal(0, 2, 3).real.sum(axis=(1, 2))
+    bad = abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * d_c * k)
+    if bad.any():
+        raise ShapeError(f"state trace is {tr[bad.argmax()]!r}, expected 1")
+    wmin = _eigh_blocks(x.reshape(-1, k, k), vectors=False).min()
+    if wmin < PSD_ATOL:
+        raise ShapeError(f"state has eigenvalue {wmin:.2e} below {PSD_ATOL:.0e}")
+    return x
+
+
+@dataclass(frozen=True, init=False)
 class State:
-    """Density matrix together with its system shape.  Validates on construction."""
+    """Density matrix together with its system shape.  Validates on construction.
+
+    The state is stored as its block array (block_layout), read-only; the
+    dense matrix is built on first access and cached, and on an all-quantum
+    shape it is a view of the one block.
+    """
 
     shape: SystemShape
-    matrix: np.ndarray
+    blocks: np.ndarray
 
-    def __post_init__(self):
-        mat = _algebra_element(self.matrix, self.shape, "state")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * self.shape.dim):
-            raise ShapeError(f"state trace is {tr!r}, expected 1")
-        # Gershgorin: no eigenvalue lies below a diagonal entry minus the
-        # off-diagonal weight of its row, which a classical shape keeps at
-        # rounding level; only a bound below PSD_ATOL needs the spectrum
-        wmin = -np.inf
-        if self.shape.all_classical:
-            diag = np.real(np.diagonal(mat))
-            wmin = float(np.min(diag + np.abs(diag) - np.abs(mat).sum(axis=1)))
-        if wmin < PSD_ATOL:
-            wmin = float(np.linalg.eigvalsh(mat)[0])
-        if wmin < PSD_ATOL:
-            raise ShapeError(f"state has eigenvalue {wmin:.2e} below {PSD_ATOL:.0e}")
-        object.__setattr__(self, "matrix", mat)
+    def __init__(self, shape: SystemShape, matrix):
+        x = to_blocks(_algebra_element(matrix, shape, "state"), shape)
+        self._store(shape, _checked_states(x[None], hermitized=True)[0])
+
+    def _store(self, shape: SystemShape, x: np.ndarray) -> None:
+        x.setflags(write=False)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "blocks", x)
 
     @classmethod
-    def _trusted(cls, shape: SystemShape, matrix: np.ndarray) -> "State":
-        """Wrap a matrix that is hermitian, trace-one, PSD and in the algebra
-        by construction, without revalidating it; it is made read-only, as
-        the public constructor does.  Internal: the public constructor keeps
+    def _trusted(cls, shape: SystemShape, x: np.ndarray) -> "State":
+        """Wrap a block array that is hermitian, trace-one and PSD by
+        construction, without revalidating it; it is made read-only, as the
+        public constructor does.  Internal: the public constructor keeps
         every check."""
-        matrix.setflags(write=False)
         state = object.__new__(cls)
-        object.__setattr__(state, "shape", shape)
-        object.__setattr__(state, "matrix", matrix)
+        state._store(shape, x)
         return state
+
+    @classmethod
+    def _of_blocks(cls, shape: SystemShape, x: np.ndarray) -> "State":
+        """The state of a block array, through the constructor's checks."""
+        return cls._trusted(shape, _checked_states(x[None])[0])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (d, d) density matrix, zero outside the algebra; read-only."""
+        mat = from_blocks(self.blocks, self.shape)
+        mat.setflags(write=False)
+        return mat
 
     @property
     def dim(self) -> int:
@@ -250,7 +274,7 @@ class State:
         """Diagonal as a real vector.  Only meaningful for all-classical shapes."""
         if not self.shape.all_classical:
             raise ShapeError("probabilities() requires an all-classical shape")
-        return np.real(np.diag(self.matrix)).copy()
+        return self.blocks[:, 0, 0].real.copy()
 
     @classmethod
     def from_probabilities(cls, shape: SystemShape, probs) -> "State":
@@ -259,7 +283,12 @@ class State:
             raise ShapeError(f"expected {shape.dim} probabilities, got {p.shape}")
         if p.min() < PSD_ATOL:
             raise ShapeError(f"negative probability {p.min():.2e}")
-        return cls(shape, np.diag(p.astype(complex)))
+        # the diagonal of every block: p at the configurations of its rows
+        rows = block_layout(shape)[:, :, 0] // shape.dim
+        i = np.arange(rows.shape[1])
+        x = np.zeros(rows.shape + i.shape, dtype=complex)
+        x[:, i, i] = p[rows]
+        return cls._of_blocks(shape, x)
 
     @classmethod
     def pure(cls, shape: SystemShape, vector) -> "State":
@@ -381,7 +410,10 @@ def _eigh_blocks(x: np.ndarray, vectors: bool = True):
 
 
 def _compose(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The block array (u * w) @ u^H of eigenpairs (w, u) of _eigh_blocks."""
+    """The block array (u * w) @ u^H of eigenpairs (w, u) of _eigh_blocks;
+    a 1 x 1 block is its eigenvalue."""
+    if u.shape[-1] == 1:
+        return w[:, :, None] * u
     return (u * w[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
 

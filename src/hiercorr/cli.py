@@ -390,26 +390,29 @@ _DISPATCH = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--tol", type=float, default=None, help="solver tolerance override")
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--bits", action="store_true", help="report in bits instead of nats")
+    # flags only the commands that read them take
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     p = argparse.ArgumentParser(prog="hiercorr", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("project", parents=[common], help="maximum-entropy projection")
+    sp = sub.add_parser("project", parents=[common, tol], help="maximum-entropy projection")
     sp.add_argument("--state", required=True)
     sp.add_argument("--hypergraph")
     sp.add_argument("--k", type=int)
     sp.add_argument("--method", default="auto", choices=METHODS)
 
-    sp = sub.add_parser("ck", parents=[common], help="order-k correlation")
+    sp = sub.add_parser("ck", parents=[common, tol], help="order-k correlation")
     sp.add_argument("--state", required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--method", default="auto", choices=METHODS)
 
-    sp = sub.add_parser("decompose", parents=[common], help="full correlation ladder")
+    sp = sub.add_parser("decompose", parents=[common, tol], help="full correlation ladder")
     sp.add_argument("--state", required=True)
 
     sp = sub.add_parser("multiinfo", parents=[common], help="total correlation, closed form")
@@ -428,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("feasibility", parents=[common], help="support feasibility")
     sp.add_argument("--shape", required=True)
-    sp.add_argument("--kind", default="classical")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--max-size", type=int, default=None)
@@ -436,11 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("toric", parents=[common], help="interaction matrix and kernel")
     sp.add_argument("--shape", required=True)
-    sp.add_argument("--kind", default="classical")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--state", help="check membership of this state's diagonal")
 
-    sp = sub.add_parser("maximize", parents=[common], help="search divergence maximizers")
+    sp = sub.add_parser("maximize", parents=[common, seed], help="search divergence maximizers")
     sp.add_argument("--shape", required=True)
     sp.add_argument("--kind", default="classical")
     sp.add_argument("--hypergraph")
@@ -452,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", help="three correlation coefficients a,b,c")
     sp.add_argument("--lambda", dest="lam", help="four Bell-line weights a,b,c,d")
 
-    sp = sub.add_parser("theorem1", parents=[common],
+    sp = sub.add_parser("theorem1", parents=[common, seed],
                         help="verify the separable information bound")
     sp.add_argument("--samples", type=int, default=10_000)
 
@@ -476,10 +477,9 @@ def main(argv=None) -> int:
     scale = LOG2 if args.bits else 1.0
     t0 = time.perf_counter()
     warnings = []
-    if args.tol is not None and args.tol > INTERIOR_TOL:
-        warnings.append(
-            f"non-standard tolerance {args.tol:g} (default {INTERIOR_TOL:g})"
-        )
+    tol = getattr(args, "tol", None)  # project, ck and decompose take --tol
+    if tol is not None and tol > INTERIOR_TOL:
+        warnings.append(f"non-standard tolerance {tol:g} (default {INTERIOR_TOL:g})")
     try:
         results, diagnostics, code = _DISPATCH[args.command](args, scale)
     except (ShapeError, HypergraphError, ValueError, GuardExceeded, MemoryError) as exc:

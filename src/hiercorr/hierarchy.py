@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import (
-    CLASSICAL,
     ShapeError,
     SystemShape,
     algebra_mask,
+    block_layout,
     from_blocks,
     tensor,
     to_blocks,
@@ -301,26 +301,10 @@ class _MomentPlan:
             member[s, a] = True
         # the first maximal set that leaves no unit of the support outside
         owner = np.argmin(((pats != 0)[:, None, :] & ~member).any(axis=2), axis=1)
-        classical = [k == CLASSICAL for k in kinds]
-        d_c = math.prod(n for n, c in zip(sizes, classical) if c)
-        d_q = d // d_c
-        self.blocks = (d_c, d_q, d_q)
-        # entry (row, column) sits at sum_i row_i row_stride_i + column_i col_stride_i
-        # of the block array, row_i the digit of unit i; a classical unit's
-        # digit is the same in row and column and counts once, in the block index
-        within = [math.prod(sizes[j] for j in range(i + 1, n_units) if classical[j] == classical[i])
-                  for i in range(n_units)]
-        row_stride = [w * d_q * d_q if c else w * d_q for w, c in zip(within, classical)]
-        col_stride = [0 if c else w for w, c in zip(within, classical)]
-        strides = [math.prod(sizes[i + 1:]) for i in range(n_units)]  # of the configuration
-
-        def offsets(units, stride):
-            # offsets of the joint index over units, the first most significant
-            off = np.zeros(1, dtype=np.intp)
-            for i in units:
-                off = (off[:, None] + stride[i] * np.arange(sizes[i])).ravel()
-            return off
-
+        cfg_rows = block_layout(shape)[:, :, 0] // d  # the configuration of each block row
+        d_q = cfg_rows.shape[1]
+        self.blocks = cfg_rows.shape + (d_q,)
+        row = np.argsort(cfg_rows, axis=None)  # the block row of each configuration
         sigs = [tuple((sizes[i], kinds[i]) for i in a) for a in sets]
         # flat local indices a d_A + a' of the entries of A's local algebra
         keeps = [np.flatnonzero(algebra_mask(SystemShape(*zip(*sig)))) for sig in sigs]
@@ -348,9 +332,12 @@ class _MomentPlan:
             for t, s in enumerate(members):
                 a = sets[s]
                 rest = [i for i in range(n_units) if i not in a]
-                entry = (offsets(a, row_stride)[:, None] + offsets(a, col_stride)).ravel()[keeps[s]]
-                pos.append(entry[:, None] + offsets(rest, np.add(row_stride, col_stride)))
-                rows.append(offsets(a, strides)[:, None] + offsets(rest, strides))
+                # the configuration of local index a at rest r, first units most significant
+                cfg = np.arange(d).reshape(sizes).transpose(a + rest).reshape(d_a, -1)
+                # entry (x, y) of a block sits at row[x] d_Q + row[y] mod d_Q
+                ea, eb = np.divmod(keeps[s], d_a)
+                pos.append(row[cfg[ea]] * d_q + row[cfg[eb]] % d_q)
+                rows.append(cfg)
                 first, radix = signatures[sigs[s]]
                 own = np.flatnonzero(owner == s)
                 self.slot[own] = n_slots + t * n_local + first + pats[own][:, a] @ radix

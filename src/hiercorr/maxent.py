@@ -41,7 +41,6 @@ from .algebra import (
     _partial_trace,
     block_layout,
     expectation_values,
-    from_blocks,
     hermitian_realvec,
     marginal,
     realvec_hermitian,
@@ -103,7 +102,7 @@ class GibbsParameters:
 
     def state(self, model: HierarchicalModel) -> State:
         _, _, p, u = _gibbs_blocks(model._moment_plan().hamiltonian(self.theta))
-        return State(model.shape, from_blocks(_clean(p, u)[0], model.shape))
+        return State._of_blocks(model.shape, _clean(p, u)[0])
 
 
 @dataclasses.dataclass
@@ -136,7 +135,7 @@ def _residual(x: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> float:
 
 def _spectrum(rho: State) -> np.ndarray:
     """rho's ascending spectrum, from the eigenvalues of its blocks."""
-    return np.sort(_eigh_blocks(to_blocks(rho.matrix, rho.shape), vectors=False), axis=None)
+    return np.sort(_eigh_blocks(rho.blocks, vectors=False), axis=None)
 
 
 def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
@@ -154,10 +153,13 @@ def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, x: np.ndarra
     normal double, so tiny positive ones keep their exact logarithm (a
     fitting limit with an entry of 4e-11 stays finite), while mass of rho on
     pi's kernel weighs about 708 per unit instead of making D infinite.
-    rho_x and x are block arrays.
+    rho_x and x are block arrays; a 1 x 1 block is its own eigenvalue.
     """
     w, v = _eigh_blocks(x)
-    r = np.add.reduce(v.conj() * (rho_x @ v), axis=1).real  # diagonal of v^H rho v, per block
+    if x.shape[-1] == 1:
+        r = rho_x[:, 0].real
+    else:
+        r = np.add.reduce(v.conj() * (rho_x @ v), axis=1).real  # diagonal of v^H rho v, per block
     logs = np.log(np.maximum(w, TINY))
     return max(0.0, -rho_entropy - float(r.ravel() @ logs.ravel()))
 
@@ -654,7 +656,7 @@ def _run(rho, rho_w, model, method, tol) -> ProjectionResult:
             diagnostics={"support_dim": _support_size(rho_w), "relative_entropy_direct": 0.0},
         )
     shape = rho.shape
-    rho_x = to_blocks(rho.matrix, shape)
+    rho_x = rho.blocks
     b = model._moment_plan().moments(rho_x)
     theta = None
     if method == "product":
@@ -671,7 +673,7 @@ def _run(rho, rho_w, model, method, tol) -> ProjectionResult:
     # of its answer's blocks, and one independent one of pi checks them
     eig = out if isinstance(out, tuple) else _eigh_blocks(0.5 * (out + out.conj().transpose(0, 2, 1)))
     x, w = _clean(*eig)
-    pi = State._trusted(shape, from_blocks(x, shape))
+    pi = State._trusted(shape, x)
     resid = _residual(x, model, b)
     support = _support_size(w)
     rho_entropy = spectrum_entropy(rho_w)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .algebra import State, SystemShape, algebra_mask, hermitian_realvec
+from .algebra import State, SystemShape, _eigh_blocks, block_layout, hermitian_realvec
 from .hierarchy import HierarchicalModel, Hypergraph, build_model, model_dim
 from .maxent import _support_size, maxent_project
 
@@ -137,7 +137,7 @@ def _mirror_direction(p: np.ndarray, rho: State, pi: State):
     and the snap removes mass that decays below resolution."""
     live = p > 0.0
     g = np.zeros_like(p)
-    qpi = np.clip(np.real(np.diag(pi.matrix)), 1e-300, None)
+    qpi = np.clip(pi.probabilities(), 1e-300, None)
     g[live] = np.log(p[live]) - np.log(qpi[live])
     g[live] -= g[live].mean()
 
@@ -153,12 +153,11 @@ def _mirror_direction(p: np.ndarray, rho: State, pi: State):
 
 
 def _state_from_factor(m: np.ndarray, shape: SystemShape) -> State:
-    """rho = M M*/tr, pinched into the algebra when a unit is classical."""
-    rho = m @ m.conj().T
-    if not shape.all_quantum:
-        rho = np.where(algebra_mask(shape), rho, 0.0)
-    rho = rho / np.trace(rho).real
-    return State(shape, 0.5 * (rho + rho.conj().T))
+    """rho = M M*/tr restricted to the algebra: block c is M_c M_c*/tr, M_c
+    the rows of M at the configurations of block c."""
+    f = m[block_layout(shape)[:, :, 0] // shape.dim]
+    x = f @ f.conj().transpose(0, 2, 1)
+    return State._of_blocks(shape, x / np.trace(x, axis1=1, axis2=2).real.sum())
 
 
 def _log_psd(mat: np.ndarray) -> np.ndarray:
@@ -233,7 +232,7 @@ def search_local_maximizers(
                 MaximizerRecord(
                     value=val,
                     state=state,
-                    support_dim=_support_size(np.linalg.eigvalsh(state.matrix), RANK_RTOL),
+                    support_dim=_support_size(_eigh_blocks(state.blocks, vectors=False), RANK_RTOL),
                     exp_residual=check_exponential_form(state, model),
                     hits=1,
                 )

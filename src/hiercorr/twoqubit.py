@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .algebra import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL, ShapeError, State, SystemShape
+from .algebra import State, SystemShape, _checked_states
 from .states import bell_vector
 
 I2 = np.eye(2, dtype=complex)
@@ -90,26 +90,8 @@ def is_physical_t(t) -> bool:
     return bool(_physical(np.asarray(t, dtype=float).reshape(1, 3))[0])
 
 
-def _checked_states(rho: np.ndarray) -> np.ndarray:
-    """State's checks on a (n, 4, 4) stack, at State's tolerances: hermitian,
-    unit trace, no eigenvalue below PSD_ATOL.  Returns the hermitized stack."""
-    adj = rho.conj().swapaxes(1, 2)
-    herm = np.max(np.abs(rho - adj), axis=(1, 2))
-    if np.any(herm > HERMITIAN_ATOL):
-        raise ShapeError(f"state is not hermitian: max deviation {herm.max():.2e}")
-    mats = 0.5 * (rho + adj)
-    tr = np.trace(mats, axis1=1, axis2=2).real
-    bad = np.abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * TWO_QUBITS.dim)
-    if bad.any():
-        raise ShapeError(f"state trace is {tr[np.argmax(bad)]!r}, expected 1")
-    wmin = np.linalg.eigvalsh(mats)[:, 0]
-    if np.any(wmin < PSD_ATOL):
-        raise ShapeError(f"state has eigenvalue {wmin.min():.2e} below {PSD_ATOL:.0e}")
-    return mats
-
-
 def _bell_batch(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra (n, 4) and validated density matrices (n, 4, 4) of correlation
+    """Spectra (n, 4) and validated block arrays (n, 1, 4, 4) of correlation
     vectors t of shape (n, 3); bell_from_t is the case n = 1."""
     rho = _assemble(t)
     # <b_j|rho|b_j> as one vector-matrix and one vector-vector product per
@@ -124,7 +106,7 @@ def _bell_batch(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"correlation vector {bad.tolist()} is outside the state space")
     lam = np.clip(lam, 0.0, None)
     lam = lam / lam.sum(axis=1, keepdims=True)
-    return lam, _checked_states(rho)
+    return lam, _checked_states(rho[:, None])
 
 
 def bell_from_t(t) -> BellDiagonal:
@@ -193,6 +175,8 @@ def mutual_information_bd(bd: BellDiagonal) -> float:
 
 
 _EXTREME_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+# their spectra: one half on each line of the pair
+_EXTREME_LAMS = np.array([[0.5 * (j in pair) for j in (1, 2, 3, 4)] for pair in _EXTREME_PAIRS])
 
 
 def separable_extreme_points() -> list[tuple[tuple[int, int], "BellDiagonal"]]:
@@ -201,21 +185,14 @@ def separable_extreme_points() -> list[tuple[tuple[int, int], "BellDiagonal"]]:
     Their correlation vectors are exactly the vertices of the unit cross
     polytope, one for each signed axis.
     """
-    out = []
-    for i, j in _EXTREME_PAIRS:
-        lam = np.zeros(4)
-        lam[i - 1] = lam[j - 1] = 0.5
-        out.append(((i, j), bell_from_lambda(lam)))
-    return out
+    return [(pair, bell_from_lambda(lam)) for pair, lam in zip(_EXTREME_PAIRS, _EXTREME_LAMS)]
 
 
 def extreme_point_product_form(pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Two orthogonal product vectors whose even mixture is the extreme point."""
     if tuple(pair) not in _EXTREME_PAIRS:
         raise ValueError(f"{pair} is not one of the six extreme pairs")
-    lam = np.zeros(4)
-    lam[pair[0] - 1] = lam[pair[1] - 1] = 0.5
-    t = SIGN_PATTERNS.T @ lam
+    t = SIGN_PATTERNS.T @ _EXTREME_LAMS[_EXTREME_PAIRS.index(tuple(pair))]
     axis = int(np.argmax(np.abs(t)))
     sign = int(np.sign(t[axis]))
     eig = _AXIS_EIG[axis]
@@ -267,7 +244,7 @@ def verify_mutual_information_bound(n_samples: int = 10_000, seed: int = 0) -> d
         if info[i] > worst:
             worst, worst_t = info[i], t[i]
         violations += int(np.count_nonzero(info > LOG2 + BD_TOL))
-    extremes = _mutual_information(np.array([bd.lam for _, bd in separable_extreme_points()]))
+    extremes = _mutual_information(_EXTREME_LAMS)
     extreme_gap = float(np.max(np.abs(extremes - LOG2)))
     return {
         "n_samples": n_samples,

@@ -97,24 +97,66 @@ class TestStateValidation:
         st = State.from_probabilities(sh, p)
         assert np.allclose(st.probabilities(), p)
 
-    # least diagonal entry, whether the Gershgorin bound defers to the spectrum
+    # least diagonal entry, and whether a row (Gershgorin) bound on the dense
+    # matrix falls below PSD_ATOL, where it cannot decide without the spectrum
     @pytest.mark.parametrize("low, deferred", [
         (0.0, False), (-5e-11, False), (-9.99e-11, True), (-2e-10, True),
     ])
     def test_classical_bound_keeps_the_spectrum_decision(self, low, deferred, count_decompositions):
         # off-diagonal dust of 1e-13, within the block-structure tolerance:
-        # a classical state is bounded from its diagonal, and the spectrum
-        # is taken only when that bound falls below PSD_ATOL
+        # the state keeps its 1 x 1 blocks, whose entries are its eigenvalues,
+        # and decides as the dense spectrum does without taking it
         mat = np.full((4, 4), 1e-13) + np.diag(np.array([low, 0.3, 0.3, 0.4 - low]) - 1e-13)
         accept = float(np.linalg.eigvalsh(mat)[0]) >= PSD_ATOL
+        diag = np.diag(mat)
+        assert (np.min(diag + np.abs(diag) - np.abs(mat).sum(axis=1)) < PSD_ATOL) == deferred
         calls = count_decompositions()
         if accept:
-            State(SystemShape.bits(2), mat)
+            st = State(SystemShape.bits(2), mat)
+            assert np.array_equal(st.matrix, np.diag(diag))  # stored pinched
         else:
             with pytest.raises(ShapeError, match="eigenvalue"):
                 State(SystemShape.bits(2), mat)
         assert accept == (low >= -1e-10)
-        assert calls["eigvalsh"] == deferred
+        assert calls["eigvalsh"] == calls["eigh"] == 0
+
+    @pytest.mark.parametrize("shape", [
+        SystemShape.qubits(3), SystemShape.quantum((3, 3, 3)), SystemShape.bits(3),
+        SystemShape((2, 2, 2, 2), ("c", "q", "c", "q")), SystemShape((2, 3, 2), ("c", "q", "c")),
+    ], ids=["q3", "t3", "b3", "cqcq-2222", "cqc-232"])
+    def test_matrix_is_the_hermitized_input(self, shape):
+        rng = np.random.default_rng(35)
+        d = shape.dim
+        mask = algebra_mask(shape)
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        # a state with non-hermitian dust inside the algebra and dust outside
+        mat = random_density(shape, rng).matrix + 1e-13 * np.where(mask, noise, noise.real)
+        st = State(shape, mat)
+        assert np.array_equal(st.matrix, np.where(mask, 0.5 * (mat + mat.conj().T), 0.0))
+        assert st.matrix is st.matrix  # built once
+        for arr in (st.matrix, st.blocks):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        # an all-quantum state's matrix is its one block
+        assert np.shares_memory(st.matrix, st.blocks) == shape.all_quantum
+
+    def test_states_validate_on_their_blocks(self, no_eigendecomposition):
+        rng = np.random.default_rng(36)
+        p = rng.dirichlet(np.ones(16))
+        mixed = SystemShape((2, 2, 2, 2), ("c", "q", "c", "q"))
+        mat = random_density(mixed, rng).matrix
+        no_eigendecomposition(4)  # d_Q: the blocks, not d x d
+        State(mixed, mat)
+        random_density(mixed, rng, rank=5)
+        State.from_probabilities(mixed, p)
+        no_eigendecomposition(0)
+        bits = SystemShape.bits(4)
+        State.from_probabilities(bits, p)
+        State(bits, np.diag(p))
+        random_density(bits, rng, rank=3)
+        q = p + np.eye(16)[1] * (p[0] + 1e-9) - np.eye(16)[0] * (p[0] + 1e-9)
+        with pytest.raises(ShapeError, match="eigenvalue -1.00e-09"):
+            State(bits, np.diag(q))
 
 
 class TestTensor:

@@ -166,7 +166,7 @@ class TestCLI:
         capsys.readouterr()
         assert cli._parser() is cli._parser()
         first, second, third = seen
-        assert first == {"command": "decompose", "state": "a.json", "seed": 0, "tol": None,
+        assert first == {"command": "decompose", "state": "a.json", "tol": None,
                          "out": None, "bits": False}
         assert second["command"] == "project" and second["state"] == "b.json"
         assert second["tol"] == 1e-6 and second["method"] == "auto" and second["k"] == 2
@@ -264,6 +264,23 @@ class TestCLI:
         code = main(["ck", "--state", str(tmp_path / "nope.json"), "--k", "1"])
         capsys.readouterr()
         assert code == 2
+
+    # each flag belongs to the commands that read it
+    @pytest.mark.parametrize("argv", [
+        ["maximize", "--shape", "2,2", "--k", "1", "--tol", "1e-6"],
+        ["theorem1", "--samples", "10", "--tol", "1e-6"],
+        ["multiinfo", "--state", "rho.json", "--seed", "1"],
+        ["decompose", "--state", "rho.json", "--seed", "1"],
+        ["basis", "--n", "2", "--seed", "1"],
+        ["feasibility", "--shape", "2,2,2", "--k", "2", "--exhaustive", "--kind", "classical"],
+        ["toric", "--shape", "2,2,2", "--k", "2", "--kind", "classical"],
+    ], ids=["maximize-tol", "theorem1-tol", "multiinfo-seed", "decompose-seed", "basis-seed",
+            "feasibility-kind", "toric-kind"])
+    def test_flag_of_another_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_conflicting_family_flags_exit_2(self, ghz_file, capsys):
         code = main(["project", "--state", ghz_file])

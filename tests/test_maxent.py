@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,6 +456,23 @@ class TestClassicalVectors:
         monkeypatch.undo()
         assert dec["converged"]
         assert abs(dec["total"] - multi_information(rho)) <= 1e-12
+
+    def test_twelve_bits_hold_no_dense_matrix(self):
+        # one 4096 x 4096 complex matrix is 268 MB; the state, both solves
+        # and their checks hold (d, 1, 1) block arrays
+        shape = SystemShape.bits(12)
+        p = np.random.default_rng(12).dirichlet(np.ones(shape.dim))
+        model = build_model(shape, hypergraph_k(12, 2))
+        tracemalloc.start()
+        try:
+            rho = State.from_probabilities(shape, p)
+            ipf, dual = (maxent_project(rho, model, method=m) for m in ("ipf", "dual"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert ipf.converged and dual.converged
+        assert abs(ipf.divergence - dual.divergence) <= 1e-7
 
 
 MIXED_SHAPES = {

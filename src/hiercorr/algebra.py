@@ -138,7 +138,7 @@ def block_layout(shape: SystemShape) -> np.ndarray:
     quantum digits of row and column; joint indices run in unit order, the
     first unit most significant.  An all-quantum shape is one d x d block,
     an all-classical one d blocks of 1 x 1.  Shared and read-only; the
-    configuration of each block row is block_layout(shape)[:, :, 0] // d.
+    configuration of each block row is _block_rows(shape).
     """
     order = [i for i, k in enumerate(shape.kinds) if k == CLASSICAL]
     d_c = math.prod(shape.sizes[i] for i in order)
@@ -149,6 +149,11 @@ def block_layout(shape: SystemShape) -> np.ndarray:
     layout = rows[:, :, None] * d + rows[:, None, :]
     layout.setflags(write=False)
     return layout
+
+
+def _block_rows(shape: SystemShape) -> np.ndarray:
+    """(d_C, d_Q): the configuration of each block row of block_layout."""
+    return block_layout(shape)[:, :, 0] // shape.dim
 
 
 def to_blocks(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
@@ -284,7 +289,7 @@ class State:
         if p.min() < PSD_ATOL:
             raise ShapeError(f"negative probability {p.min():.2e}")
         # the diagonal of every block: p at the configurations of its rows
-        rows = block_layout(shape)[:, :, 0] // shape.dim
+        rows = _block_rows(shape)
         i = np.arange(rows.shape[1])
         x = np.zeros(rows.shape + i.shape, dtype=complex)
         x[:, i, i] = p[rows]
@@ -300,6 +305,15 @@ class State:
             raise ShapeError("cannot normalize the zero vector")
         v = v / nrm
         return cls(shape, np.outer(v, v.conj()))
+
+
+def _factor_state(m: np.ndarray, shape: SystemShape) -> State:
+    """The state M M^H / tr restricted to the algebra, of a (d, r) factor M:
+    block c is M_c M_c^H / tr, M_c the rows of M at the configurations of
+    block c."""
+    f = m[_block_rows(shape)]
+    x = f @ f.conj().transpose(0, 2, 1)
+    return State._of_blocks(shape, x / np.trace(x, axis1=1, axis2=2).real.sum())
 
 
 @dataclass(frozen=True)
@@ -321,21 +335,32 @@ def tensor(*operators) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def _partial_trace(mat: np.ndarray, sizes: tuple[int, ...], keep0: list[int]) -> np.ndarray:
-    """Trace out all units not in keep0 (0-based, ascending)."""
-    N = len(sizes)
-    t = mat.reshape(*sizes, *sizes)
-    traced = 0
-    for ax in range(N):
-        if ax in keep0:
-            continue
-        a = ax - traced
-        t = np.trace(t, axis1=a, axis2=a + (N - traced))
-        traced += 1
-    dk = 1
-    for ax in keep0:
-        dk *= sizes[ax]
-    return t.reshape(dk, dk)
+@lru_cache(maxsize=256)
+def _marginal_plan(shape: SystemShape, keep: tuple[int, ...]):
+    """_marginal_blocks' einsum on the units keep: the axes of the block
+    array, their labels, the labels kept and the kept quantum dimension.
+    A unit's classical or row digit is labeled i, a kept quantum unit's
+    column digit n + i; a dropped quantum unit's column digit repeats its
+    row's label, so einsum traces the pair, and dropped classical digits
+    are summed over."""
+    n = shape.N
+    classical = tuple(i for i, k in enumerate(shape.kinds) if k == CLASSICAL)
+    quantum = tuple(i for i, k in enumerate(shape.kinds) if k == QUANTUM)
+    axes = tuple(shape.sizes[i] for i in classical + quantum + quantum)
+    labels = classical + quantum + tuple(n + i if i in keep else i for i in quantum)
+    out = tuple(i for i in classical + quantum if i in keep)
+    out += tuple(n + i for i in quantum if i in keep)
+    return axes, labels, out, math.prod(shape.sizes[i] for i in quantum if i in keep)
+
+
+def _marginal_blocks(x: np.ndarray, shape: SystemShape, keep) -> np.ndarray:
+    """The block array of the reduced state on the units keep (0-based,
+    ascending) of a block array x, hermitized.  Kept units stay in unit
+    order, classical ones first, which is the sub-shape's block_layout;
+    1 x 1 blocks come real."""
+    axes, labels, out, k = _marginal_plan(shape, tuple(keep))
+    y = np.einsum(x.reshape(axes), labels, out).reshape(-1, k, k)
+    return y.real if k == 1 else 0.5 * (y + y.conj().transpose(0, 2, 1))
 
 
 def marginal(state: State, units) -> State:
@@ -346,15 +371,9 @@ def marginal(state: State, units) -> State:
         sh._check_unit(i)
     if not nu:
         return State(SystemShape((1,), (CLASSICAL,)), np.array([[1.0 + 0j]]))
-    keep0 = [i - 1 for i in nu]
-    mat = _partial_trace(state.matrix, sh.sizes, keep0)
-    sub = SystemShape(
-        tuple(sh.sizes[i] for i in keep0),
-        tuple(sh.kinds[i] for i in keep0),
-    )
-    # round off accumulated float dust so the result revalidates cleanly
-    mat = 0.5 * (mat + mat.conj().T)
-    return State(sub, mat)
+    keep = [i - 1 for i in nu]
+    sub = SystemShape(tuple(sh.sizes[i] for i in keep), tuple(sh.kinds[i] for i in keep))
+    return State._of_blocks(sub, _marginal_blocks(state.blocks, sh, keep))
 
 
 def spectrum_entropy(w: np.ndarray) -> float:
@@ -366,9 +385,26 @@ def spectrum_entropy(w: np.ndarray) -> float:
     return float(-np.sum(w * np.log(w)))
 
 
+def _spectrum(x: np.ndarray) -> np.ndarray:
+    """The ascending spectrum of a block array, from the eigenvalues of its blocks."""
+    return np.sort(_eigh_blocks(x, vectors=False), axis=None)
+
+
 def von_neumann_entropy(state) -> float:
-    """Entropy -tr(rho log rho) in nats, eigenvalues clipped to [0, 1]."""
-    return spectrum_entropy(np.linalg.eigvalsh(_as_matrix(state)))
+    """Entropy -tr(rho log rho) in nats, eigenvalues clipped to [0, 1]; a
+    State is taken block by block, a matrix as one block."""
+    x = state.blocks if isinstance(state, State) else _as_matrix(state)[None]
+    return spectrum_entropy(_spectrum(x))
+
+
+def _eigen_weights(rho_x: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues (n, k) of a block array x (see _eigh_blocks) and the
+    weight of the block array rho_x on each eigenvector, the diagonal of
+    v^H rho v block by block; a 1 x 1 block is its own eigenvalue."""
+    w, v = _eigh_blocks(x)
+    if x.shape[-1] == 1:
+        return w, rho_x[:, 0].real
+    return w, np.add.reduce(v.conj() * (rho_x @ v), axis=1).real
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -376,24 +412,24 @@ def relative_entropy(rho, sigma) -> float:
 
     Kernel membership uses the relative eigenvalue threshold SUPPORT_RTOL on
     sigma's spectrum; rho may put at most KERNEL_MASS_TOL of mass there.
-    All logarithms are evaluated on the support eigenspaces only.
+    All logarithms are evaluated on the support eigenspaces only.  Two
+    States of one shape are taken block by block, other operands as dense
+    matrices.
     """
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
+    if isinstance(rho, State) and isinstance(sigma, State) and rho.shape == sigma.shape:
+        r, s = rho.blocks, sigma.blocks
+    else:
+        r, s = _as_matrix(rho)[None], _as_matrix(sigma)[None]
     if r.shape != s.shape:
-        raise ShapeError(f"operands have shapes {r.shape} and {s.shape}")
-    ws, vs = np.linalg.eigh(s)
+        raise ShapeError(f"operands have shapes {r.shape[1:]} and {s.shape[1:]}")
+    ws, diag = (a.ravel() for a in _eigen_weights(r, s))
     thr = SUPPORT_RTOL * max(float(ws.max()), 1e-300)
     kernel = ws < thr
-    diag = np.real(np.sum(vs.conj() * (r @ vs), axis=0))  # diagonal of vs^H r vs
     if kernel.any() and float(np.sum(diag[kernel])) > KERNEL_MASS_TOL:
         return float("inf")
-    wr = np.clip(np.linalg.eigvalsh(r), 0.0, 1.0)
-    pos = wr > 0.0
-    term1 = float(np.sum(wr[pos] * np.log(wr[pos])))
     supp = ~kernel
     term2 = float(np.sum(np.clip(diag[supp], 0.0, None) * np.log(ws[supp])))
-    val = term1 - term2
+    val = -spectrum_entropy(_spectrum(r)) - term2
     if -1e-9 < val < 0.0:
         val = 0.0
     return val
@@ -415,6 +451,19 @@ def _compose(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     if u.shape[-1] == 1:
         return w[:, :, None] * u
     return (u * w[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
+def _lift(w: np.ndarray, u: np.ndarray, shape: SystemShape, floor: float):
+    """The eigenvectors of block eigenpairs (w, u) of _eigh_blocks whose
+    eigenvalue exceeds floor, by ascending eigenvalue, as the columns of a
+    d x r isometry of the shape, and those eigenvalues."""
+    flat = w.ravel()
+    order = np.argsort(flat, kind="stable")
+    keep = order[flat[order] > floor]
+    blk, col = np.divmod(keep, w.shape[1])
+    q = np.zeros((shape.dim, keep.size), dtype=u.dtype)
+    q[_block_rows(shape)[blk].T, np.arange(keep.size)] = u[blk, :, col].T
+    return q, flat[keep]
 
 
 def _gibbs_blocks(h: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:

@@ -17,8 +17,8 @@ import numpy as np
 from .algebra import (
     ShapeError,
     SystemShape,
+    _block_rows,
     algebra_mask,
-    block_layout,
     from_blocks,
     tensor,
     to_blocks,
@@ -301,7 +301,7 @@ class _MomentPlan:
             member[s, a] = True
         # the first maximal set that leaves no unit of the support outside
         owner = np.argmin(((pats != 0)[:, None, :] & ~member).any(axis=2), axis=1)
-        cfg_rows = block_layout(shape)[:, :, 0] // d  # the configuration of each block row
+        cfg_rows = _block_rows(shape)  # the configuration of each block row
         d_q = cfg_rows.shape[1]
         self.blocks = cfg_rows.shape + (d_q,)
         row = np.argsort(cfg_rows, axis=None)  # the block row of each configuration

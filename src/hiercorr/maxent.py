@@ -2,7 +2,7 @@
 
 The projection of a state onto a family is the entropy maximizer among
 all states sharing the expectations of every basis element of the family.
-Four routes are implemented:
+Five routes are implemented:
 
 * ``dual``: quasi-Newton descent in exponential-family coordinates, with
   support peeling when the optimum sits on the boundary of the state space,
@@ -31,15 +31,17 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .algebra import (
-    CLASSICAL,
     ShapeError,
     State,
     SystemShape,
+    _block_rows,
     _compose,
+    _eigen_weights,
     _eigh_blocks,
     _gibbs_blocks,
-    _partial_trace,
-    block_layout,
+    _lift,
+    _marginal_blocks,
+    _spectrum,
     expectation_values,
     hermitian_realvec,
     marginal,
@@ -133,11 +135,6 @@ def _residual(x: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> float:
     return float(np.abs(model._moment_plan().moments(x) - b).max())
 
 
-def _spectrum(rho: State) -> np.ndarray:
-    """rho's ascending spectrum, from the eigenvalues of its blocks."""
-    return np.sort(_eigh_blocks(rho.blocks, vectors=False), axis=None)
-
-
 def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
     """Eigenvalues of a spectrum above rtol times the largest."""
     return int(np.count_nonzero(w > rtol * max(float(w.max()), 1e-300)))
@@ -153,13 +150,9 @@ def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, x: np.ndarra
     normal double, so tiny positive ones keep their exact logarithm (a
     fitting limit with an entry of 4e-11 stays finite), while mass of rho on
     pi's kernel weighs about 708 per unit instead of making D infinite.
-    rho_x and x are block arrays; a 1 x 1 block is its own eigenvalue.
+    rho_x and x are block arrays (see algebra._eigen_weights).
     """
-    w, v = _eigh_blocks(x)
-    if x.shape[-1] == 1:
-        r = rho_x[:, 0].real
-    else:
-        r = np.add.reduce(v.conj() * (rho_x @ v), axis=1).real  # diagonal of v^H rho v, per block
+    w, r = _eigen_weights(rho_x, x)
     logs = np.log(np.maximum(w, TINY))
     return max(0.0, -rho_entropy - float(r.ravel() @ logs.ravel()))
 
@@ -203,20 +196,13 @@ def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, bes
     (None if there is none) and the iterations spent on faces.
     """
     d = model.shape.dim
-    rows = block_layout(model.shape)[:, :, 0] // d  # the configuration of each block entry
-    flat = w.ravel()
-    order = np.argsort(flat, kind="stable")
-    scale = max(float(flat.max()), 1e-300) if relative else 1.0
+    rows = _block_rows(model.shape)
+    scale = max(float(w.max()), 1e-300) if relative else 1.0
     bound = defect_rtol * max(1.0, float(np.max(np.abs(b))))
     tried = {0} if best is None else {0, d}
     total = 0
     for rounds, cut in enumerate(cuts, start=1):
-        if cut is None:
-            q = np.eye(d, dtype=complex)
-        else:
-            blk, col = np.divmod(order[flat[order] > cut * scale], w.shape[1])
-            q = np.zeros((d, blk.size), dtype=u.dtype)
-            q[rows[blk].T, np.arange(blk.size)] = u[blk, :, col].T
+        q = np.eye(d, dtype=complex) if cut is None else _lift(w, u, model.shape, cut * scale)[0]
         r = q.shape[1]
         if cut is not None and r in tried:
             continue
@@ -570,23 +556,19 @@ def _ipf_solve(x: np.ndarray, model: HierarchicalModel, tol: float):
     return q.reshape(-1, 1, 1), sweeps, {"sweeps": sweeps}, None
 
 
+def _block_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block Kronecker product of block arrays (c, k, k) and (n, j, j):
+    block c n + e is a_c (x) b_e."""
+    (c, k, _), (n, j, _) = a.shape, b.shape
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(c * n, k * j, k * j)
+
+
 def _product(x: np.ndarray, shape: SystemShape) -> np.ndarray:
-    """Product of the unit marginals of the block array x: the outer product
-    of the classical units' marginal vectors times the Kronecker product of
-    the quantum units' reduced matrices."""
-    classical = [k == CLASSICAL for k in shape.kinds]
-    axes = range(sum(classical))
-    t = x.trace(axis1=1, axis2=2).real.reshape([n for n, c in zip(shape.sizes, classical) if c])
-    vecs = [np.add.reduce(t, axis=tuple(j for j in axes if j != i)) for i in axes]
-    qsizes = tuple(n for n, c in zip(shape.sizes, classical) if not c)
-    out = np.reshape(reduce(np.multiply.outer, vecs, 1.0), (-1, 1, 1))
-    xq = np.add.reduce(x, axis=0)  # the quantum units' reduced matrix
-    for i in range(len(qsizes)):
-        m = _partial_trace(xq, qsizes, [i])
-        m = 0.5 * (m + m.conj().T)  # hermitian to the last bit, as marginal() leaves it
-        k, n = out.shape[1], len(m)  # the Kronecker product with m, in every block
-        out = (out[:, :, None, :, None] * m[:, None, :]).reshape(-1, k * n, k * n)
-    return out
+    """Product of the unit marginals of the block array x: their block
+    Kronecker product in unit order, which puts classical digits into the
+    block index and quantum ones into the index within a block, as
+    block_layout orders them."""
+    return reduce(_block_kron, (_marginal_blocks(x, shape, [i]) for i in range(shape.N)))
 
 
 # --------------------------------------------------------------- public API
@@ -622,7 +604,7 @@ def _project(rho, model, rho_w, method="auto", tol=INTERIOR_TOL):
     hg = model.hypergraph
     full = set(range(1, rho.shape.N + 1)) in hg
     if rho_w is None:
-        rho_w = _spectrum(rho)
+        rho_w = _spectrum(rho.blocks)
 
     if method == "auto":
         if full:
@@ -736,7 +718,7 @@ def correlation_decomposition(rho: State, **kw) -> dict:
     none) and "converged" whether every projection converged.
     """
     n = rho.shape.N
-    w = _spectrum(rho)  # one spectrum of rho for every order
+    w = _spectrum(rho.blocks)  # one spectrum of rho for every order
     runs = [_project(rho, build_model(rho.shape, hypergraph_k(n, k)), w, **kw) for k in range(1, n)]
     c = [r.divergence for r in runs] + [0.0]
     incr = {k: c[k - 2] - c[k - 1] for k in range(2, n + 1)}
@@ -768,13 +750,13 @@ def chain_step_divergence(rho: State, k: int, **kw) -> float:
         else divergence_from_model(rho, hypergraph_k(n, k), **kw).state
     )
     pi_km1 = divergence_from_model(rho, hypergraph_k(n, k - 1), **kw).state
-    return relative_entropy(pi_k.matrix, pi_km1.matrix)
+    return relative_entropy(pi_k, pi_km1)
 
 
 def pythagorean_residual(rho: State, sigma: State, family, **kw) -> float:
     """|D(rho, sigma) - D(rho, pi) - D(pi, sigma)| for sigma inside the family."""
     res = divergence_from_model(rho, family, **kw)
     pi = res.state
-    lhs = relative_entropy(rho.matrix, sigma.matrix)
-    rhs = relative_entropy(rho.matrix, pi.matrix) + relative_entropy(pi.matrix, sigma.matrix)
+    lhs = relative_entropy(rho, sigma)
+    rhs = relative_entropy(rho, pi) + relative_entropy(pi, sigma)
     return abs(lhs - rhs)

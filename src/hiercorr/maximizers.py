@@ -15,7 +15,17 @@ import math
 
 import numpy as np
 
-from .algebra import State, SystemShape, _eigh_blocks, block_layout, hermitian_realvec
+from .algebra import (
+    State,
+    SystemShape,
+    _block_rows,
+    _compose,
+    _eigh_blocks,
+    _factor_state,
+    _lift,
+    _spectrum,
+    hermitian_realvec,
+)
 from .hierarchy import HierarchicalModel, Hypergraph, build_model, model_dim
 from .maxent import _support_size, maxent_project
 
@@ -49,10 +59,10 @@ def check_exponential_form(rho: State, model: HierarchicalModel) -> float:
     Local maximizers are exponential on their support, so this residual is
     a certificate: it vanishes exactly on such states.
     """
-    w, u = np.linalg.eigh(rho.matrix)
-    keep = w > RANK_RTOL * max(float(w[-1]), 1e-300)
-    a = hermitian_realvec(model.compress(u[:, keep])).T
-    y = hermitian_realvec(np.diag(np.log(w[keep])))
+    w, u = _eigh_blocks(rho.blocks)
+    q, w = _lift(w, u, rho.shape, RANK_RTOL * max(float(w.max()), 1e-300))
+    a = hermitian_realvec(model.compress(q)).T
+    y = hermitian_realvec(np.diag(np.log(w)))
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     return float(np.linalg.norm(a @ coef - y))
 
@@ -152,27 +162,21 @@ def _mirror_direction(p: np.ndarray, rho: State, pi: State):
     return np.max(np.abs(g), initial=0.0), trial
 
 
-def _state_from_factor(m: np.ndarray, shape: SystemShape) -> State:
-    """rho = M M*/tr restricted to the algebra: block c is M_c M_c*/tr, M_c
-    the rows of M at the configurations of block c."""
-    f = m[block_layout(shape)[:, :, 0] // shape.dim]
-    x = f @ f.conj().transpose(0, 2, 1)
-    return State._of_blocks(shape, x / np.trace(x, axis1=1, axis2=2).real.sum())
-
-
-def _log_psd(mat: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(mat)
-    return (u * np.log(np.clip(w, 1e-13, None))) @ u.conj().T
-
-
 def _factor_direction(m: np.ndarray, rho: State, pi: State):
     """Ascent on a purification factor: positivity and normalization are
     free and the rank can only drop.  log rho - log pi lies in the algebra,
-    so the pinch leaves the gradient (2/t)(log rho - log pi - mean) M as is."""
-    t = float(np.real(np.trace(m @ m.conj().T)))
-    g = _log_psd(rho.matrix) - _log_psd(pi.matrix)
-    mean = float(np.real(np.trace(g @ rho.matrix)))
-    grad = (2.0 / t) * (g - mean * np.eye(g.shape[0])) @ m
+    so the pinch leaves the gradient (2/t)(log rho - log pi - mean) M as is,
+    taken block by block on the rows of M that algebra._factor_state
+    gathers."""
+    rows = _block_rows(rho.shape)
+    f = m[rows]
+    t = float(np.trace(f @ f.conj().transpose(0, 2, 1), axis1=1, axis2=2).real.sum())
+    log_rho, log_pi = (_compose(np.log(np.clip(w, 1e-13, None)), u)
+                       for w, u in (_eigh_blocks(rho.blocks), _eigh_blocks(pi.blocks)))
+    g = log_rho - log_pi
+    mean = float(np.trace(g @ rho.blocks, axis1=1, axis2=2).real.sum())
+    grad = np.empty_like(m)
+    grad[rows] = ((2.0 / t) * (g - mean * np.eye(g.shape[-1]))) @ f
     gn = float(np.linalg.norm(grad))
 
     def trial(eta):
@@ -217,7 +221,7 @@ def search_local_maximizers(
         else:
             x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             eta, direction = 0.5, _factor_direction
-            state_of = functools.partial(_state_from_factor, shape=shape)
+            state_of = functools.partial(_factor_state, shape=shape)
         outcomes.append(_ascend(x, eta, state_of, direction, fun, max_steps))
 
     outcomes.sort(key=lambda vs: -vs[0])
@@ -232,7 +236,7 @@ def search_local_maximizers(
                 MaximizerRecord(
                     value=val,
                     state=state,
-                    support_dim=_support_size(_eigh_blocks(state.blocks, vectors=False), RANK_RTOL),
+                    support_dim=_support_size(_spectrum(state.blocks), RANK_RTOL),
                     exp_residual=check_exponential_form(state, model),
                     hits=1,
                 )

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ShapeError, State, SystemShape, to_blocks
+from .algebra import ShapeError, State, SystemShape, _factor_state
 
 
 def ghz_state(n_qubits: int = 3) -> State:
@@ -94,9 +94,9 @@ def random_pure(shape: SystemShape, rng: np.random.Generator) -> State:
 def random_density(shape: SystemShape, rng: np.random.Generator, rank: int | None = None) -> State:
     """Random density matrix of the requested rank (default: full on the algebra).
 
-    Quantum units get Wishart-style factors; classical and mixed shapes keep
-    the blocks of the algebra (to_blocks), which preserves positivity and
-    trace.
+    Quantum units get Wishart-style factors M M^H / tr; mixed shapes keep
+    the algebra's blocks of it (algebra._factor_state), which preserves
+    positivity and trace.
     """
     d = shape.dim
     r = d if rank is None else int(rank)
@@ -109,5 +109,4 @@ def random_density(shape: SystemShape, rng: np.random.Generator, rank: int | Non
         p[pos] = w / w.sum()
         return State.from_probabilities(shape, p)
     m = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-    mat = m @ m.conj().T
-    return State._of_blocks(shape, to_blocks(mat, shape) / np.trace(mat).real)
+    return _factor_state(m, shape)

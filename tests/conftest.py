@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hiercorr import maxent
+from hiercorr import algebra, maxent
 from hiercorr.hierarchy import HierarchicalModel
 
 
@@ -36,6 +36,17 @@ def no_eigendecomposition(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", guarded(np.linalg.eigvalsh))
 
     return start
+
+
+@pytest.fixture
+def no_dense_matrix(monkeypatch):
+    """Make algebra.from_blocks fail, and with it the first read of a
+    State's dense .matrix; lifted by monkeypatch.undo()."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix was built from a block array")
+
+    monkeypatch.setattr(algebra, "from_blocks", refuse)
 
 
 @pytest.fixture

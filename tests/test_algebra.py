@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,19 @@ class TestMarginal:
         target = np.zeros((4, 4), dtype=complex)
         target[0, 0] = target[3, 3] = 0.5
         assert np.allclose(got, target, atol=1e-12)
+        # every unit subset of seeded states: the marginal is taken on the
+        # block array, the oracle traces the dense matrix
+        rng = np.random.default_rng(37)
+        for shape in (SystemShape.qubits(3), SystemShape.quantum((3, 3, 3)), SystemShape.bits(4),
+                      SystemShape((2, 2, 2, 2), ("c", "q", "c", "q")),
+                      SystemShape((2, 3, 2), ("q", "c", "q"))):
+            rho = random_density(shape, rng)
+            for r in range(shape.N + 1):
+                for keep in itertools.combinations(range(shape.N), r):
+                    m = marginal(rho, [i + 1 for i in keep])
+                    want = _independent_partial_trace(rho.matrix, shape.sizes, list(keep))
+                    assert np.max(np.abs(m.matrix - want)) <= 1e-14
+                    assert m.shape.kinds == (tuple(shape.kinds[i] for i in keep) or ("classical",))
 
     def test_trace_preserved_and_nesting(self):
         rng = np.random.default_rng(5)
@@ -302,6 +317,27 @@ class TestRelativeEntropy:
         kl = float(np.sum(p[2:] * np.log(p[2:] / q[2:])))
         assert relative_entropy(a, b) == pytest.approx(kl, abs=1e-12)
         assert relative_entropy(b, a) == float("inf")
+
+
+    @pytest.mark.parametrize("shape", [
+        SystemShape.qubits(3), SystemShape.quantum((3, 3, 3)), SystemShape.bits(4),
+        SystemShape((2, 2, 2, 2), ("c", "q", "c", "q")), SystemShape((2, 3, 2), ("q", "c", "q")),
+    ], ids=["q3", "t3", "b4", "cqcq-2222", "qcq-232"])
+    def test_states_match_their_dense_matrices(self, shape):
+        # States go block by block, matrices as one block: the same divergence,
+        # +inf where rho charges a kernel of sigma
+        rng = np.random.default_rng(38)
+        full = [random_density(shape, rng) for _ in range(2)]
+        low = [random_density(shape, rng, rank=2) for _ in range(2)]
+        infinite = 0
+        for a, b in itertools.product(full + low, repeat=2):
+            got, want = relative_entropy(a, b), relative_entropy(a.matrix, b.matrix)
+            if want == float("inf"):
+                infinite += 1
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-13
+        assert infinite == 6  # every pair with a rank-2 sigma but sigma itself
 
 
 class TestGibbsMap:

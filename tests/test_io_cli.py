@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestCLI:
         assert code == 0
         assert abs(rep["results"]["multi_information"] - 3.0) < 1e-9
         assert rep["units"] == "bits"
+
+    def test_multiinfo_on_twelve_bits_holds_no_dense_matrix(self, tmp_path, capsys):
+        # one 4096 x 4096 complex matrix is 268 MB; the marginals and both
+        # entropies are taken on the (d, 1, 1) block array
+        p = np.random.default_rng(12).dirichlet(np.ones(2**12))
+        path = tmp_path / "b12.json"
+        path.write_text(json.dumps(state_to_dict(State.from_probabilities(SystemShape.bits(12), p))))
+        tracemalloc.start()
+        try:
+            code = main(["multiinfo", "--state", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rep = _report(capsys)
+        assert code == 0 and peak < 32 * 2**20
+        t = p.reshape((2,) * 12)
+        units = [t.sum(axis=tuple(j for j in range(12) if j != i)) for i in range(12)]
+        want = sum(-(u * np.log(u)).sum() for u in units) + (p * np.log(p)).sum()
+        assert abs(rep["results"]["multi_information"] - want) <= 1e-12
 
     def test_decompose(self, ghz_file, capsys):
         code = main(["decompose", "--state", ghz_file])

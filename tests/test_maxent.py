@@ -37,6 +37,7 @@ from hiercorr.maxent import (
     multi_information,
     pythagorean_residual,
 )
+from hiercorr.maximizers import check_exponential_form, search_local_maximizers
 from hiercorr.states import ghz_state, random_density, random_pure, uniform_on
 
 LOG2 = math.log(2.0)
@@ -507,6 +508,52 @@ class TestMixedBlocks:
         assert abs(res.residual - resid) <= 1e-12
         if res.theta is not None:
             assert np.max(np.abs(gibbs_map(res.theta.hamiltonian(model)) - pi)) <= 1e-10
+
+
+BLOCK_SHAPES = {
+    "b3": SystemShape.bits(3),
+    "cqcq-2222": SystemShape((2, 2, 2, 2), ("c", "q", "c", "q")),
+    "qcq-232": SystemShape((2, 3, 2), ("q", "c", "q")),
+}
+
+
+class TestStateFunctionsOnBlocks:
+    """Marginals, entropies, the ladder and the maximizer certificates read
+    state.blocks: no dense matrix, no eigendecomposition beyond d_Q x d_Q."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_SHAPES))
+    def test_no_dense_matrix(self, name, no_dense_matrix, no_eigendecomposition, monkeypatch):
+        shape = BLOCK_SHAPES[name]
+        rng = np.random.default_rng(48)
+        rho, sigma = random_density(shape, rng), random_density(shape, rng, rank=2)
+        model = build_model(shape, hypergraph_k(shape.N, 1))
+        no_eigendecomposition(math.prod(n for n, kind in zip(shape.sizes, shape.kinds)
+                                        if kind == "quantum"))
+        margs = [marginal(rho, (i,)) for i in range(1, shape.N + 1)]
+        entropy = von_neumann_entropy(rho)
+        divergences = relative_entropy(rho, sigma), relative_entropy(sigma, rho)
+        total = multi_information(rho)
+        dec = correlation_decomposition(rho)
+        pi = maxent_project(rho, model).state
+        form = check_exponential_form(pi, model)
+        rep = search_local_maximizers(shape, model, n_restarts=2, seed=5, max_steps=30)
+        monkeypatch.undo()  # the dense references below
+        assert abs(entropy - von_neumann_entropy(rho.matrix)) <= 1e-13
+        assert divergences[0] == relative_entropy(rho.matrix, sigma.matrix) == float("inf")
+        assert abs(divergences[1] - relative_entropy(sigma.matrix, rho.matrix)) <= 1e-13
+        dense_total = sum(von_neumann_entropy(m.matrix) for m in margs) - von_neumann_entropy(rho.matrix)
+        assert abs(total - dense_total) <= 1e-13
+        assert dec["converged"] and abs(dec["total"] - total) <= 1e-12
+        assert form < 1e-10  # a product state is exponential for the independence family
+        # the search's record against the dense spectrum and eigenvectors
+        w, u = np.linalg.eigh(rep.best.state.matrix)
+        keep = w > 1e-9 * w[-1]
+        a = hermitian_realvec(model.compress(u[:, keep])).T
+        y = hermitian_realvec(np.diag(np.log(w[keep])))
+        assert rep.best.support_dim == keep.sum()
+        dense_form = np.linalg.norm(a @ np.linalg.lstsq(a, y)[0] - y)
+        # log w of eigenvalues near the support cut (~1e-9) amplifies rounding
+        assert abs(rep.best.exp_residual - dense_form) <= 1e-9 * max(1.0, dense_form)
 
 
 class TestCorrelationQuantities:

@@ -151,9 +151,13 @@ def block_layout(shape: SystemShape) -> np.ndarray:
     return layout
 
 
+@lru_cache(maxsize=32)
 def _block_rows(shape: SystemShape) -> np.ndarray:
-    """(d_C, d_Q): the configuration of each block row of block_layout."""
-    return block_layout(shape)[:, :, 0] // shape.dim
+    """(d_C, d_Q): the configuration of each block row of block_layout.
+    Shared and read-only."""
+    rows = block_layout(shape)[:, :, 0] // shape.dim
+    rows.setflags(write=False)
+    return rows
 
 
 def to_blocks(mat: np.ndarray, shape: SystemShape) -> np.ndarray:
@@ -364,15 +368,15 @@ def _marginal_blocks(x: np.ndarray, shape: SystemShape, keep) -> np.ndarray:
 
 
 def marginal(state: State, units) -> State:
-    """Reduced state on the given units (1-based); the empty set gives the scalar 1."""
+    """Reduced state on the given units (1-based); the empty set gives the
+    trace, one classical unit of size 1."""
     nu = sorted(set(int(i) for i in units))
     sh = state.shape
     for i in nu:
         sh._check_unit(i)
-    if not nu:
-        return State(SystemShape((1,), (CLASSICAL,)), np.array([[1.0 + 0j]]))
     keep = [i - 1 for i in nu]
-    sub = SystemShape(tuple(sh.sizes[i] for i in keep), tuple(sh.kinds[i] for i in keep))
+    sizes, kinds = tuple(sh.sizes[i] for i in keep), tuple(sh.kinds[i] for i in keep)
+    sub = SystemShape(sizes or (1,), kinds or (CLASSICAL,))
     return State._of_blocks(sub, _marginal_blocks(state.blocks, sh, keep))
 
 

@@ -301,7 +301,7 @@ def _cmd_maximize(args, scale):
         "projection_failures": report.projection_failures,
         "evaluations": report.evaluations,
     }
-    return results, diagnostics, 0
+    return results, diagnostics, 3 if report.projection_failures else 0
 
 
 def _cmd_bell(args, scale):

@@ -31,6 +31,8 @@ from .maxent import _support_size, maxent_project
 
 SNAP_EPS = 1e-12
 RANK_RTOL = 1e-9
+# a trial step is taken when it raises the divergence by more than this
+RISE_MARGIN = 1e-14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,8 +116,14 @@ def _ascend(x, eta: float, state_of, direction, fun: _Objective, max_steps: int)
 
     direction(x, rho, pi) gives the size of the ascent direction at rho
     (projection pi) and the trial map eta -> coordinates.  A trial is taken
-    when it raises the divergence; eta halves after each miss and grows
-    after each hit.  Two steps in a row without a rise end the run.
+    when it raises the divergence by more than RISE_MARGIN; eta halves after
+    each miss and grows after each hit.  A round of trials ends on a hit,
+    after 25 misses, or when eta * size**2 falls below RISE_MARGIN.  That
+    product bounds a trial's first-order rise (factor step: eta * gn**2 /
+    max(1, gn); mirror step: eta * Var_p(g) <= eta * max|g|**2), so a trial
+    under it could pass only through rounding or solver noise in the
+    divergence and is not evaluated.  Two rounds in a row without a hit end
+    the run.
     """
     rho = state_of(x)
     val, pi = fun(rho)
@@ -124,16 +132,21 @@ def _ascend(x, eta: float, state_of, direction, fun: _Objective, max_steps: int)
         size, trial = direction(x, rho, pi)
         if size < 1e-12:
             break
+        hit = False
         for _ in range(25):
+            if eta * size**2 < RISE_MARGIN:
+                break
             cand_x = trial(eta)
             cand = state_of(cand_x)
             cval, cpi = fun(cand)
-            if cval > val + 1e-14:
+            if cval > val + RISE_MARGIN:
                 x, rho, val, pi = cand_x, cand, cval, cpi
-                eta *= 1.6
-                stall = 0
+                hit = True
                 break
             eta *= 0.5
+        if hit:
+            eta *= 1.6
+            stall = 0
         else:
             stall += 1
             eta = max(eta, 1e-3)

@@ -36,7 +36,7 @@ def bell_state(i: int) -> State:
 
 def maximally_mixed(shape: SystemShape) -> State:
     d = shape.dim
-    return State(shape, np.eye(d, dtype=complex) / d)
+    return State.from_probabilities(shape, np.full(d, 1.0 / d))
 
 
 def basis_state(shape: SystemShape, config) -> State:

@@ -253,6 +253,17 @@ class TestEntropy:
             st = maximally_mixed(sh)
             assert von_neumann_entropy(st) == pytest.approx(np.log(d), abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [
+        SystemShape.qubits(3), SystemShape.quantum((3, 3, 3)), SystemShape.bits(4),
+        SystemShape((2, 2, 2, 2), ("c", "q", "c", "q")), SystemShape((2, 3, 2), ("q", "c", "q")),
+    ], ids=["q3", "t3", "b4", "cqcq-2222", "qcq-232"])
+    def test_maximally_mixed_matches_the_dense_identity(self, shape):
+        d = shape.dim
+        dense = State(shape, np.eye(d, dtype=complex) / d)
+        got = maximally_mixed(shape)
+        assert got.blocks.dtype == dense.blocks.dtype
+        assert got.blocks.tobytes() == dense.blocks.tobytes()
+
     def test_half_half(self):
         m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         st = State(SystemShape.qubits(2), m)

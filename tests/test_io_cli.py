@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import hiercorr
-from hiercorr import cli
+from hiercorr import cli, maximizers
 from hiercorr.algebra import ShapeError, State, SystemShape
 from hiercorr.cli import main
 from hiercorr.hierarchy import hypergraph_k
@@ -322,6 +323,18 @@ class TestCLI:
         assert abs(rep["results"]["records"][0]["value"] - LOG2) < 1e-6
         assert rep["results"]["bound"]["argument"] == "conservative"
         assert rep["diagnostics"]["projection_failures"] == 0
+
+    def test_maximize_exits_3_on_projection_failures(self, monkeypatch, capsys):
+        project = maximizers.maxent_project
+
+        def unconverged(rho, model):
+            return dataclasses.replace(project(rho, model), converged=False)
+
+        monkeypatch.setattr(maximizers, "maxent_project", unconverged)
+        code = main(["maximize", "--shape", "2,2", "--k", "1", "--restarts", "2"])
+        diagnostics = _report(capsys)["diagnostics"]
+        assert code == 3
+        assert diagnostics["projection_failures"] == diagnostics["evaluations"] > 0
 
     def test_demo_subset(self, capsys):
         code = main(["demo", "--only", "parity-kernel"])

@@ -1,11 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
 from hiercorr.algebra import State, SystemShape, algebra_mask, hermitian_realvec
 from hiercorr.hierarchy import build_model, hypergraph_k
 from hiercorr.maxent import maxent_project
 from hiercorr.maximizers import (
+    RISE_MARGIN,
+    _ascend,
     check_exponential_form,
     search_local_maximizers,
     support_bound,
@@ -182,6 +185,54 @@ class TestSearch:
                                     n_restarts=4, seed=15)
         assert a.best.value == b.best.value
         assert np.array_equal(a.best.state.matrix, b.best.state.matrix)
+
+
+class TestAscentFloor:
+    def test_no_trial_under_the_rounding_floor(self):
+        # a flat maximum at x = 0 whose direction keeps a rounding-size 1e-8:
+        # trials stop once eta * size**2 < RISE_MARGIN, and two such rounds
+        # end the run long before max_steps
+        size = 1e-8
+        rounds, tried, values = [], [], []
+
+        def fun(x):
+            values.append(-x * x)
+            return values[-1], None
+
+        def direction(x, rho, pi):
+            rounds.append(x)
+
+            def trial(eta):
+                tried.append(eta)
+                return x + eta * size
+
+            return size, trial
+
+        val, x = _ascend(0.0, 1e3, lambda x: x, direction, fun, max_steps=200)
+        assert (val, x) == (0.0, 0.0)
+        assert tried == [1e3, 500.0, 250.0, 125.0]
+        assert all(eta * size**2 >= RISE_MARGIN for eta in tried)
+        assert 62.5 * size**2 < RISE_MARGIN
+        assert len(rounds) == 2
+        assert len(values) == 1 + len(tried)
+
+    @pytest.mark.parametrize("shape, k, top, support, seed, evaluations", [
+        (SystemShape.bits(2), 1, LOG2, 2, 0, 54),
+        (SystemShape.bits(2), 1, LOG2, 2, 1, 44),
+        (SystemShape.qubits(2), 1, 2 * LOG2, 1, 0, 67),
+        (SystemShape.qubits(2), 1, 2 * LOG2, 1, 1, 68),
+        (SystemShape.bits(3), 2, LOG2, 4, 0, 59),
+        (SystemShape.bits(3), 2, LOG2, 4, 1, 57),
+    ], ids=["b2-0", "b2-1", "q2-0", "q2-1", "b3k2-0", "b3k2-1"])
+    def test_certify_searches_reach_the_known_maxima(self, shape, k, top, support, seed,
+                                                      evaluations):
+        # two restarts, as in the benchmark's certify searches
+        rep = search_local_maximizers(shape, hypergraph_k(shape.N, k), n_restarts=2, seed=seed)
+        assert rep.evaluations == evaluations
+        assert rep.projection_failures == 0
+        assert abs(rep.best.value - top) < 1e-12
+        assert rep.best.support_dim == support
+        assert all(r.exp_residual < 1e-12 for r in rep.records)
 
 
 class TestMixedShapeSearch:

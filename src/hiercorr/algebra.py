@@ -308,7 +308,15 @@ class State:
         if nrm < 1e-14:
             raise ShapeError("cannot normalize the zero vector")
         v = v / nrm
-        return cls(shape, np.outer(v, v.conj()))
+        if not shape.all_classical:
+            return cls(shape, np.outer(v, v.conj()))
+        # the diagonal of the outer product, and the constructor's check of
+        # its largest off-diagonal entry
+        a = np.sort(abs(v))
+        off = a[-1] * a[-2] if len(a) > 1 else 0.0
+        if off > HERMITIAN_ATOL:
+            raise ShapeError(f"state has weight {off:.2e} outside the classical block structure")
+        return cls.from_probabilities(shape, (v * v.conj()).real)
 
 
 def _factor_state(m: np.ndarray, shape: SystemShape) -> State:

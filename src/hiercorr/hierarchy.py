@@ -25,7 +25,8 @@ from .algebra import (
     unit_hermitian_basis,
 )
 
-# materialization guard: refuse to build dense (m, r, r) stacks above this entry count
+# materialization guard: refuse to build dense (m, r, r) stacks, or an m x m
+# Gram matrix, above this entry count
 STACK_GUARD = 2**23
 
 
@@ -433,59 +434,46 @@ def full_model(shape: SystemShape) -> HierarchicalModel:
     return build_model(shape, hypergraph_k(shape.N, shape.N))
 
 
-def _algebra_entries(model: HierarchicalModel) -> np.ndarray:
-    """(m, n) entries of every element in the algebra, for the Gram matrix.
-
-    Per unit, the diagonals of a basis whose elements are all exactly
-    diagonal (a classical unit's, checked entry by entry) and all n^2
-    entries of any other, Kroneckered per pattern: entry for entry the
-    products of element_matrix, less exact zeros that add nothing to
-    tr(B_k B_l).  The Gram matrix does not depend on the entry order.
-    """
-    m = model.n_elements
-    pats = np.array(model.patterns).reshape(m, len(model.unit_bases))
-    flat = np.ones((m, 1), dtype=complex)
-    for i, basis in enumerate(model.unit_bases):
-        u = np.stack(basis)
-        if np.any(u * ~np.eye(u.shape[1], dtype=bool)):
-            entries = u.reshape(len(u), -1)
-        else:
-            entries = np.diagonal(u, axis1=1, axis2=2)
-        flat = (flat[:, :, None] * entries[pats[:, i]][:, None, :]).reshape(m, -1)
-    return flat
-
-
 def numerical_basis_rank(model: HierarchicalModel) -> int:
-    """Numerical rank of the constructed basis.
+    """Numerical rank of the constructed basis: the number of eigenvalues
+    of the Gram matrix tr(B_k B_l) above 1e-8 times the largest, i.e.
+    singular values above 1e-4 of the largest.
 
-    Small models get the spectrum of the m x m Gram matrix of the elements'
-    algebra entries (real, as the basis is hermitian), built for the check
-    and dropped after it; an eigenvalue counts when it exceeds 1e-8 times
-    the largest, i.e. a singular value above 1e-4 of the largest.  Large
-    models use the tensor structure: the Gram matrix of the distinct
-    patterns factors through the per-unit Grams, so after certifying those
-    to near machine precision it is diagonally dominant and therefore
-    non-singular.
+    Element k is the tensor product of unit basis elements at its pattern,
+    so the Gram matrix of the distinct patterns is the entrywise product of
+    the unit Grams G_i gathered at them: a principal submatrix of the
+    Kronecker product of the G_i, whose eigenvalues are the products of
+    the unit eigenvalues.  By Cauchy interlacing its every eigenvalue lies
+    between prod_i min eig G_i and prod_i max eig G_i; when the first
+    exceeds 1e-8 times the second, each distinct pattern counts (a repeated
+    pattern adds no rank) without a decomposition larger than a unit Gram.
+    Otherwise a unit basis is dependent, and the m x m Gram of the distinct
+    patterns is formed from the unit Grams and decomposed, up to
+    STACK_GUARD entries.
     """
-    d = model.shape.dim
-    m = model.n_elements
-    if m * d * d <= 2**20:
-        # tr(B_k B_l) of hermitian matrices is real: the dot product of the
-        # (re, im) pairs of the flattened entries
-        flat = _algebra_entries(model).view(np.float64)
-        w = np.linalg.eigvalsh(flat @ flat.T)
-        return int(np.sum(w > 1e-8 * max(float(w[-1]), 1e-300)))
-    distinct = len(set(model.patterns))
-    dev = 0.0
+    spectra = {}  # equal units share their basis elements: one Gram each
     for basis in model.unit_bases:
-        stack = np.stack(basis)
-        g = np.einsum("aij,bij->ab", stack, stack.conj()).real
-        dev += float(np.max(np.abs(g - np.eye(len(basis)))))
-    # Gershgorin: off-diagonal Gram entries are bounded by the summed per-unit
-    # deviations, so the Gram of the distinct patterns cannot be singular while
-    # their number times dev stays below 1/2; a repeated pattern adds no rank
-    if distinct * max(dev, 1e-300) < 0.5:
-        return distinct
-    raise RuntimeError(
-        f"cannot certify rank: per-unit Gram deviation {dev:.2e} too large for m={distinct}"
-    )
+        key = tuple(map(id, basis))
+        if key not in spectra:
+            u = np.stack(basis).reshape(len(basis), -1)
+            # tr(A B) of hermitian A and B is real
+            g = (u.conj() @ u.T).real
+            w = np.linalg.eigvalsh(g)
+            spectra[key] = g, max(w[0], 0.0), w[-1]
+    grams, lows, highs = zip(*(spectra[tuple(map(id, basis))] for basis in model.unit_bases))
+    low, high = math.prod(lows), math.prod(highs)
+    distinct = set(model.patterns)
+    m = len(distinct)
+    if low > 1e-8 * high:
+        return m
+    if m * m > STACK_GUARD:
+        raise RuntimeError(
+            f"cannot certify rank: unit Gram eigenvalues span {low:.2e} to {high:.2e}, "
+            f"and the Gram of m={m} exceeds the materialization guard"
+        )
+    pats = np.array(sorted(distinct)).reshape(m, len(grams))
+    gram = np.ones((m, m))
+    for g, p in zip(grams, pats.T):
+        gram *= g[np.ix_(p, p)]
+    w = np.linalg.eigvalsh(gram)
+    return int(np.sum(w > 1e-8 * max(float(w[-1]), 1e-300)))

@@ -25,7 +25,14 @@ from hiercorr.algebra import (
     unit_hermitian_basis,
     von_neumann_entropy,
 )
-from hiercorr.states import bell_state, ghz_state, maximally_mixed, random_density
+from hiercorr.states import (
+    all_configs,
+    basis_state,
+    bell_state,
+    ghz_state,
+    maximally_mixed,
+    random_density,
+)
 
 
 def _independent_partial_trace(mat, sizes, keep):
@@ -263,6 +270,24 @@ class TestEntropy:
         got = maximally_mixed(shape)
         assert got.blocks.dtype == dense.blocks.dtype
         assert got.blocks.tobytes() == dense.blocks.tobytes()
+
+    @pytest.mark.parametrize("shape", [SystemShape.bits(n) for n in range(3, 9)]
+                             + [SystemShape.classical((3, 2, 2))],
+                             ids=[f"b{n}" for n in range(3, 9)] + ["c322"])
+    def test_basis_states_match_the_dense_outer_product(self, shape):
+        d = shape.dim
+        for config in all_configs(shape)[::max(1, d // 16)] + [all_configs(shape)[-1]]:
+            got = basis_state(shape, config)
+            v = np.zeros(d, dtype=complex)
+            v[np.ravel_multi_index(config, shape.sizes)] = 1.0
+            dense = State(shape, np.outer(v, v.conj()))
+            assert got.blocks.dtype == dense.blocks.dtype
+            assert got.blocks.tobytes() == dense.blocks.tobytes()
+        # a superposition is not a state of a classical shape, as before
+        v = np.zeros(d, dtype=complex)
+        v[[0, -1]] = 1.0
+        with pytest.raises(ShapeError, match="outside the classical block structure"):
+            State.pure(shape, v)
 
     def test_half_half(self):
         m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)

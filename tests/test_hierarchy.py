@@ -180,7 +180,7 @@ class TestModelBasis:
         with pytest.raises(MemoryError):
             model.basis_matrices()
         assert numerical_basis_rank(model) == 6561
-        # a repeated element adds no rank, on either branch
+        # a repeated element adds no rank, large model or small
         dup = dataclasses.replace(model, patterns=model.patterns + (model.patterns[1],))
         assert numerical_basis_rank(dup) == 6561
         small = build_model(SystemShape.qubits(2), hypergraph_k(2, 1))
@@ -228,8 +228,8 @@ class TestModelBasis:
             assert np.max(np.abs(recon - e)) < 1e-12
 
     def test_classical_rank_takes_the_diagonals(self, no_dense_stack):
-        # every small model takes the Gram of its algebra entries: the
-        # diagonals of classical units, all entries of quantum ones
+        # classical, mixed and quantum models certify through their unit
+        # Grams, at every k
         for shape in (SystemShape.bits(4), SystemShape.classical((3, 2, 3)),
                       SystemShape((2, 3, 2), ("c", "q", "c")), SystemShape.qubits(3)):
             for k in (1, 2, shape.N):
@@ -239,11 +239,41 @@ class TestModelBasis:
         dup = dataclasses.replace(model, patterns=model.patterns + (model.patterns[1],))
         assert numerical_basis_rank(dup) == model.dim_total
         # a dependent (still diagonal) unit basis: the rank of the
-        # materialized elements drops, and the diagonal Gram sees it
+        # materialized elements drops, and the Gram of the patterns, formed
+        # from the unit Grams, sees it
         units = (model.unit_bases[0][:1] * 2,) + model.unit_bases[1:]
         bad = dataclasses.replace(model, unit_bases=units)
         flat = np.stack([bad.element_matrix(j).reshape(-1) for j in range(bad.n_elements)])
         assert numerical_basis_rank(bad) == np.linalg.matrix_rank(flat) < model.dim_total
+
+    def test_dependent_quantum_basis_drops_the_rank(self):
+        # the quantum twin of the classical case above: a qubit basis whose
+        # element 3 repeats element 1 is not diagonal, and its rank is that
+        # of the materialized elements
+        model = build_model(SystemShape.qubits(3), hypergraph_k(3, 2))
+        unit = model.unit_bases[0]
+        bad = dataclasses.replace(model, unit_bases=((unit[0], unit[1], unit[2], unit[1]),)
+                                  + model.unit_bases[1:])
+        flat = np.stack([bad.element_matrix(j).reshape(-1) for j in range(bad.n_elements)])
+        assert numerical_basis_rank(bad) == np.linalg.matrix_rank(flat) < model.dim_total
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 3), (3, 3, 3, 3)], ids=["2223", "3333"])
+    def test_rank_certified_from_the_unit_grams(self, sizes, no_dense_stack,
+                                                no_eigendecomposition):
+        # nothing larger than a unit Gram (at most 9 x 9) is decomposed
+        no_eigendecomposition(9)
+        for kind in ("classical", "quantum"):
+            shape = SystemShape(sizes, (kind,) * 4)
+            for hg in hierarchy.covering_hypergraphs(4):
+                assert numerical_basis_rank(build_model(shape, hg)) == model_dim(shape, hg)[0]
+
+    def test_dependent_basis_too_large_to_decompose_raises(self):
+        model = build_model(SystemShape.quantum((3, 3, 3, 3)), hypergraph_k(4, 4))
+        unit = model.unit_bases[0]
+        bad = dataclasses.replace(model, unit_bases=((unit[0], unit[1], unit[1]) + unit[3:],)
+                                  + model.unit_bases[1:])
+        with pytest.raises(RuntimeError, match="cannot certify rank"):
+            numerical_basis_rank(bad)
 
     def test_full_model_spans_algebra(self):
         sh = SystemShape((2, 2), ("classical", "quantum"))

@@ -281,6 +281,13 @@ class TestCLI:
         ranks = {(m["dim_total"], m["numerical_rank"]) for m in rep["results"]["models"]}
         assert ranks == {(7, 7), (16, 16)}
 
+    def test_dims_certify_every_qutrit_model(self, capsys):
+        code = main(["dims", "--shape", "3,3,3,3", "--kind", "quantum", "--certify"])
+        rows = _report(capsys)["results"]["models"]
+        assert code == 0
+        assert len(rows) == 114
+        assert all(row["numerical_rank"] == row["dim_total"] for row in rows)
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["ck", "--state", str(tmp_path / "nope.json"), "--k", "1"])
         capsys.readouterr()

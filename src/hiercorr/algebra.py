@@ -27,6 +27,9 @@ SUPPORT_RTOL = 1e-10
 KERNEL_MASS_TOL = 1e-10
 # entrywise distance at which hermitize_basis pairs an element with an adjoint
 ADJOINT_MATCH_TOL = 1e-9
+# materialization guard: refuse to build a dense d x d state matrix, dense
+# (m, r, r) stacks, or an m x m Gram matrix, above this entry count
+STACK_GUARD = 2**23
 
 
 class ShapeError(ValueError):
@@ -270,7 +273,12 @@ class State:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense (d, d) density matrix, zero outside the algebra; read-only."""
+        """The dense (d, d) density matrix, zero outside the algebra; read-only.
+        Beyond an all-quantum shape, whose matrix is a view of the one block,
+        d^2 above STACK_GUARD raises MemoryError."""
+        d = self.shape.dim
+        if not self.shape.all_quantum and d * d > STACK_GUARD:
+            raise MemoryError(f"dense matrix of {d} x {d} exceeds the materialization guard")
         mat = from_blocks(self.blocks, self.shape)
         mat.setflags(write=False)
         return mat

@@ -10,11 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (
+    STACK_GUARD,
     ShapeError,
     SystemShape,
     _block_rows,
@@ -24,10 +26,6 @@ from .algebra import (
     to_blocks,
     unit_hermitian_basis,
 )
-
-# materialization guard: refuse to build dense (m, r, r) stacks, or an m x m
-# Gram matrix, above this entry count
-STACK_GUARD = 2**23
 
 
 class HypergraphError(ValueError):
@@ -194,7 +192,7 @@ class HierarchicalModel:
     patterns: tuple[tuple[int, ...], ...]
     dim_total: int
     dim_model: int
-    _stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _plan: "_MomentPlan | None" = field(default=None, init=False, repr=False, compare=False)
 
     def element_matrix(self, j: int) -> np.ndarray:
@@ -268,7 +266,6 @@ class _Group(NamedTuple):  # maximal sets of equal dimension d_A and local entry
     pos: np.ndarray  # (g, n_e, d / d_A): block-array position of local entry e at rest r
     real: np.ndarray  # (n_local, 2 n_e): local bases of the group's signatures, as reals
     first: int  # first slot of the group
-    rows: np.ndarray  # (g, d_A, d / d_A): configuration of local index a at rest r
     entries: np.ndarray  # (g, n_e): flat local index a d_A + a' of each local entry
 
 
@@ -286,9 +283,12 @@ class _MomentPlan:
     Hamiltonian adds the local sums back along the same positions.
     On an isometry q, q^H B_k q is sum L_k[a, a'] G_A[(a, a')] / sqrt(d / d_A),
     G_A[(a, a'), s, t] = sum_r conj(q[(a, r), s]) q[(a', r), t] the Gram of
-    q's rows.  Maximal sets of equal dimension and local entry count form
-    one group, contracted in one matmul against the local bases of every
-    unit signature (sizes and kinds) in the group.
+    q's rows, read at the block rows of A's diagonal entries.  Maximal sets
+    of equal dimension and local entry count form one group, contracted in
+    one matmul against the local bases of every unit signature (sizes and
+    kinds) in the group.  pos, the one index array, holds every group's
+    positions in turn (each group's pos is a view of it); its inverse gives
+    the cells of iterative proportional fitting on all-classical shapes.
     """
 
     def __init__(self, model: HierarchicalModel):
@@ -305,6 +305,7 @@ class _MomentPlan:
         cfg_rows = _block_rows(shape)  # the configuration of each block row
         d_q = cfg_rows.shape[1]
         self.blocks = cfg_rows.shape + (d_q,)
+        self.configs = cfg_rows.reshape(-1)
         row = np.argsort(cfg_rows, axis=None)  # the block row of each configuration
         sigs = [tuple((sizes[i], kinds[i]) for i in a) for a in sets]
         # flat local indices a d_A + a' of the entries of A's local algebra
@@ -313,10 +314,10 @@ class _MomentPlan:
         for s, a in enumerate(sets):
             groups.setdefault((math.prod(sizes[i] for i in a), len(keeps[s])), []).append(s)
         self.slot = np.empty(model.n_elements, dtype=np.intp)
+        self.pos = np.empty(sum(len(m) * n * (d // d_a) for (d_a, n), m in groups.items()), np.intp)
         self.groups = []
-        positions, sources = [], []
-        n_slots = n_vals = 0
-        for (d_a, _), members in groups.items():
+        n_slots = n_pos = 0
+        for (d_a, n_e), members in groups.items():
             signatures = {}  # unit sizes and kinds -> (first local row, radix of the local index)
             stacks = []
             for s in members:
@@ -329,7 +330,8 @@ class _MomentPlan:
                     stacks.append(full.reshape(len(full), -1)[:, keeps[s]])
             local = np.ascontiguousarray(np.concatenate(stacks) / math.sqrt(d // d_a))
             n_local = local.shape[0]
-            pos, rows = [], []
+            size = len(members) * n_e * (d // d_a)
+            pos = self.pos[n_pos:n_pos + size].reshape(len(members), n_e, d // d_a)
             for t, s in enumerate(members):
                 a = sets[s]
                 rest = [i for i in range(n_units) if i not in a]
@@ -337,21 +339,15 @@ class _MomentPlan:
                 cfg = np.arange(d).reshape(sizes).transpose(a + rest).reshape(d_a, -1)
                 # entry (x, y) of a block sits at row[x] d_Q + row[y] mod d_Q
                 ea, eb = np.divmod(keeps[s], d_a)
-                pos.append(row[cfg[ea]] * d_q + row[cfg[eb]] % d_q)
-                rows.append(cfg)
+                pos[t] = row[cfg[ea]] * d_q + row[cfg[eb]] % d_q
                 first, radix = signatures[sigs[s]]
                 own = np.flatnonzero(owner == s)
                 self.slot[own] = n_slots + t * n_local + first + pats[own][:, a] @ radix
-            pos = np.stack(pos)
-            self.groups.append(_Group(pos, local.view(np.float64), n_slots, np.stack(rows),
+            self.groups.append(_Group(pos, local.view(np.float64), n_slots,
                                       np.stack([keeps[s] for s in members])))
-            positions.append(pos.ravel())
-            sources.append(n_vals + np.repeat(np.arange(pos.shape[0] * pos.shape[1]), pos.shape[2]))
             n_slots += len(members) * n_local
-            n_vals += pos.shape[0] * pos.shape[1]
+            n_pos += size
         self.n_slots = n_slots
-        self.positions = np.concatenate(positions)
-        self.sources = np.concatenate(sources)
 
     def _weights(self, theta: np.ndarray) -> np.ndarray:
         """theta spread over the slots of the local elements."""
@@ -359,6 +355,16 @@ class _MomentPlan:
         if theta.shape != (self.size - 1,):
             raise ValueError("parameter count does not match the model")
         return np.bincount(self.slot[1:], weights=theta, minlength=self.n_slots)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """All-classical shapes: each maximal set's cell of every configuration, numbered across
+        the sets in turn, so np.bincount(cells.ravel(), np.tile(p, len(cells))) are p's marginals."""
+        sets = [set_pos for pos, *_ in self.groups for set_pos in pos]
+        cells = np.empty((len(sets), len(self.configs)), dtype=np.intp)
+        for cell, set_pos, n in zip(cells, sets, np.cumsum([0] + [len(x) for x in sets])):
+            cell[:] = np.argsort(set_pos, axis=None) // set_pos.shape[1] + n
+        return cells
 
     def moments(self, x: np.ndarray) -> np.ndarray:
         flat = np.ascontiguousarray(x, dtype=complex).reshape(-1)
@@ -374,8 +380,12 @@ class _MomentPlan:
             raise MemoryError(f"{self.size} x {r} x {r} exceeds the materialization guard")
         out = []
         for grp in self.groups:
-            g, d_a, rest = grp.rows.shape
-            qa = q[grp.rows].transpose(0, 2, 1, 3).reshape(g, rest, d_a * r)
+            g, _, rest = grp.pos.shape
+            d_a = len(self.configs) // rest
+            # the diagonal entries a d_A + a, a = 0 .. d_A - 1, of each set
+            diag = np.nonzero(grp.entries % (d_a + 1) == 0)[1].reshape(g, d_a)
+            rows = self.configs[np.take_along_axis(grp.pos, diag[:, :, None], axis=1) // self.blocks[2]]
+            qa = q[rows].transpose(0, 2, 1, 3).reshape(g, rest, d_a * r)
             gram = (qa.conj().transpose(0, 2, 1) @ qa).reshape(g, d_a, r, d_a, r)
             gram = gram.transpose(0, 1, 3, 2, 4).reshape(g, d_a * d_a, r * r)
             gram = np.take_along_axis(gram, grp.entries[:, :, None], axis=1)
@@ -384,16 +394,16 @@ class _MomentPlan:
 
     def hamiltonian(self, theta: np.ndarray) -> np.ndarray:
         z = self._weights(theta)
-        vals = [
-            (z[grp.first:grp.first + grp.pos.shape[0] * grp.real.shape[0]].reshape(grp.pos.shape[0], -1)
-             @ grp.real).view(complex).reshape(-1)
+        # each group's local sums, repeated over the rest as pos orders them
+        v = np.concatenate([
+            (z[grp.first:grp.first + len(grp.pos) * len(grp.real)].reshape(len(grp.pos), -1)
+             @ grp.real).view(complex).repeat(grp.pos.shape[2])
             for grp in self.groups
-        ]
-        v = np.concatenate(vals)[self.sources]
+        ])
         n = math.prod(self.blocks)
         h = np.empty(n, dtype=complex)
-        h.real = np.bincount(self.positions, weights=v.real, minlength=n)
-        h.imag = np.bincount(self.positions, weights=v.imag, minlength=n)
+        h.real = np.bincount(self.pos, weights=v.real, minlength=n)
+        h.imag = np.bincount(self.pos, weights=v.imag, minlength=n)
         return h.reshape(self.blocks)
 
 

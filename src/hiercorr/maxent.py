@@ -26,7 +26,7 @@ all-classical shapes, take none).  ``primal`` keeps dense d x d iterates.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -521,37 +521,26 @@ def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, 
 # ----------------------------------------------------------------- ipf route
 
 
-@lru_cache(maxsize=32)
-def _ipf_cells(plan) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Each maximal set's cell of every configuration, inverting the plan's
-    positions (cell, rest) on an all-classical shape; where each set starts
-    in the stacked marginals, which are np.bincount(stacked, v[configs])."""
-    sets = [pos for grp in plan.groups for pos in grp.pos]
-    cells = [np.argsort(pos, axis=None) // pos.shape[1] for pos in sets]
-    starts = np.cumsum([0] + [len(pos) for pos in sets])
-    stacked = np.concatenate([cell + lo for cell, lo in zip(cells, starts)])
-    return cells, starts, stacked, np.tile(np.arange(len(cells[0])), len(sets))
-
-
 def _ipf_solve(x: np.ndarray, model: HierarchicalModel, tol: float):
-    """Fit the marginals of the (d, 1, 1) block array x on each maximal set in
-    turn (the moment plan's order) by rescaling every cell of the set; the
-    gap is taken over all marginals after each sweep."""
+    """Fit the marginals of the (d, 1, 1) block array x on each maximal set in turn (the
+    moment plan's order) by rescaling each of its cells; the gap is over all marginals per sweep."""
     if not model.shape.all_classical:
         raise ShapeError("iterative proportional fitting needs an all-classical shape")
-    cells, starts, stacked, configs = _ipf_cells(model._moment_plan())
-    p = np.real(x).reshape(-1)
-    target = np.bincount(stacked, p[configs])
-    fits = [(cell, target[lo:hi], hi - lo) for cell, lo, hi in zip(cells, starts[:-1], starts[1:])]
-    q = np.full(len(p), 1.0 / len(p))
+    cells = model._moment_plan().cells
+    rows = list(cells)  # one set's cells each, faster to loop over than the array
+    tiled = np.empty(cells.shape)  # x, then q, once per set: the weights of cells.ravel()
+    tiled[:] = np.real(x).reshape(-1)
+    target = np.bincount(cells.ravel(), tiled.ravel())
+    q = np.full(cells.shape[1], 1.0 / cells.shape[1])
     sweeps = 0
     for sweeps in range(1, IPF_SWEEPS + 1):
-        for cell, mp, size in fits:
-            mq = np.bincount(cell, weights=q, minlength=size)
+        for cell in rows:
+            mq = np.bincount(cell, weights=q, minlength=target.size)
             # an empty cell has no mass to rescale: the floor only keeps its
-            # ratio finite
-            q = q * (mp / np.maximum(mq, TINY))[cell]
-        if float(np.abs(np.bincount(stacked, q[configs]) - target).max()) <= 0.1 * tol:
+            # ratio finite (the ratios of the other sets' cells go unread)
+            q = q * (target / np.maximum(mq, TINY))[cell]
+        tiled[:] = q
+        if float(np.abs(np.bincount(cells.ravel(), tiled.ravel()) - target).max()) <= 0.1 * tol:
             break
     return q.reshape(-1, 1, 1), sweeps, {"sweeps": sweeps}, None
 

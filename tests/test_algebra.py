@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ class TestStateValidation:
                 arr[(0,) * arr.ndim] = 1.0
         # an all-quantum state's matrix is its one block
         assert np.shares_memory(st.matrix, st.blocks) == shape.all_quantum
+
+    def test_large_dense_matrix_is_refused(self):
+        # 13 bits: the dense matrix would be 8192 x 8192 complex entries, 1 GB
+        st = State.from_probabilities(SystemShape.bits(13), np.full(2**13, 2.0**-13))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="materialization guard"):
+                st.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_states_validate_on_their_blocks(self, no_eigendecomposition):
         rng = np.random.default_rng(36)

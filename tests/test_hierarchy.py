@@ -187,6 +187,14 @@ class TestModelBasis:
         dup = dataclasses.replace(small, patterns=small.patterns + (small.patterns[1],))
         assert numerical_basis_rank(dup) == 7
 
+    def test_replace_drops_the_cached_stack(self):
+        # a model with other unit bases builds its own stack
+        model = build_model(SystemShape.qubits(2), hypergraph_k(2, 1))
+        model.basis_matrices()
+        unit = model.unit_bases[0]
+        other = dataclasses.replace(model, unit_bases=((*unit[:3], unit[1]), model.unit_bases[1]))
+        assert np.array_equal(other.basis_matrices()[3], other.element_matrix(3))
+
     def test_equal_units_share_read_only_bases(self):
         a = build_model(SystemShape((2, 3, 2), ("c", "q", "c")), hypergraph_k(3, 2))
         b = build_model(SystemShape((3, 2), ("q", "c")), hypergraph_k(2, 1))
@@ -334,6 +342,13 @@ class TestMomentMap:
                              ids=[c[0] for c in _moment_map_cases()])
     def test_matches_dense_stack(self, shape, hg, local):
         _check_against_dense_stack(shape, hg, local, 7)
+
+    def test_one_index_array(self):
+        # every group's positions are a view of the plan's one flat array
+        for _, shape, hg in _moment_map_cases():
+            plan = build_model(shape, hg)._moment_plan()
+            assert all(np.shares_memory(grp.pos, plan.pos) for grp in plan.groups)
+            assert sum(grp.pos.size for grp in plan.groups) == plan.pos.size
 
     def test_compression_guard(self):
         # 8 qubits at k=2 on the whole space: 277 x 256 x 256 entries

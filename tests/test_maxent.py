@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -474,6 +476,32 @@ class TestClassicalVectors:
         assert peak < 64 * 2**20
         assert ipf.converged and dual.converged
         assert abs(ipf.divergence - dual.divergence) <= 1e-7
+
+    def test_ipf_plan_holds_one_index_array(self):
+        # b12 at k=2: 66 pairs x 4 cells x 1024 rest, 2.2 MB of positions and
+        # as much again of IPF cells, held by the model after the projection
+        shape = SystemShape.bits(12)
+        rho = State.from_probabilities(shape, np.random.default_rng(12).dirichlet(np.ones(shape.dim)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model = build_model(shape, hypergraph_k(12, 2))
+            assert maxent_project(rho, model, method="ipf").converged
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 5 * 2**20
+
+    def test_plan_is_freed_with_its_model(self):
+        shape = SystemShape.bits(4)
+        rho = State.from_probabilities(shape, np.random.default_rng(4).dirichlet(np.ones(shape.dim)))
+        model = build_model(shape, hypergraph_k(4, 2))
+        assert maxent_project(rho, model, method="ipf").converged
+        plan, cells = weakref.ref(model._plan), weakref.ref(model._plan.cells)
+        del model
+        gc.collect()
+        assert plan() is None and cells() is None
 
 
 MIXED_SHAPES = {

@@ -213,11 +213,12 @@ def _algebra_element(matrix, shape: SystemShape, what: str) -> np.ndarray:
     return mat
 
 
-def _checked_states(x: np.ndarray, hermitized: bool = False) -> np.ndarray:
+def _checked_states(x: np.ndarray, hermitized: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """State's checks on a stack (n, d_C, d_Q, d_Q) of block arrays, in order:
     hermitian (skipped when the caller has hermitized x), unit trace, no
     eigenvalue below PSD_ATOL, the eigenvalues taken block by block (a 1 x 1
-    block is its own).  Returns the hermitized stack."""
+    block is its own).  Returns the hermitized stack and its block
+    eigenvalues (n, d_C, d_Q), ascending within each block."""
     if not hermitized:
         adj = x.conj().swapaxes(-1, -2)
         herm = abs(x - adj).max()
@@ -229,10 +230,11 @@ def _checked_states(x: np.ndarray, hermitized: bool = False) -> np.ndarray:
     bad = abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * d_c * k)
     if bad.any():
         raise ShapeError(f"state trace is {tr[bad.argmax()]!r}, expected 1")
-    wmin = _eigh_blocks(x.reshape(-1, k, k), vectors=False).min()
+    w = _eigh_blocks(x.reshape(-1, k, k), vectors=False)
+    wmin = w.min()
     if wmin < PSD_ATOL:
         raise ShapeError(f"state has eigenvalue {wmin:.2e} below {PSD_ATOL:.0e}")
-    return x
+    return x, w.reshape(-1, d_c, k)
 
 
 @dataclass(frozen=True, init=False)
@@ -241,7 +243,8 @@ class State:
 
     The state is stored as its block array (block_layout), read-only; the
     dense matrix is built on first access and cached, and on an all-quantum
-    shape it is a view of the one block.
+    shape it is a view of the one block.  So is the spectrum, which
+    validation fills from the eigenvalues its PSD check takes.
     """
 
     shape: SystemShape
@@ -249,27 +252,35 @@ class State:
 
     def __init__(self, shape: SystemShape, matrix):
         x = to_blocks(_algebra_element(matrix, shape, "state"), shape)
-        self._store(shape, _checked_states(x[None], hermitized=True)[0])
+        x, w = _checked_states(x[None], hermitized=True)
+        self._store(shape, x[0], w)
 
-    def _store(self, shape: SystemShape, x: np.ndarray) -> None:
+    def _store(self, shape: SystemShape, x: np.ndarray, w: np.ndarray | None = None) -> None:
+        """Keep the block array x, read-only; its block eigenvalues w, when
+        validation took them, fill the spectrum."""
+        if w is not None:
+            spectrum = np.sort(w, axis=None)
+            spectrum.setflags(write=False)
+            self.__dict__["spectrum"] = spectrum
         x.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", x)
 
     @classmethod
-    def _trusted(cls, shape: SystemShape, x: np.ndarray) -> "State":
+    def _trusted(cls, shape: SystemShape, x: np.ndarray, w: np.ndarray | None = None) -> "State":
         """Wrap a block array that is hermitian, trace-one and PSD by
         construction, without revalidating it; it is made read-only, as the
-        public constructor does.  Internal: the public constructor keeps
-        every check."""
+        public constructor does, and its block eigenvalues w, if taken, fill
+        the spectrum.  Internal: the public constructor keeps every check."""
         state = object.__new__(cls)
-        state._store(shape, x)
+        state._store(shape, x, w)
         return state
 
     @classmethod
     def _of_blocks(cls, shape: SystemShape, x: np.ndarray) -> "State":
         """The state of a block array, through the constructor's checks."""
-        return cls._trusted(shape, _checked_states(x[None])[0])
+        x, w = _checked_states(x[None])
+        return cls._trusted(shape, x[0], w)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -282,6 +293,15 @@ class State:
         mat = from_blocks(self.blocks, self.shape)
         mat.setflags(write=False)
         return mat
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of all blocks together, ascending (_spectrum);
+        read-only.  Validation fills it, a state made without it takes it on
+        first access."""
+        w = _spectrum(self.blocks)
+        w.setflags(write=False)
+        return w
 
     @property
     def dim(self) -> int:
@@ -316,15 +336,16 @@ class State:
         if nrm < 1e-14:
             raise ShapeError("cannot normalize the zero vector")
         v = v / nrm
-        if not shape.all_classical:
-            return cls(shape, np.outer(v, v.conj()))
-        # the diagonal of the outer product, and the constructor's check of
-        # its largest off-diagonal entry
-        a = np.sort(abs(v))
+        # block c of the outer product is v_c v_c^H, v_c the amplitudes at the
+        # configurations of block c; the largest entry outside the blocks,
+        # which the dense constructor checks, is the product of the two
+        # largest per-block max |v|
+        vb = v[_block_rows(shape)]
+        a = np.sort(abs(vb).max(axis=1))
         off = a[-1] * a[-2] if len(a) > 1 else 0.0
         if off > HERMITIAN_ATOL:
             raise ShapeError(f"state has weight {off:.2e} outside the classical block structure")
-        return cls.from_probabilities(shape, (v * v.conj()).real)
+        return cls._of_blocks(shape, vb[:, :, None] * vb[:, None, :].conj())
 
 
 def _factor_state(m: np.ndarray, shape: SystemShape) -> State:
@@ -412,9 +433,10 @@ def _spectrum(x: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(state) -> float:
     """Entropy -tr(rho log rho) in nats, eigenvalues clipped to [0, 1]; a
-    State is taken block by block, a matrix as one block."""
-    x = state.blocks if isinstance(state, State) else _as_matrix(state)[None]
-    return spectrum_entropy(_spectrum(x))
+    State is taken from its spectrum, a matrix as one block."""
+    if isinstance(state, State):
+        return spectrum_entropy(state.spectrum)
+    return spectrum_entropy(_spectrum(_as_matrix(state)[None]))
 
 
 def _eigen_weights(rho_x: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,9 +459,10 @@ def relative_entropy(rho, sigma) -> float:
     matrices.
     """
     if isinstance(rho, State) and isinstance(sigma, State) and rho.shape == sigma.shape:
-        r, s = rho.blocks, sigma.blocks
+        r, s, rho_w = rho.blocks, sigma.blocks, rho.spectrum
     else:
         r, s = _as_matrix(rho)[None], _as_matrix(sigma)[None]
+        rho_w = None
     if r.shape != s.shape:
         raise ShapeError(f"operands have shapes {r.shape[1:]} and {s.shape[1:]}")
     ws, diag = (a.ravel() for a in _eigen_weights(r, s))
@@ -449,7 +472,7 @@ def relative_entropy(rho, sigma) -> float:
         return float("inf")
     supp = ~kernel
     term2 = float(np.sum(np.clip(diag[supp], 0.0, None) * np.log(ws[supp])))
-    val = -spectrum_entropy(_spectrum(r)) - term2
+    val = -spectrum_entropy(_spectrum(r) if rho_w is None else rho_w) - term2
     if -1e-9 < val < 0.0:
         val = 0.0
     return val
@@ -491,10 +514,27 @@ def _gibbs_blocks(h: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndar
     the Gibbs state's eigenpairs (p, u), p summing to one.  Log-sum-exp is
     shifted by the largest eigenvalue, so none overflows."""
     w, u = _eigh_blocks(h)
-    s = np.sort(w, axis=None)
-    lz = float(s[-1] + np.log1p(np.exp(s[:-1] - s[-1]).sum()))
+    lz = _log_sum_exp(w)
     p = np.exp(w - lz)
     return _compose(p, u), lz, p, u
+
+
+def _log_sum_exp(w: np.ndarray) -> float:
+    """log sum exp(w), shifted by the largest entry."""
+    s = np.sort(w, axis=None)
+    return float(s[-1] + np.log1p(np.exp(s[:-1] - s[-1]).sum()))
+
+
+def _gibbs_of_zero(n: int, k: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """_gibbs_blocks of the zero block array (n, k, k) in closed form, with
+    no eigendecomposition: the maximally mixed state, log(n k) from the same
+    log-sum-exp, and eigenpairs (1 / n k, identity).  LAPACK's eigh of a
+    zero block returns the identity, so the values are those of the map."""
+    w = np.zeros((n, k))
+    lz = _log_sum_exp(w)
+    p = np.exp(w - lz)
+    u = np.broadcast_to(np.eye(k, dtype=complex), (n, k, k)).copy()
+    return p[:, :, None] * u, lz, p, u
 
 
 def gibbs_with_log_partition(a: np.ndarray) -> tuple[np.ndarray, float]:

@@ -5,7 +5,9 @@ all states sharing the expectations of every basis element of the family.
 Five routes are implemented:
 
 * ``dual``: quasi-Newton descent in exponential-family coordinates, with
-  support peeling when the optimum sits on the boundary of the state space,
+  support peeling when the optimum sits on the boundary of the state space;
+  it starts at theta = 0 from the maximally mixed state in closed form and
+  takes the exact Newton step there as its first trial,
 * ``primal``: feasible entropy ascent on the density matrix itself,
   finished by a barrier Newton method on the detected support,
 * ``ipf``: iterative proportional fitting, classical shapes only,
@@ -21,6 +23,7 @@ States and Hamiltonians live in the block layout of algebra.block_layout,
 one d_Q x d_Q block per configuration of the classical units, and every
 spectral step is one batched eigendecomposition of the blocks (1 x 1 blocks,
 all-classical shapes, take none).  ``primal`` keeps dense d x d iterates.
+The input's spectrum is State.spectrum, taken when the state was validated.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from .algebra import (
     _eigen_weights,
     _eigh_blocks,
     _gibbs_blocks,
+    _gibbs_of_zero,
     _lift,
     _marginal_blocks,
-    _spectrum,
     expectation_values,
     hermitian_realvec,
     marginal,
@@ -246,16 +249,23 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxiter: int):
+def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: float, maxiter: int,
+                   newton: bool = False):
     """Minimize log Z(theta) - theta . targets by L-BFGS with backtracking.
 
-    hamiltonian(theta) is sum_k theta_k B_k as a block array and moments(x)
-    the vector of tr(B_k x) of a block array, over the directions B_k the
-    targets belong to.  Stops when the largest gradient entry is at most
-    gtol, when an accepted step lowers the objective by at most LBFGS_FTOL
-    relative to its size, when no step along steepest descent decreases it,
-    or after maxiter steps.  Returns theta, log Z, the Gibbs state at theta,
-    its eigenpairs (p, u) from _gibbs_blocks and the steps taken.
+    hamiltonian(theta) is sum_k theta_k B_k as a block array of blocks =
+    (n, k) blocks of k x k, and moments(x) the vector of tr(B_k x) of a block
+    array, over the directions B_k the targets belong to.  The descent
+    starts at theta = 0, whose Gibbs state is the maximally mixed one
+    (_gibbs_of_zero, no eigendecomposition).  Its first trial step is
+    steepest descent of length 1, or with newton the exact Newton step
+    -D g, D = n k: on orthonormal traceless B_k the Hessian of log Z at
+    theta = 0, the Kubo-Mori metric of the maximally mixed state, is I / D.
+    Stops when the largest gradient entry is at most gtol, when an accepted
+    step lowers the objective by at most LBFGS_FTOL relative to its size,
+    when no step along steepest descent decreases it, or after maxiter
+    steps.  Returns theta, log Z, the Gibbs state at theta, its eigenpairs
+    (p, u) as _gibbs_blocks gives them and the steps taken.
     """
 
     def fg(theta):
@@ -263,11 +273,13 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, gtol: float, maxit
         return lz - theta @ targets, moments(pi) - targets, pi, lz, (p, u)
 
     theta = np.zeros(targets.size)
-    f, g, pi, lz, eig = fg(theta)
+    pi, lz, *eig = _gibbs_of_zero(*blocks)
+    f, g = lz, moments(pi) - targets
+    dim = blocks[0] * blocks[1]
     pairs = []
     nit = 0
     while nit < maxiter and float(np.max(np.abs(g), initial=0.0)) > gtol:
-        p = _lbfgs_direction(g, pairs)
+        p = -dim * g if newton and nit == 0 else _lbfgs_direction(g, pairs)
         slope = float(g @ p)
         t = 1.0
         for _ in range(BACKTRACK_STEPS):
@@ -302,7 +314,8 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
     theta, lz, pi, (p, u), nit = _dual_minimize(
-        plan.hamiltonian, lambda x: plan.moments(x)[1:], b[1:], 0.1 * tol, DUAL_STEPS
+        plan.hamiltonian, lambda x: plan.moments(x)[1:], b[1:], plan.blocks[:2], 0.1 * tol,
+        DUAL_STEPS, newton=True,
     )
     resid = _residual(pi, model, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
@@ -327,7 +340,7 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
         _, _, tau, _, face_it = _dual_minimize(
             lambda t: np.tensordot(t, red, axes=(0, 0)),
             lambda x: np.real(np.tensordot(red, np.swapaxes(x, 1, 2), axes=3)),
-            c, 0.1 * tol, DUAL_STEPS,
+            c, red.shape[1:3], 0.1 * tol, DUAL_STEPS,
         )
         return tau, face_it
 
@@ -574,26 +587,26 @@ def maxent_project(
     method "auto" picks a closed form when one exists (full family, or the
     independence family), iterative proportional fitting for classical
     shapes, and otherwise the dual solver with a primal fallback.  Explicit
-    methods are honored strictly and raise when they do not apply.  The
-    result is converged when the moment residual is at most tol; when the
-    projection is rank-deficient, at most max(tol, BOUNDARY_TOL), with the
-    divergence within ENTROPY_MATCH_TOL of the cross-check
+    methods are honored strictly and raise when they do not apply.
+
+    The dual descent starts at theta = 0 from the closed form of the
+    maximally mixed state, with no eigendecomposition, and its first trial
+    is the exact Newton step theta = D b there (D the dimension, b the
+    target moments): the Hessian of log Z at theta = 0 on the orthonormal
+    traceless basis is I / D.  rho's entropy comes from rho.spectrum, which
+    validation fills.
+
+    The result is converged when the moment residual is at most tol; when
+    the projection is rank-deficient, at most max(tol, BOUNDARY_TOL), with
+    the divergence within ENTROPY_MATCH_TOL of the cross-check
     diagnostics["relative_entropy_direct"] (see _relative_entropy_direct).
     """
-    return _project(rho, model, None, method, tol)
-
-
-def _project(rho, model, rho_w, method="auto", tol=INTERIOR_TOL):
-    """maxent_project, reusing rho's ascending spectrum rho_w when the
-    caller has it (None: take it here)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if rho.shape != model.shape:
         raise ShapeError("state and model live on different shapes")
     hg = model.hypergraph
     full = set(range(1, rho.shape.N + 1)) in hg
-    if rho_w is None:
-        rho_w = _spectrum(rho.blocks)
 
     if method == "auto":
         if full:
@@ -604,27 +617,27 @@ def _project(rho, model, rho_w, method="auto", tol=INTERIOR_TOL):
             method = "ipf"
         else:
             method = "dual"
-            result = _run(rho, rho_w, model, "dual", tol)
+            result = _run(rho, model, "dual", tol)
             if result.converged:
                 return result
-            fallback = _run(rho, rho_w, model, "primal", tol)
+            fallback = _run(rho, model, "primal", tol)
             # a converged answer wins; between two misses, the lower residual
             return fallback if fallback.converged or fallback.residual < result.residual else result
     if method == "exact" and not full:
         raise ValueError("method 'exact' needs the full interaction set in the family")
     if method == "product" and not is_independence(hg):
         raise ValueError("method 'product' only applies to the independence family")
-    return _run(rho, rho_w, model, method, tol)
+    return _run(rho, model, method, tol)
 
 
-def _run(rho, rho_w, model, method, tol) -> ProjectionResult:
+def _run(rho, model, method, tol) -> ProjectionResult:
     if method == "exact":
         # the family holds every moment of rho, so rho is its own projection
         # and the dense basis stack is never needed
         return ProjectionResult(
             state=rho, divergence=0.0, method=method, converged=True, residual=0.0,
             iterations=0,
-            diagnostics={"support_dim": _support_size(rho_w), "relative_entropy_direct": 0.0},
+            diagnostics={"support_dim": _support_size(rho.spectrum), "relative_entropy_direct": 0.0},
         )
     shape = rho.shape
     rho_x = rho.blocks
@@ -647,7 +660,7 @@ def _run(rho, rho_w, model, method, tol) -> ProjectionResult:
     pi = State._trusted(shape, x)
     resid = _residual(x, model, b)
     support = _support_size(w)
-    rho_entropy = spectrum_entropy(rho_w)
+    rho_entropy = spectrum_entropy(rho.spectrum)
     divergence = max(0.0, spectrum_entropy(w) - rho_entropy)
     direct = _relative_entropy_direct(rho_x, rho_entropy, x)
     converged = resid <= tol
@@ -707,8 +720,7 @@ def correlation_decomposition(rho: State, **kw) -> dict:
     none) and "converged" whether every projection converged.
     """
     n = rho.shape.N
-    w = _spectrum(rho.blocks)  # one spectrum of rho for every order
-    runs = [_project(rho, build_model(rho.shape, hypergraph_k(n, k)), w, **kw) for k in range(1, n)]
+    runs = [maxent_project(rho, build_model(rho.shape, hypergraph_k(n, k)), **kw) for k in range(1, n)]
     c = [r.divergence for r in runs] + [0.0]
     incr = {k: c[k - 2] - c[k - 1] for k in range(2, n + 1)}
     return {

@@ -23,7 +23,6 @@ from .algebra import (
     _eigh_blocks,
     _factor_state,
     _lift,
-    _spectrum,
     hermitian_realvec,
 )
 from .hierarchy import HierarchicalModel, Hypergraph, build_model, model_dim
@@ -249,7 +248,7 @@ def search_local_maximizers(
                 MaximizerRecord(
                     value=val,
                     state=state,
-                    support_dim=_support_size(_spectrum(state.blocks), RANK_RTOL),
+                    support_dim=_support_size(state.spectrum, RANK_RTOL),
                     exp_residual=check_exponential_form(state, model),
                     hits=1,
                 )

@@ -106,7 +106,7 @@ def _bell_batch(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"correlation vector {bad.tolist()} is outside the state space")
     lam = np.clip(lam, 0.0, None)
     lam = lam / lam.sum(axis=1, keepdims=True)
-    return lam, _checked_states(rho[:, None])
+    return lam, _checked_states(rho[:, None])[0]
 
 
 def bell_from_t(t) -> BellDiagonal:

@@ -10,6 +10,7 @@ from hiercorr.algebra import (
     ShapeError,
     State,
     SystemShape,
+    _spectrum,
     algebra_mask,
     block_layout,
     classical_unit_basis,
@@ -301,6 +302,52 @@ class TestEntropy:
         v[[0, -1]] = 1.0
         with pytest.raises(ShapeError, match="outside the classical block structure"):
             State.pure(shape, v)
+
+    @pytest.mark.parametrize("shape", [SystemShape.quantum((2, 3)),
+                                       SystemShape((2, 3, 2), ("c", "q", "c")),
+                                       SystemShape((2,) * 6, ("c", "q") * 3),
+                                       SystemShape.qubits(3)],
+                             ids=["q23", "cqc-232", "cq-x3", "q3"])
+    def test_pure_states_match_the_dense_outer_product(self, shape):
+        # block c is v_c v_c^H, with no d x d matrix
+        rng = np.random.default_rng(16)
+        d = shape.dim
+        v = np.zeros(d, dtype=complex)
+        rows = algebra_mask(shape)[0]  # the configurations of the first block
+        v[rows] = rng.normal(size=rows.sum()) + 1j * rng.normal(size=rows.sum())
+        got = State.pure(shape, v)
+        u = v / np.linalg.norm(v)  # as State.pure normalizes
+        dense = State(shape, np.outer(u, u.conj()))
+        assert got.blocks.dtype == dense.blocks.dtype
+        assert got.blocks.tobytes() == dense.blocks.tobytes()
+        if shape.all_quantum:
+            return
+        # weight on two blocks is refused with the dense constructor's message
+        v[~rows] = 1.0
+        u = v / np.linalg.norm(v)
+        messages = []
+        for make in (lambda: State(shape, np.outer(u, u.conj())), lambda: State.pure(shape, v)):
+            with pytest.raises(ShapeError, match="outside the classical block structure") as err:
+                make()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("shape", [SystemShape.qubits(3), SystemShape.bits(4),
+                                       SystemShape((2, 3, 2), ("c", "q", "c"))],
+                             ids=["q3", "b4", "cqc-232"])
+    def test_spectrum_comes_from_validation(self, shape, count_decompositions):
+        rho = random_density(shape, np.random.default_rng(17))
+        calls = count_decompositions()
+        w = rho.spectrum
+        assert calls["eigvalsh"] == 0
+        assert w.dtype == _spectrum(rho.blocks).dtype
+        assert w.tobytes() == _spectrum(rho.blocks).tobytes()
+        assert not w.flags.writeable and rho.spectrum is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        # a state made without validation takes its spectrum on first access
+        lazy = State._trusted(shape, rho.blocks)
+        assert lazy.spectrum.tobytes() == w.tobytes() and not lazy.spectrum.flags.writeable
 
     def test_half_half(self):
         m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)

@@ -348,11 +348,10 @@ class State:
         return cls._of_blocks(shape, vb[:, :, None] * vb[:, None, :].conj())
 
 
-def _factor_state(m: np.ndarray, shape: SystemShape) -> State:
-    """The state M M^H / tr restricted to the algebra, of a (d, r) factor M:
-    block c is M_c M_c^H / tr, M_c the rows of M at the configurations of
-    block c."""
-    f = m[_block_rows(shape)]
+def _factor_state(f: np.ndarray, shape: SystemShape) -> State:
+    """The state of a block factor f (d_C, d_Q, r): block c is
+    f_c f_c^H / tr.  Gathering the rows of a (d, r) factor M by
+    _block_rows(shape) gives the state M M^H / tr restricted to the algebra."""
     x = f @ f.conj().transpose(0, 2, 1)
     return State._of_blocks(shape, x / np.trace(x, axis1=1, axis2=2).real.sum())
 

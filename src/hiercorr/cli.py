@@ -160,7 +160,7 @@ def _cmd_ck(args, scale):
         raise ShapeError(f"--k must lie in 1..{n}")
     if args.k == n:
         return {"k": args.k, "value": 0.0, "exact": True}, {}, 0
-    kw = {"method": args.method} if args.method != "auto" else {}
+    kw = {"method": args.method}
     if args.tol is not None:
         kw["tol"] = args.tol
     res = divergence_from_model(rho, hypergraph_k(n, args.k), **kw)
@@ -260,15 +260,9 @@ def _cmd_toric(args, scale):
         }
     if args.out:
         # one CSV, kernel rows appended below the interaction matrix rows
-        tagged = []
-        for i, row in enumerate(imat.matrix):
-            r = {"row": f"moment{i}"}
-            r.update({f"x{j}": int(v) for j, v in enumerate(row)})
-            tagged.append(r)
-        for i, row in enumerate(kernel):
-            r = {"row": f"kernel{i}"}
-            r.update({f"x{j}": int(v) for j, v in enumerate(row)})
-            tagged.append(r)
+        tagged = [{"row": f"{tag}{i}", **{f"x{j}": int(v) for j, v in enumerate(row)}}
+                  for tag, rows in (("moment", imat.matrix), ("kernel", kernel))
+                  for i, row in enumerate(rows)]
         hio.write_csv(args.out, tagged)
         results["csv"] = args.out
     return results, diagnostics, 0
@@ -347,10 +341,8 @@ def _cmd_theorem1(args, scale):
 
 def _cmd_fig1(args, scale):
     rows = correlation_geometry_rows(grid=args.grid)
-    if scale != 1.0:
-        for row in rows:
-            if row["mutual_information"] is not None:
-                row["mutual_information"] /= scale
+    for row in rows:
+        row["mutual_information"] /= scale  # nan off the physical region
     out = args.out or "geometry.csv"
     hio.write_csv(out, rows)
     results = {"csv": out, "rows": len(rows), "columns": list(rows[0].keys())}
@@ -502,16 +494,12 @@ def main(argv=None) -> int:
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     text = hio.dump_report(report)
-    if args.command == "demo":
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-    else:
+    if args.command != "demo":  # demo prints its table instead
         print(text)
-        # fig1 and toric spend --out on their CSV exports
-        if args.out and args.command not in ("fig1", "toric"):
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+    # fig1 and toric spend --out on their CSV exports
+    if args.out and args.command not in ("fig1", "toric"):
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
     return code
 
 

@@ -22,7 +22,7 @@ the projection is a limit of the exponential family).
 States and Hamiltonians live in the block layout of algebra.block_layout,
 one d_Q x d_Q block per configuration of the classical units, and every
 spectral step is one batched eigendecomposition of the blocks (1 x 1 blocks,
-all-classical shapes, take none).  ``primal`` keeps dense d x d iterates.
+all-classical shapes, take none).
 The input's spectrum is State.spectrum, taken when the state was validated.
 """
 
@@ -51,7 +51,6 @@ from .algebra import (
     realvec_hermitian,
     relative_entropy,
     spectrum_entropy,
-    to_blocks,
     von_neumann_entropy,
 )
 from .hierarchy import (
@@ -355,14 +354,14 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
 # -------------------------------------------------------------- primal route
 
 
-def _max_psd_blend(rho_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
-    """Largest s in [0, 1] with (1 - s) rho + s q still PSD."""
+def _max_psd_blend(rho_x: np.ndarray, q_x: np.ndarray) -> np.ndarray:
+    """Largest s in [0, 1] with (1 - s) rho + s q still PSD, of block arrays."""
 
     def lam_min(s):
-        return float(np.linalg.eigvalsh((1.0 - s) * rho_mat + s * q_mat)[0])
+        return float(_eigh_blocks((1.0 - s) * rho_x + s * q_x, vectors=False).min())
 
     if lam_min(1.0) >= -1e-14:
-        return q_mat.copy()
+        return q_x.copy()
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -370,24 +369,28 @@ def _max_psd_blend(rho_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
             lo = mid
         else:
             hi = mid
-    return (1.0 - lo) * rho_mat + lo * q_mat
+    return (1.0 - lo) * rho_x + lo * q_x
 
 
 def _span(model: HierarchicalModel, c: np.ndarray) -> np.ndarray:
     """sum_k c_k B_k over every element; element 0 is the identity / sqrt(d)."""
-    h = model.hamiltonian(c[1:])
-    h.flat[:: len(h) + 1] += c[0] / np.sqrt(len(h))
+    h = model._moment_plan().hamiltonian(c[1:])
+    i = np.arange(h.shape[-1])
+    h[:, i, i] += c[0] / np.sqrt(model.shape.dim)
     return h
 
 
-def _affine_psd_repair(mat: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> np.ndarray:
+def _affine_psd_repair(x: np.ndarray, model: HierarchicalModel, b: np.ndarray):
+    """x moved onto the moments b and into the cone, with its eigenpairs
+    when it was found PSD (else None)."""
+    moments = model._moment_plan().moments
     for _ in range(4):
-        mat = mat + _span(model, b - model.moments(mat))
-        w, u = np.linalg.eigh(mat)
-        if w[0] >= -1e-14:
-            return mat
-        mat = (u * np.clip(w, 0.0, None)) @ u.conj().T
-    return mat + _span(model, b - model.moments(mat))
+        x = x + _span(model, b - moments(x))
+        w, u = _eigh_blocks(x)
+        if w.min() >= -1e-14:
+            return x, (w, u)
+        x = _compose(np.clip(w, 0.0, None), u)
+    return x + _span(model, b - moments(x)), None
 
 
 def _entropy_ascent(tau, model, b, maxiter: int, gtol: float = 1e-9):
@@ -395,36 +398,36 @@ def _entropy_ascent(tau, model, b, maxiter: int, gtol: float = 1e-9):
 
     Serves as support detection for the Newton stage; eigenvalues are
     floored inside the log so the gradient stays finite on the boundary.
+    Returns the last iterate, its eigenpairs and the steps taken.
     """
-    tau = _affine_psd_repair(tau, model, b)
-    fails = 0
+    tau, eig = _affine_psd_repair(tau, model, b)
+    w, u = eig or _eigh_blocks(tau)
+    ent = spectrum_entropy(_eigh_blocks(tau, vectors=False))
     it = 0
     for it in range(1, maxiter + 1):
-        w, u = np.linalg.eigh(tau)
-        g = -(u * np.log(np.clip(w, 1e-13, None))) @ u.conj().T
-        gt = g - _span(model, model.moments(g))
+        g = -_compose(np.log(np.clip(w, 1e-13, None)), u)
+        gt = g - _span(model, model._moment_plan().moments(g))
         gn = float(np.linalg.norm(gt))
         if gn <= gtol:
             break
-        ent = von_neumann_entropy(tau)
         alpha = 1.0 / max(1.0, gn)
-        moved = False
         for _ in range(40):
-            cand = _affine_psd_repair(tau + alpha * gt, model, b)
+            cand, eig = _affine_psd_repair(tau + alpha * gt, model, b)
+            wc = _eigh_blocks(cand, vectors=False)
             # entropy is blind to clipped negative eigenvalues, so staying
             # essentially inside the cone is part of the acceptance test
-            inside = float(np.linalg.eigvalsh(cand)[0]) >= -1e-12
-            if inside and von_neumann_entropy(cand) > ent + 1e-14:
-                tau, moved = cand, True
+            cand_ent = spectrum_entropy(wc)
+            if wc.min() >= -1e-12 and cand_ent > ent + 1e-14:
+                tau, ent = cand, cand_ent
+                w, u = eig or _eigh_blocks(tau)
                 break
             alpha *= 0.5
-        if moved:
-            fails = 0
         else:
-            fails += 1
-            if fails >= 2:
-                break
-    return tau, it
+            # tau did not move, so a next round would repeat this one trial
+            # for trial: the ascent stops, counting that round as taken
+            it = min(it + 1, maxiter)
+            break
+    return tau, (w, u), it
 
 
 def _log_divided_differences(w: np.ndarray, lw: np.ndarray) -> np.ndarray:
@@ -436,17 +439,17 @@ def _log_divided_differences(w: np.ndarray, lw: np.ndarray) -> np.ndarray:
     return np.where(near, 1.0 / mean, dd)
 
 
-def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
-    """Barrier Newton along the free directions; tau stays affine-feasible
-    by construction and PD by fraction-to-boundary steps."""
+def _newton_polish(tau, ent, free, mus, gtol_final: float = 1e-11):
+    """Barrier Newton along the free directions from tau, of entropy ent; tau
+    stays affine-feasible by construction and PD by fraction-to-boundary steps."""
     if free.shape[0] == 0:
         return tau, 0
-    total = 0
+    total, eig = 0, None  # eig: tau's eigenpairs, kept while tau stays
     for mu in mus:
         gtol = max(gtol_final, 0.1 * mu)
         for _ in range(60):
             total += 1
-            w, u = np.linalg.eigh(tau)
+            w, u = eig = eig or np.linalg.eigh(tau)
             w = np.clip(w, 1e-300, None)
             lw = np.log(w)
             grad_mat = -(u * lw) @ u.conj().T
@@ -473,16 +476,17 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
             pencil = root.conj().T @ v @ root
             lmin = float(np.linalg.eigvalsh(0.5 * (pencil + pencil.conj().T))[0])
             t = 1.0 if lmin >= -1e-14 else min(1.0, 0.99 / (-lmin))
-            phi0 = von_neumann_entropy(tau) + (mu * lw.sum() if mu > 0.0 else 0.0)
+            phi0 = ent + (mu * lw.sum() if mu > 0.0 else 0.0)
             accepted = False
             for _ in range(30):
                 cand = tau + t * v
                 cand = 0.5 * (cand + cand.conj().T)
                 wc = np.linalg.eigvalsh(cand)
                 if wc[0] > 0.0:
-                    phic = von_neumann_entropy(cand) + (mu * np.log(wc).sum() if mu > 0.0 else 0.0)
+                    cand_ent = spectrum_entropy(wc)
+                    phic = cand_ent + (mu * np.log(wc).sum() if mu > 0.0 else 0.0)
                     if phic >= phi0 + 1e-4 * t * slope:
-                        tau, accepted = cand, True
+                        tau, ent, eig, accepted = cand, cand_ent, None, True
                         break
                 t *= 0.5
             if not accepted:
@@ -490,14 +494,15 @@ def _newton_polish(tau, free, mus, gtol_final: float = 1e-11):
     return tau, total
 
 
-def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float):
+def _primal_solve(rho_x: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float):
     """Returns the projection as a block array, its iterations and
-    diagnostics; the iterates are dense d x d matrices."""
+    diagnostics; the ascent runs on block arrays, each face solve on its
+    dense r x r compression."""
     # the euclidean projection of rho onto the model span carries the same
     # moments, so any PSD blend of the two is a feasible starting point
-    tau = _max_psd_blend(rho_mat, _span(model, b))
-    tau, ascent_iters = _entropy_ascent(tau, model, b, PRIMAL_STEPS)
-    info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": len(rho_mat)}
+    tau = _max_psd_blend(rho_x, _span(model, b))
+    tau, (w, u), ascent_iters = _entropy_ascent(tau, model, b, PRIMAL_STEPS)
+    info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": model.shape.dim}
 
     def solve_face(qmat, dirs, red, c):
         r = qmat.shape[1]
@@ -510,22 +515,25 @@ def _primal_solve(rho_mat: np.ndarray, model: HierarchicalModel, b: np.ndarray, 
             x = hermitian_realvec(mat)
             return realvec_hermitian(x - rv.T @ (rv @ x - c), r)
 
-        # Newton needs a positive definite start: clip and re-project a few times
-        tau_c = affine(qmat.conj().T @ tau @ qmat)
+        # Newton needs a positive definite start: clip and re-project a few
+        # times.  q^H tau q is the sum of q_c^H tau_c q_c over the blocks c
+        qb = qmat[_block_rows(model.shape)]
+        tau_c = affine((qb.conj().transpose(0, 2, 1) @ tau @ qb).sum(axis=0))
         for _ in range(7):
-            if float(np.linalg.eigvalsh(tau_c)[0]) > 1e-13:
-                face, nit = _newton_polish(tau_c, free, (1e-2, 1e-4, 1e-6, 1e-8, 0.0))
+            wc = np.linalg.eigvalsh(tau_c)
+            if wc[0] > 1e-13:
+                face, nit = _newton_polish(tau_c, spectrum_entropy(wc), free,
+                                           (1e-2, 1e-4, 1e-6, 1e-8, 0.0))
                 return face[None], nit
             wc, uc = np.linalg.eigh(tau_c)
             tau_c = affine((uc * np.clip(wc, 1e-12, None)) @ uc.conj().T)
         return None, 0
 
-    w, u = _eigh_blocks(to_blocks(tau, model.shape))
     best, _ = _face_loop(w, u, SNAP_SCHEDULE, False, 1e-7, solve_face, model, b, tol)
     if best is None:
         # no support candidate admitted an interior start; report the raw
         # ascent iterate rather than failing outright
-        return to_blocks(tau, model.shape), ascent_iters, info, None
+        return tau, ascent_iters, info, None
     pi, _, _, rank, newton_iters = best
     info.update(newton_iters=newton_iters, support_dim=rank)
     return pi, ascent_iters + newton_iters, info, None
@@ -650,7 +658,7 @@ def _run(rho, model, method, tol) -> ProjectionResult:
     elif method == "dual":
         out, iters, info, theta = _dual_solve(model, b, tol)
     else:
-        out, iters, info, theta = _primal_solve(rho.matrix, model, b, tol)
+        out, iters, info, theta = _primal_solve(rho_x, model, b, tol)
 
     # one spectral pass: the state and its spectrum come from the route's
     # last eigenpairs (the dual's interior exit) or from one eigendecomposition

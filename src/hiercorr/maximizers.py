@@ -174,31 +174,31 @@ def _mirror_direction(p: np.ndarray, rho: State, pi: State):
     return np.max(np.abs(g), initial=0.0), trial
 
 
-def _factor_direction(m: np.ndarray, rho: State, pi: State):
-    """Ascent on a purification factor: positivity and normalization are
-    free and the rank can only drop.  log rho - log pi lies in the algebra,
-    so the pinch leaves the gradient (2/t)(log rho - log pi - mean) M as is,
-    taken block by block on the rows of M that algebra._factor_state
-    gathers."""
-    rows = _block_rows(rho.shape)
-    f = m[rows]
+def _factor_direction(f: np.ndarray, rho: State, pi: State):
+    """Ascent on a block purification factor f (algebra._factor_state):
+    positivity and normalization are free and the rank can only drop.  The
+    gradient is (2/t)(log rho - log pi - mean) f, block by block.  A trial
+    whose blocks keep fewer singular values (above 1e-7 of the largest) than
+    f has columns becomes U_c S_c in every block over the largest kept count,
+    dropped values zero, which keeps each f_c f_c^H up to the cut."""
     t = float(np.trace(f @ f.conj().transpose(0, 2, 1), axis1=1, axis2=2).real.sum())
     log_rho, log_pi = (_compose(np.log(np.clip(w, 1e-13, None)), u)
                        for w, u in (_eigh_blocks(rho.blocks), _eigh_blocks(pi.blocks)))
     g = log_rho - log_pi
     mean = float(np.trace(g @ rho.blocks, axis1=1, axis2=2).real.sum())
-    grad = np.empty_like(m)
-    grad[rows] = ((2.0 / t) * (g - mean * np.eye(g.shape[-1]))) @ f
+    grad = ((2.0 / t) * (g - mean * np.eye(g.shape[-1]))) @ f
     gn = float(np.linalg.norm(grad))
 
     def trial(eta):
-        cand = m + (eta / max(1.0, gn)) * grad
+        cand = f + (eta / max(1.0, gn)) * grad
         sv = np.linalg.svd(cand, compute_uv=False)
-        if sv[0] > 0.0:
-            keep = sv > 1e-7 * sv[0]
-            if keep.sum() < cand.shape[1]:
+        top = sv.max()
+        if top > 0.0:
+            keep = sv > 1e-7 * top
+            n = keep.sum(axis=1).max()
+            if n < cand.shape[2]:
                 uu, ss, _ = np.linalg.svd(cand, full_matrices=False)
-                cand = uu[:, keep] * ss[keep]
+                cand = uu[:, :, :n] * np.where(keep, ss, 0.0)[:, None, :n]
         return cand
 
     return gn, trial
@@ -214,8 +214,8 @@ def search_local_maximizers(
     """Multistart local search for divergence maximizers.
 
     All-classical shapes use mirror ascent on the probability simplex;
-    other shapes ascend a purification factor, whose state is pinched into
-    the algebra when some unit is classical.  Runs are deduplicated into value
+    other shapes ascend a purification factor held as one block per
+    configuration of the classical units.  Runs are deduplicated into value
     clusters (1e-6 wide) and reported best first.
     """
     model = family if isinstance(family, HierarchicalModel) else build_model(shape, family)
@@ -231,7 +231,7 @@ def search_local_maximizers(
             x, eta, direction = rng.dirichlet(np.ones(d)), 1.0, _mirror_direction
             state_of = functools.partial(State.from_probabilities, shape)
         else:
-            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            x = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[_block_rows(shape)]
             eta, direction = 0.5, _factor_direction
             state_of = functools.partial(_factor_state, shape=shape)
         outcomes.append(_ascend(x, eta, state_of, direction, fun, max_steps))

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ShapeError, State, SystemShape, _factor_state
+from .algebra import ShapeError, State, SystemShape, _block_rows, _factor_state
 
 
 def ghz_state(n_qubits: int = 3) -> State:
@@ -109,4 +109,4 @@ def random_density(shape: SystemShape, rng: np.random.Generator, rank: int | Non
         p[pos] = w / w.sum()
         return State.from_probabilities(shape, p)
     m = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-    return _factor_state(m, shape)
+    return _factor_state(m[_block_rows(shape)], shape)

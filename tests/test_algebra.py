@@ -10,6 +10,7 @@ from hiercorr.algebra import (
     ShapeError,
     State,
     SystemShape,
+    _block_rows,
     _spectrum,
     algebra_mask,
     block_layout,
@@ -180,6 +181,27 @@ class TestStateValidation:
         q = p + np.eye(16)[1] * (p[0] + 1e-9) - np.eye(16)[0] * (p[0] + 1e-9)
         with pytest.raises(ShapeError, match="eigenvalue -1.00e-09"):
             State(bits, np.diag(q))
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rank", [None, 2], ids=["full", "rank2"])
+    @pytest.mark.parametrize("shape", [
+        SystemShape((2, 2, 2, 2), ("c", "q", "c", "q")),
+        SystemShape((2, 3, 2), ("q", "c", "q")),
+        SystemShape((2,) * 6, ("c", "q") * 3),
+    ], ids=["cqcq-2222", "qcq-232", "cq-x3"])
+    def test_random_density_keeps_its_draws(self, shape, rank, seed):
+        # seeded inputs of the tests and the benchmark: the dense (d, r)
+        # Gaussian factor M, its rows gathered by block, f f^H / tr
+        rng = np.random.default_rng(seed)
+        d = shape.dim
+        r = d if rank is None else rank
+        f = (rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))[_block_rows(shape)]
+        x = f @ f.conj().transpose(0, 2, 1)
+        x = x / np.trace(x, axis1=1, axis2=2).real.sum()
+        want = 0.5 * (x + x.conj().transpose(0, 2, 1))
+        got = random_density(shape, np.random.default_rng(seed), rank=rank).blocks
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTensor:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -11,9 +12,10 @@ import pytest
 
 import hiercorr
 from hiercorr import cli, maximizers
-from hiercorr.algebra import ShapeError, State, SystemShape
+from hiercorr.algebra import ShapeError, State, SystemShape, gibbs_with_log_partition
 from hiercorr.cli import main
-from hiercorr.hierarchy import hypergraph_k
+from hiercorr.hierarchy import build_model, hypergraph_k, model_dim
+from hiercorr.maxent import GibbsParameters
 from hiercorr.io import (
     dump_report,
     hypergraph_from_dict,
@@ -189,6 +191,24 @@ class TestCLI:
         assert np.max(np.abs(pi.matrix - np.eye(8) / 8.0)) < 1e-9
         assert rep["diagnostics"]["residual"] <= 1e-8
 
+    def test_project_interior_reports_gibbs_parameters(self, tmp_path, capsys):
+        rho = random_density(SystemShape.qubits(3), np.random.default_rng(7))
+        path = tmp_path / "q3.json"
+        path.write_text(json.dumps(state_to_dict(rho)))
+        code = main(["project", "--state", str(path), "--k", "2", "--tol", "1e-9"])
+        rep = _report(capsys)
+        assert code == 0
+        res = rep["results"]
+        assert res["method"] == "dual" and res["converged"] is True
+        assert rep["config"]["tol"] == 1e-9 and rep["diagnostics"]["residual"] <= 1e-9
+        assert "warnings" not in rep["diagnostics"]  # a tighter tolerance is standard
+        model = build_model(rho.shape, hypergraph_k(3, 2))
+        theta = np.array(res["theta"])
+        assert theta.shape == (model.n_elements - 1,)
+        assert res["log_partition"] == gibbs_with_log_partition(model.hamiltonian(theta))[1]
+        pi = GibbsParameters(theta, res["log_partition"]).state(model)
+        assert np.max(np.abs(pi.matrix - state_from_dict(res["projection"]).matrix)) <= 1e-12
+
     def test_project_full_family_on_six_qubits(self, tmp_path, capsys):
         p = tmp_path / "q6.json"
         rho = random_density(SystemShape.qubits(6), np.random.default_rng(54))
@@ -197,6 +217,43 @@ class TestCLI:
         rep = _report(capsys)
         assert code == 0
         assert rep["results"]["method"] == "exact" and rep["results"]["divergence"] == 0.0
+
+    def test_ck_at_the_full_order_is_exact(self, ghz_file, capsys):
+        code = main(["ck", "--state", ghz_file, "--k", "3"])
+        rep = _report(capsys)
+        assert code == 0
+        assert rep["results"] == {"k": 3, "value": 0.0, "exact": True}
+
+    def test_out_writes_the_printed_report(self, ghz_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["multiinfo", "--state", ghz_file, "--out", str(out)])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert out.read_text() == printed
+        assert json.loads(printed)["config"]["out"] == str(out)
+
+    def test_shape_and_hypergraph_files(self, ghz_file, tmp_path, capsys):
+        shape = SystemShape((2, 2, 2), ("quantum", "classical", "quantum"))
+        shape_file, hg_file = tmp_path / "shape.json", tmp_path / "triangle.json"
+        shape_file.write_text(json.dumps(shape_to_dict(shape)))
+        hg_file.write_text(json.dumps(hypergraph_to_dict(hypergraph_k(3, 2))))
+        code = main(["dims", "--shape", str(shape_file), "--hypergraph", str(hg_file),
+                     "--certify"])
+        rep = _report(capsys)
+        assert code == 0
+        assert rep["results"]["shape"] == shape_to_dict(shape)
+        (row,) = rep["results"]["models"]
+        assert row["generators"] == [[1, 2], [1, 3], [2, 3]]
+        total, manifold = model_dim(shape, hypergraph_k(3, 2))
+        assert (row["dim_total"], row["dim_model"], row["numerical_rank"]) == (total, manifold, total)
+        code = main(["project", "--state", ghz_file, "--hypergraph", str(hg_file)])
+        rep = _report(capsys)
+        assert code == 0
+        assert abs(rep["results"]["divergence"] - LOG2) < 1e-6
+        assert rep["diagnostics"]["support_dim"] == 2
+        hg_file.write_text(json.dumps(hypergraph_to_dict(hypergraph_k(2, 1))))
+        code = main(["project", "--state", ghz_file, "--hypergraph", str(hg_file)])
+        assert code == 2 and "2 units" in capsys.readouterr().err
 
     def test_bits_flag_scales(self, ghz_file, capsys):
         code = main(["multiinfo", "--state", ghz_file, "--bits"])
@@ -260,9 +317,68 @@ class TestCLI:
         rep = _report(capsys)
         assert code == 0
         assert rep["results"]["kernel"] == [[1, -1, -1, 1, -1, 1, 1, -1]]
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("row,x0")
-        assert lines[-1].split(",")[0] == "kernel0"
+        assert rep["results"]["csv"] == str(out)
+        # the interaction matrix rows, then the kernel rows, as csv writes them
+        moments = ["1,1,0,0,0,0,0,0", "0,0,1,1,0,0,0,0", "0,0,0,0,1,1,0,0", "0,0,0,0,0,0,1,1",
+                   "1,0,1,0,0,0,0,0", "0,1,0,1,0,0,0,0", "0,0,0,0,1,0,1,0", "0,0,0,0,0,1,0,1",
+                   "1,0,0,0,1,0,0,0", "0,1,0,0,0,1,0,0", "0,0,1,0,0,0,1,0", "0,0,0,1,0,0,0,1"]
+        lines = ["row," + ",".join(f"x{j}" for j in range(8))]
+        lines += [f"moment{i},{row}" for i, row in enumerate(moments)]
+        lines += ["kernel0,1,-1,-1,1,-1,1,1,-1"]
+        assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("probs, member", [
+        (np.kron(np.kron([0.3, 0.7], [0.6, 0.4]), [0.2, 0.8]), True),
+        ([0.25, 0, 0, 0.25, 0, 0.25, 0.25, 0], False),
+    ], ids=["product", "even-parity"])
+    def test_toric_membership_of_a_state(self, probs, member, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(state_to_dict(
+            State.from_probabilities(SystemShape.bits(3), probs))))
+        code = main(["toric", "--shape", "2,2,2", "--k", "2", "--state", str(path)])
+        rep = _report(capsys)
+        assert code == 0
+        got = rep["results"]["membership"]
+        assert got["is_member"] is member
+        # one kernel vector: the parity state charges only its even side
+        assert got["residuals"] == [0.0 if member else 1.0]
+        assert got["zero_support_flags"] == [not member]
+
+    def test_toric_state_of_another_shape_exits_2(self, ghz_file, capsys):
+        code = main(["toric", "--shape", "2,2,2", "--k", "2", "--state", ghz_file])
+        assert code == 2 and "disagrees" in capsys.readouterr().err
+
+    def test_basis(self, capsys):
+        code = main(["basis", "--n", "3"])
+        rep = _report(capsys)
+        assert code == 0
+        res = rep["results"]
+        assert res["n"] == 3 and len(res["fourier"]) == len(res["hermitian"]) == 9
+        herm = np.stack([pairs_to_matrix(m) for m in res["hermitian"]])
+        assert np.max(np.abs(herm - herm.conj().transpose(0, 2, 1))) <= 1e-15
+        flat = herm.reshape(9, 9)
+        assert np.max(np.abs(flat @ flat.conj().T - np.eye(9))) <= 1e-12
+        assert rep["diagnostics"]["gram_deviation"] <= 1e-12
+
+    def test_fig1_bits_scale_the_mutual_information(self, tmp_path, capsys):
+        paths = {unit: tmp_path / f"{unit}.csv" for unit in ("nats", "bits")}
+        assert main(["fig1", "--grid", "3", "--out", str(paths["nats"])]) == 0
+        nats = _report(capsys)
+        assert main(["fig1", "--grid", "3", "--bits", "--out", str(paths["bits"])]) == 0
+        bits = _report(capsys)
+        # four spectrum vertices, six separable extreme points, a 3^3 grid
+        assert nats["results"]["rows"] == bits["results"]["rows"] == 37
+        assert bits["results"]["csv"] == str(paths["bits"]) and bits["units"] == "bits"
+        rows = {unit: list(csv.DictReader(p.open())) for unit, p in paths.items()}
+        assert len(rows["nats"]) == 37 and rows["nats"][0].keys() == set(nats["results"]["columns"])
+        scaled = 0
+        for a, b in zip(rows["nats"], rows["bits"]):
+            mi_a, mi_b = a.pop("mutual_information"), b.pop("mutual_information")
+            assert a == b and (mi_a == "") == (mi_b == "")  # unphysical points stay empty
+            if mi_a:
+                assert float(mi_b) == float(mi_a) / LOG2
+                scaled += 1
+        assert scaled > 10
 
     def test_bell_charts_agree(self, capsys):
         code = main(["bell", "--t", "0.2,-0.1,0.3"])

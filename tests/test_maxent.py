@@ -607,6 +607,19 @@ class TestMixedBlocks:
             assert np.max(np.abs(gibbs_map(res.theta.hamiltonian(model)) - pi)) <= 1e-10
 
 
+    @pytest.mark.parametrize("rank, seed", [(None, 46), (3, 48)], ids=["full-rank", "rank-3"])
+    def test_primal_builds_no_dense_matrix(self, rank, seed, no_dense_matrix):
+        # the ascent runs on the block array; only its face solves are dense r x r
+        shape = SystemShape((2, 2, 2), ("q", "c", "q"))
+        rho = random_density(shape, np.random.default_rng(seed), rank=rank)
+        model = build_model(shape, hypergraph_k(3, 2))
+        res = maxent_project(rho, model, method="primal")
+        dual = maxent_project(rho, model, method="dual")
+        assert res.converged and res.residual <= INTERIOR_TOL
+        assert dual.converged and abs(res.divergence - dual.divergence) <= 1e-7
+        assert np.max(np.abs(res.state.blocks - dual.state.blocks)) <= 1e-6
+
+
 BLOCK_SHAPES = {
     "b3": SystemShape.bits(3),
     "cqcq-2222": SystemShape((2, 2, 2, 2), ("c", "q", "c", "q")),

@@ -254,3 +254,19 @@ class TestMixedShapeSearch:
         assert rep.evaluations > 0
         assert all(r.exp_residual <= 1e-5 for r in rep.records)
         assert sum(r.hits for r in rep.records) == 2
+
+    def test_block_factor_takes_no_svd_of_d_rows(self, monkeypatch):
+        # cq x 3 (d = 64, d_Q = 8): the rank test runs on the factor's blocks,
+        # never on a 64-row factor; the dense factor reached the same value
+        sh = SystemShape((2,) * 6, ("c", "q") * 3)
+        svd = np.linalg.svd
+
+        def blocks_only(a, *args, **kwargs):
+            if np.shape(a)[-2] > 8:
+                raise AssertionError(f"an svd of {np.shape(a)} was asked for")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", blocks_only)
+        rep = search_local_maximizers(sh, hypergraph_k(6, 1), n_restarts=1, seed=0, max_steps=40)
+        assert rep.projection_failures == 0
+        assert abs(rep.best.value - 3.4646579435456664) <= 1e-9

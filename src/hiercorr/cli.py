@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .algebra import ShapeError, SystemShape
+from .algebra import ShapeError, SystemShape, hermitize_basis, matrix_fourier_basis
 from .factorization import (
     GuardExceeded,
     build_interaction_matrix,
@@ -36,7 +36,6 @@ from .hierarchy import (
     model_dim,
     numerical_basis_rank,
 )
-from .algebra import hermitize_basis, matrix_fourier_basis
 from .maxent import (
     INTERIOR_TOL,
     METHODS,

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from .algebra import State, SystemShape, expectation_values
+from .algebra import State, SystemShape, expectation_values, hermitize_basis, matrix_fourier_basis
 from .factorization import (
     build_interaction_matrix,
     check_toric_membership,
@@ -29,7 +29,6 @@ from .hierarchy import (
     model_dim,
     numerical_basis_rank,
 )
-from .algebra import hermitize_basis, matrix_fourier_basis
 from .maxent import (
     GibbsParameters,
     k_party_correlation,

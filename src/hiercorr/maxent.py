@@ -8,8 +8,8 @@ Five routes are implemented:
   support peeling when the optimum sits on the boundary of the state space;
   it starts at theta = 0 from the maximally mixed state in closed form and
   takes the exact Newton step there as its first trial,
-* ``primal``: feasible entropy ascent on the density matrix itself,
-  finished by a barrier Newton method on the detected support,
+* ``primal``: feasible entropy ascent on the density matrix itself, finished
+  by Newton's method on the dual of the detected support's face,
 * ``ipf``: iterative proportional fitting, classical shapes only,
 * ``product`` / ``exact``: closed forms for the independence family and
   for any family containing the full interaction set.
@@ -45,7 +45,6 @@ from .algebra import (
     _gibbs_of_zero,
     _lift,
     _marginal_blocks,
-    expectation_values,
     hermitian_realvec,
     marginal,
     realvec_hermitian,
@@ -68,7 +67,7 @@ BOUNDARY_TOL = 1e-5
 ENTROPY_MATCH_TOL = 1e-6
 THETA_BLOWUP = 1e3
 PEEL_SCHEDULE = (1e-4, 1e-6, 1e-8, 1e-10)
-SNAP_SCHEDULE = (1e-9, 1e-6, 1e-12, None)
+SNAP_SCHEDULE = (1e-9, 1e-6, 1e-12)
 # L-BFGS: correction pairs kept, relative decrease that ends the descent,
 # sufficient-decrease constant and trial steps of the backtracking search
 LBFGS_MEMORY = 10
@@ -185,13 +184,14 @@ def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, bes
 
     Each cut keeps the eigenvectors above it (times the largest eigenvalue
     when relative) as the columns of the d x r isometry q, by ascending
-    eigenvalue; None keeps the whole space in the standard basis.  Cuts
-    keeping no vector, or as many as a face already tried, are skipped, as
-    are faces whose constraints q^H B_k q (model.compress) miss the moments
-    by more than defect_rtol.  solve_face(q, dirs, red, c), given those
-    constraints as compressed and as reduced, returns a block array over q's
-    columns (block j on columns j k .. j k + k - 1), or None, and its
-    iterations; the lift with the lowest residual wins, stopping at tol.
+    eigenvalue.  Cuts keeping no vector, or as many as a face already tried,
+    are skipped, as are faces whose constraints q^H B_k q (model.compress)
+    miss the moments by more than defect_rtol.  solve_face(red, c), given
+    those constraints as reduced, returns a block array over q's columns
+    (block j on columns j k .. j k + k - 1) and its iterations; the lift with
+    the lowest residual wins, stopping at tol.  The constraints span the
+    face's identity, so c is first pinned to trace one: along the identity
+    the face's dual log Z - t . c is then flat instead of linear.
 
     best, a full-space record (state, residual, round, rank, iterations)
     already in hand, marks the full rank as tried.  Returns the best record
@@ -204,19 +204,19 @@ def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, bes
     tried = {0} if best is None else {0, d}
     total = 0
     for rounds, cut in enumerate(cuts, start=1):
-        q = np.eye(d, dtype=complex) if cut is None else _lift(w, u, model.shape, cut * scale)[0]
+        q = _lift(w, u, model.shape, cut * scale)[0]
         r = q.shape[1]
-        if cut is not None and r in tried:
+        if r in tried:
             continue
         tried.add(r)
-        dirs = model.compress(q)
-        red, c, defect = _reduce_constraints(dirs, b)
+        red, c, defect = _reduce_constraints(model.compress(q), b)
         if defect > bound:
             continue  # cut too deep, this face cannot carry the moments
-        face, nit = solve_face(q, dirs, red, c)
+        # slope 1 - tr(x_ls) along the identity is a defect a descent would
+        # chase forever; moving c onto trace one makes that direction flat
+        v = np.real(np.trace(red, axis1=1, axis2=2))
+        face, nit = solve_face(red, c + v * (1.0 - v @ c) / (v @ v))
         total += nit
-        if face is None:
-            continue
         qb = q[rows].reshape(*rows.shape, *face.shape[:2])  # q's rows by block, columns by face block
         pi = np.einsum("cajb,jbe,cdje->cad", qb, face, qb.conj(), optimize=True)  # q F q^H
         resid = _residual(pi, model, b)
@@ -326,12 +326,7 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
     # boundary regime: the optimum has a kernel and the parameters diverge.
     # Peel off the eigenspace the iterate is abandoning and re-solve on the
     # remaining support.
-    def solve_face(q, dirs, red, c):
-        # the face's constraints span its identity, along which log Z - tau.c
-        # is linear with slope 1 - tr(x_ls), a defect the descent would chase
-        # forever; move c onto trace one so that direction is flat
-        v = np.real(np.trace(red, axis1=1, axis2=2))
-        c = c + v * (1.0 - v @ c) / (v @ v)
+    def solve_face(red, c):
         # the face's block layout: r blocks of 1 x 1 when d_Q = 1 (q's columns
         # are configurations), else one r x r block
         red = np.real(np.diagonal(red, axis1=1, axis2=2))[..., None, None] if u.shape[-1] == 1 \
@@ -430,109 +425,68 @@ def _entropy_ascent(tau, model, b, maxiter: int, gtol: float = 1e-9):
     return tau, (w, u), it
 
 
-def _log_divided_differences(w: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    dw = w[:, None] - w[None, :]
-    near = np.abs(dw) < 1e-12 * max(float(w[-1]), 1e-300)
-    num = lw[:, None] - lw[None, :]
-    dd = np.where(near, 0.0, num) / np.where(near, 1.0, dw)
-    mean = 0.5 * (w[:, None] + w[None, :])
-    return np.where(near, 1.0 / mean, dd)
+def _face_newton(red: np.ndarray, c: np.ndarray, tol: float):
+    """Newton's method on a face's dual: minimize f(t) = log tr exp(sum_k
+    t_k R_k) - t . c over the reduced constraints R_k (m, r, r) of one r x r
+    block, c pinned to trace one (see _face_loop).
 
+    The gradient is g_k = tr(R_k pi) - c_k at the Gibbs state pi = U diag(p)
+    U^H of sum_k t_k R_k, eigenvalues w.  The Hessian is the Kubo-Mori
+    metric of pi, H_kl = Re sum_ab conj(R~_k)_ab K_ab R~_l,ab - m_k m_l, with
+    R~_k = U^H R_k U, K_ab = (p_a - p_b) / (w_a - w_b), K_aa = p_a, and m_k =
+    tr(R_k pi).  Starts at t = 0 from the maximally mixed state; each step
+    solves H s = -g by least squares (the face's identity is flat) and
+    backtracks to sufficient decrease.  Stops when max |g| <= 0.1 tol, when
+    no step decreases f, or after DUAL_STEPS steps.  Returns the Gibbs state
+    as a (1, r, r) block array and the steps taken.
+    """
+    flat = red.reshape(len(red), -1)
 
-def _newton_polish(tau, ent, free, mus, gtol_final: float = 1e-11):
-    """Barrier Newton along the free directions from tau, of entropy ent; tau
-    stays affine-feasible by construction and PD by fraction-to-boundary steps."""
-    if free.shape[0] == 0:
-        return tau, 0
-    total, eig = 0, None  # eig: tau's eigenpairs, kept while tau stays
-    for mu in mus:
-        gtol = max(gtol_final, 0.1 * mu)
-        for _ in range(60):
-            total += 1
-            w, u = eig = eig or np.linalg.eigh(tau)
-            w = np.clip(w, 1e-300, None)
-            lw = np.log(w)
-            grad_mat = -(u * lw) @ u.conj().T
-            if mu > 0.0:
-                grad_mat = grad_mat + mu * (u * (1.0 / w)) @ u.conj().T
-            g = expectation_values(grad_mat, free)
-            if float(np.max(np.abs(g))) <= gtol:
+    def fg(t, gibbs=None):
+        pi, lz, p, u = gibbs or _gibbs_blocks(np.tensordot(t, red, axes=(0, 0))[None])
+        return lz - t @ c, np.real(flat @ pi[0].T.ravel()) - c, pi, p[0], u[0]
+
+    t = np.zeros(c.size)
+    f, g, pi, p, u = fg(t, _gibbs_of_zero(1, red.shape[-1]))
+    steps = 0
+    while steps < DUAL_STEPS and float(np.max(np.abs(g), initial=0.0)) > 0.1 * tol:
+        rt = (u.conj().T @ red @ u).reshape(len(red), -1)
+        # K_ab as p_hi (1 - exp(-x)) / x, x = |w_a - w_b|: no cancellation
+        lp = np.log(np.maximum(p, TINY))
+        x = np.abs(lp[:, None] - lp[None, :])
+        kernel = np.maximum.outer(p, p) * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
+        m = g + c
+        hess = np.real((rt.conj() * kernel.ravel()) @ rt.T) - np.outer(m, m)
+        step = np.linalg.lstsq(hess, -g, rcond=None)[0]
+        slope = float(g @ step)
+        s = 1.0
+        for _ in range(BACKTRACK_STEPS):
+            trial = fg(t + s * step)
+            if trial[0] <= f + ARMIJO_C1 * s * slope:
                 break
-            ft = u.conj().T @ free @ u
-            weight = _log_divided_differences(w, lw)
-            if mu > 0.0:
-                weight = weight + mu / np.outer(w, w)
-            h = -np.real(np.einsum("kab,ab,lab->kl", ft.conj(), weight, ft))
-            try:
-                step = np.linalg.solve(h, -g)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(h, -g, rcond=None)[0]
-            v = np.tensordot(step, free, axes=(0, 0))
-            slope = float(g @ step)
-            if slope <= 0.0:
-                break
-            # largest t with tau + t v > 0, through the whitened pencil
-            root = u * np.sqrt(1.0 / w)
-            pencil = root.conj().T @ v @ root
-            lmin = float(np.linalg.eigvalsh(0.5 * (pencil + pencil.conj().T))[0])
-            t = 1.0 if lmin >= -1e-14 else min(1.0, 0.99 / (-lmin))
-            phi0 = ent + (mu * lw.sum() if mu > 0.0 else 0.0)
-            accepted = False
-            for _ in range(30):
-                cand = tau + t * v
-                cand = 0.5 * (cand + cand.conj().T)
-                wc = np.linalg.eigvalsh(cand)
-                if wc[0] > 0.0:
-                    cand_ent = spectrum_entropy(wc)
-                    phic = cand_ent + (mu * np.log(wc).sum() if mu > 0.0 else 0.0)
-                    if phic >= phi0 + 1e-4 * t * slope:
-                        tau, ent, eig, accepted = cand, cand_ent, None, True
-                        break
-                t *= 0.5
-            if not accepted:
-                break
-    return tau, total
+            s *= 0.5
+        else:
+            break  # no step decreases f: the rounding floor
+        steps += 1
+        t = t + s * step
+        f, g, pi, p, u = trial
+    return pi, steps
 
 
 def _primal_solve(rho_x: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float):
     """Returns the projection as a block array, its iterations and
-    diagnostics; the ascent runs on block arrays, each face solve on its
-    dense r x r compression."""
+    diagnostics; the ascent runs on block arrays, each face solve on one
+    dense r x r block."""
     # the euclidean projection of rho onto the model span carries the same
     # moments, so any PSD blend of the two is a feasible starting point
     tau = _max_psd_blend(rho_x, _span(model, b))
     tau, (w, u), ascent_iters = _entropy_ascent(tau, model, b, PRIMAL_STEPS)
     info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": model.shape.dim}
-
-    def solve_face(qmat, dirs, red, c):
-        r = qmat.shape[1]
-        rv = hermitian_realvec(red)
-        # the free directions complete the constraints: the trailing right
-        # singular vectors of the full SVD
-        free = realvec_hermitian(np.linalg.svd(hermitian_realvec(dirs))[2][len(red):], r)
-
-        def affine(mat):  # exact affine projection within the compressed space
-            x = hermitian_realvec(mat)
-            return realvec_hermitian(x - rv.T @ (rv @ x - c), r)
-
-        # Newton needs a positive definite start: clip and re-project a few
-        # times.  q^H tau q is the sum of q_c^H tau_c q_c over the blocks c
-        qb = qmat[_block_rows(model.shape)]
-        tau_c = affine((qb.conj().transpose(0, 2, 1) @ tau @ qb).sum(axis=0))
-        for _ in range(7):
-            wc = np.linalg.eigvalsh(tau_c)
-            if wc[0] > 1e-13:
-                face, nit = _newton_polish(tau_c, spectrum_entropy(wc), free,
-                                           (1e-2, 1e-4, 1e-6, 1e-8, 0.0))
-                return face[None], nit
-            wc, uc = np.linalg.eigh(tau_c)
-            tau_c = affine((uc * np.clip(wc, 1e-12, None)) @ uc.conj().T)
-        return None, 0
-
-    best, _ = _face_loop(w, u, SNAP_SCHEDULE, False, 1e-7, solve_face, model, b, tol)
+    best, _ = _face_loop(w, u, SNAP_SCHEDULE, False, 1e-7, lambda red, c: _face_newton(red, c, tol),
+                         model, b, tol)
     if best is None:
-        # no support candidate admitted an interior start; report the raw
-        # ascent iterate rather than failing outright
+        # no face cut from the ascent iterate carries the moments; report
+        # the raw iterate rather than failing outright
         return tau, ascent_iters, info, None
     pi, _, _, rank, newton_iters = best
     info.update(newton_iters=newton_iters, support_dim=rank)

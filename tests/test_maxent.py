@@ -32,6 +32,7 @@ from hiercorr.maxent import (
     INTERIOR_TOL,
     GibbsParameters,
     _dual_minimize,
+    _face_newton,
     _lbfgs_direction,
     _reduce_constraints,
     chain_step_divergence,
@@ -607,6 +608,39 @@ class TestMixedBlocks:
             assert np.max(np.abs(gibbs_map(res.theta.hamiltonian(model)) - pi)) <= 1e-10
 
 
+    def test_primal_builds_no_free_direction_basis(self, monkeypatch):
+        # a rank-4 cq x 3 state at k = 2: the face holds all 64 dimensions, so
+        # a complement of its 70 constraints in the 4096 real coordinates
+        # (the full SVD of the constraint matrix) would take minutes
+        svd = np.linalg.svd
+
+        def guarded(a, *args, full_matrices=True, **kwargs):
+            if full_matrices and np.shape(a)[-1] > 1024:
+                raise AssertionError(f"a full SVD of {np.shape(a)} was asked for")
+            return svd(a, *args, full_matrices=full_matrices, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", guarded)
+        shape = SystemShape((2,) * 6, ("c", "q") * 3)
+        rho = random_density(shape, np.random.default_rng(300), rank=4)
+        model = build_model(shape, hypergraph_k(6, 2))
+        res = maxent_project(rho, model, method="primal")
+        dual = maxent_project(rho, model, method="dual")
+        assert res.converged and dual.converged
+        assert abs(res.divergence - dual.divergence) <= 1e-8
+        assert np.max(np.abs(res.state.blocks - dual.state.blocks)) <= 1e-6
+
+    @pytest.mark.parametrize("name, seed, rank", [
+        *[("q3", seed, 2) for seed in range(5)],
+        ("qcq-222", 46, None), ("qcq-222", 48, 3), ("cqcq-2222", 300, 2),
+    ])
+    def test_primal_face_takes_few_newton_steps(self, name, seed, rank):
+        shape = {"q3": SystemShape.qubits(3), "qcq-222": SystemShape((2, 2, 2), ("q", "c", "q")),
+                 "cqcq-2222": SystemShape((2, 2, 2, 2), ("c", "q", "c", "q"))}[name]
+        rho = random_density(shape, np.random.default_rng(seed), rank=rank)
+        res = maxent_project(rho, build_model(shape, hypergraph_k(shape.N, 2)), method="primal")
+        assert res.converged
+        assert res.diagnostics["newton_iters"] <= 10
+
     @pytest.mark.parametrize("rank, seed", [(None, 46), (3, 48)], ids=["full-rank", "rank-3"])
     def test_primal_builds_no_dense_matrix(self, rank, seed, no_dense_matrix):
         # the ascent runs on the block array; only its face solves are dense r x r
@@ -771,3 +805,28 @@ class TestReduction:
         vecs, basis = hermitian_realvec(dirs), hermitian_realvec(red)
         assert np.max(np.abs(vecs @ basis.T @ basis - vecs)) < 1e-10
         assert np.max(np.abs(basis @ hermitian_realvec(tau) - c)) < 1e-10
+
+
+class TestFaceNewton:
+    def test_matches_the_dual_face_solve(self):
+        # seeded constraints on a 4 x 4 face, with its identity among them,
+        # whose answer is full rank: exact Newton and the dual's L-BFGS face
+        # solve must land on the same Gibbs state
+        rng = np.random.default_rng(66)
+        g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        dirs = np.concatenate([g + np.transpose(g.conj(), (0, 2, 1)), np.eye(4)[None]])
+        tau = random_density(SystemShape.qubits(2), rng).matrix
+        red, c, _ = _reduce_constraints(dirs, np.real(np.einsum("kij,ji->k", dirs, tau)))
+        v = np.real(np.trace(red, axis1=1, axis2=2))
+        c = c + v * (1.0 - v @ c) / (v @ v)  # the face loop's trace pin
+        face, steps = _face_newton(red, c, 1e-10)
+        *_, pi, _, _ = _dual_minimize(
+            lambda t: np.tensordot(t, red[:, None], axes=(0, 0)),
+            lambda x: np.real(np.tensordot(red[:, None], np.swapaxes(x, 1, 2), axes=3)),
+            c, (1, 4), 1e-11, maxent.DUAL_STEPS,
+        )
+        assert face.shape == (1, 4, 4)
+        assert steps <= 10
+        assert np.max(np.abs(face - pi)) <= 1e-9
+        assert np.max(np.abs(np.real(np.einsum("kij,ji->k", red, face[0])) - c)) <= 1e-11
+        assert np.linalg.eigvalsh(face[0]).min() > 1e-3

@@ -160,7 +160,7 @@ def check_ghz_ladder():
     c1 = multi_information(rho)
     ok = abs(c1 - 3 * LOG2) <= 1e-8
 
-    res2 = maxent_project(rho, build_model(rho.shape, hypergraph_k(3, 2)), method="primal")
+    res2 = maxent_project(rho, build_model(rho.shape, hypergraph_k(3, 2)), method="newton")
     c2 = res2.divergence
     ok = ok and abs(c2 - LOG2) <= 1e-3
 
@@ -172,7 +172,7 @@ def check_ghz_ladder():
     # rho is pure, so the divergence from the family is the projection entropy
     ok = ok and abs(oracle_entropy - c2) <= 1e-3 and violation <= 1e-4
 
-    decomp = correlation_decomposition(rho, method="primal")
+    decomp = correlation_decomposition(rho, method="newton")
     capital = decomp["C"]
     ok = ok and abs(capital[2] - 2 * LOG2) <= 1e-3 and abs(capital[3] - LOG2) <= 1e-3
     ok = ok and abs(sum(capital.values()) - c1) <= 1e-3
@@ -426,7 +426,7 @@ def check_maximizer_search():
 
 
 def check_solver_triangle():
-    """Dual, fitting, and primal projections coincide on random 3-bit states."""
+    """Dual, fitting, and Newton projections coincide on random 3-bit states."""
     rng = np.random.default_rng(47)
     shape = SystemShape.bits(3)
     models = [build_model(shape, hypergraph_k(3, k)) for k in (1, 2)]
@@ -437,7 +437,7 @@ def check_solver_triangle():
         p = np.clip(p, 1e-4, None)
         rho = State.from_probabilities(shape, p / p.sum())
         for model in models:
-            results = [maxent_project(rho, model, method=m) for m in ("dual", "ipf", "primal")]
+            results = [maxent_project(rho, model, method=m) for m in ("dual", "ipf", "newton")]
             for a, b in itertools.combinations(results, 2):
                 tv = 0.5 * float(
                     np.abs(a.state.probabilities() - b.state.probabilities()).sum()

@@ -8,8 +8,8 @@ Five routes are implemented:
   support peeling when the optimum sits on the boundary of the state space;
   it starts at theta = 0 from the maximally mixed state in closed form and
   takes the exact Newton step there as its first trial,
-* ``primal``: feasible entropy ascent on the density matrix itself, finished
-  by Newton's method on the dual of the detected support's face,
+* ``newton``: Newton's method on the dual with the exact Kubo-Mori Hessian,
+  on the whole space and then on faces peeled from its answer,
 * ``ipf``: iterative proportional fitting, classical shapes only,
 * ``product`` / ``exact``: closed forms for the independence family and
   for any family containing the full interaction set.
@@ -29,11 +29,12 @@ The input's spectrum is State.spectrum, taken when the state was validated.
 from __future__ import annotations
 
 import dataclasses
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from .algebra import (
+    STACK_GUARD,
     ShapeError,
     State,
     SystemShape,
@@ -67,21 +68,18 @@ BOUNDARY_TOL = 1e-5
 ENTROPY_MATCH_TOL = 1e-6
 THETA_BLOWUP = 1e3
 PEEL_SCHEDULE = (1e-4, 1e-6, 1e-8, 1e-10)
-SNAP_SCHEDULE = (1e-9, 1e-6, 1e-12)
 # L-BFGS: correction pairs kept, relative decrease that ends the descent,
 # sufficient-decrease constant and trial steps of the backtracking search
 LBFGS_MEMORY = 10
 LBFGS_FTOL = 1e-18
 ARMIJO_C1 = 1e-4
 BACKTRACK_STEPS = 20
-# iteration caps: IPF sweeps, L-BFGS steps of the dual (each face solve gets
-# the same budget again) and entropy-ascent steps of the primal route
+# iteration caps: IPF sweeps, and the steps of each dual or Newton descent, face solves included
 IPF_SWEEPS = 20000
 DUAL_STEPS = 2000
-PRIMAL_STEPS = 400
 TINY = np.finfo(float).tiny  # the smallest normal double
 
-METHODS = ("auto", "exact", "product", "ipf", "dual", "primal")
+METHODS = ("auto", "exact", "product", "ipf", "dual", "newton")
 
 
 class ConvergenceError(RuntimeError):
@@ -178,29 +176,29 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------- face loop
 
 
-def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, best=None):
-    """Re-solve a boundary projection on faces cut from the caller's last
-    iterate, given by its block eigenpairs (w, u) of _eigh_blocks.
+def _face_loop(w, u, cuts, solve_face, model, b, tol, best=None):
+    """Solve a projection on faces cut from an iterate, given by its block
+    eigenpairs (w, u) of _eigh_blocks (a cut at 0 keeps the whole space).
 
-    Each cut keeps the eigenvectors above it (times the largest eigenvalue
-    when relative) as the columns of the d x r isometry q, by ascending
-    eigenvalue.  Cuts keeping no vector, or as many as a face already tried,
-    are skipped, as are faces whose constraints q^H B_k q (model.compress)
-    miss the moments by more than defect_rtol.  solve_face(red, c), given
-    those constraints as reduced, returns a block array over q's columns
+    Each cut keeps the eigenvectors above it times the largest eigenvalue
+    as the columns of the d x r isometry q, by ascending eigenvalue.  Cuts
+    keeping no vector, or as many as a face already tried, are skipped, as
+    are faces whose constraints q^H B_k q (model.compress) miss the moments
+    by more than 1e-8 max(1, max |b|).  solve_face(red, c), given those
+    constraints as reduced, returns a block array over q's columns
     (block j on columns j k .. j k + k - 1) and its iterations; the lift with
     the lowest residual wins, stopping at tol.  The constraints span the
     face's identity, so c is first pinned to trace one: along the identity
     the face's dual log Z - t . c is then flat instead of linear.
 
-    best, a full-space record (state, residual, round, rank, iterations)
-    already in hand, marks the full rank as tried.  Returns the best record
-    (None if there is none) and the iterations spent on faces.
+    best, a full-space record (state, residual, round) already in hand,
+    marks the full rank as tried.  Returns the best record (None if there
+    is none) and the iterations spent on faces.
     """
     d = model.shape.dim
     rows = _block_rows(model.shape)
-    scale = max(float(w.max()), 1e-300) if relative else 1.0
-    bound = defect_rtol * max(1.0, float(np.max(np.abs(b))))
+    scale = max(float(w.max()), 1e-300)
+    bound = 1e-8 * max(1.0, float(np.max(np.abs(b))))
     tried = {0} if best is None else {0, d}
     total = 0
     for rounds, cut in enumerate(cuts, start=1):
@@ -221,7 +219,7 @@ def _face_loop(w, u, cuts, relative, defect_rtol, solve_face, model, b, tol, bes
         pi = np.einsum("cajb,jbe,cdje->cad", qb, face, qb.conj(), optimize=True)  # q F q^H
         resid = _residual(pi, model, b)
         if best is None or resid < best[1]:
-            best = (pi, resid, rounds, r, nit)
+            best = (pi, resid, rounds)
         if best[1] <= tol:
             break
     return best, total
@@ -260,11 +258,13 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
     steepest descent of length 1, or with newton the exact Newton step
     -D g, D = n k: on orthonormal traceless B_k the Hessian of log Z at
     theta = 0, the Kubo-Mori metric of the maximally mixed state, is I / D.
-    Stops when the largest gradient entry is at most gtol, when an accepted
-    step lowers the objective by at most LBFGS_FTOL relative to its size,
-    when no step along steepest descent decreases it, or after maxiter
-    steps.  Returns theta, log Z, the Gibbs state at theta, its eigenpairs
-    (p, u) as _gibbs_blocks gives them and the steps taken.
+    A search that fails, or a direction that overflows, drops the curvature
+    pairs and retries along steepest descent.  Stops when the largest
+    gradient entry is at most gtol, when an accepted step lowers the
+    objective by at most LBFGS_FTOL relative to its size, when no step
+    along steepest descent decreases it, or after maxiter steps.  Returns
+    theta, log Z, the Gibbs state at theta, its eigenpairs (p, u) as
+    _gibbs_blocks gives them and the steps taken.
     """
 
     def fg(theta):
@@ -278,10 +278,12 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
     pairs = []
     nit = 0
     while nit < maxiter and float(np.max(np.abs(g), initial=0.0)) > gtol:
-        p = -dim * g if newton and nit == 0 else _lbfgs_direction(g, pairs)
-        slope = float(g @ p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = -dim * g if newton and nit == 0 else _lbfgs_direction(g, pairs)
+            slope = float(g @ p)
         t = 1.0
-        for _ in range(BACKTRACK_STEPS):
+        # a direction that overflowed fails the search outright
+        for _ in range(BACKTRACK_STEPS if np.isfinite(slope) else 0):
             trial = fg(theta + t * p)
             if trial[0] <= f + ARMIJO_C1 * t * slope:
                 break
@@ -338,91 +340,12 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
         )
         return tau, face_it
 
-    best, face_its = _face_loop(
-        p, u, PEEL_SCHEDULE, True, 1e-8, solve_face, model, b, tol, best=(pi, resid, 0, d, nit)
-    )
-    pi, _, rounds, rank, _ = best
-    info.update(rounds=rounds, support_dim=rank)
+    (pi, _, info["rounds"]), face_its = _face_loop(p, u, PEEL_SCHEDULE, solve_face, model, b, tol,
+                                                   best=(pi, resid, 0))
     return pi, nit + face_its, info, None
 
 
-# -------------------------------------------------------------- primal route
-
-
-def _max_psd_blend(rho_x: np.ndarray, q_x: np.ndarray) -> np.ndarray:
-    """Largest s in [0, 1] with (1 - s) rho + s q still PSD, of block arrays."""
-
-    def lam_min(s):
-        return float(_eigh_blocks((1.0 - s) * rho_x + s * q_x, vectors=False).min())
-
-    if lam_min(1.0) >= -1e-14:
-        return q_x.copy()
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if lam_min(mid) >= -1e-14:
-            lo = mid
-        else:
-            hi = mid
-    return (1.0 - lo) * rho_x + lo * q_x
-
-
-def _span(model: HierarchicalModel, c: np.ndarray) -> np.ndarray:
-    """sum_k c_k B_k over every element; element 0 is the identity / sqrt(d)."""
-    h = model._moment_plan().hamiltonian(c[1:])
-    i = np.arange(h.shape[-1])
-    h[:, i, i] += c[0] / np.sqrt(model.shape.dim)
-    return h
-
-
-def _affine_psd_repair(x: np.ndarray, model: HierarchicalModel, b: np.ndarray):
-    """x moved onto the moments b and into the cone, with its eigenpairs
-    when it was found PSD (else None)."""
-    moments = model._moment_plan().moments
-    for _ in range(4):
-        x = x + _span(model, b - moments(x))
-        w, u = _eigh_blocks(x)
-        if w.min() >= -1e-14:
-            return x, (w, u)
-        x = _compose(np.clip(w, 0.0, None), u)
-    return x + _span(model, b - moments(x)), None
-
-
-def _entropy_ascent(tau, model, b, maxiter: int, gtol: float = 1e-9):
-    """Projected gradient ascent on entropy over the affine slice of states.
-
-    Serves as support detection for the Newton stage; eigenvalues are
-    floored inside the log so the gradient stays finite on the boundary.
-    Returns the last iterate, its eigenpairs and the steps taken.
-    """
-    tau, eig = _affine_psd_repair(tau, model, b)
-    w, u = eig or _eigh_blocks(tau)
-    ent = spectrum_entropy(_eigh_blocks(tau, vectors=False))
-    it = 0
-    for it in range(1, maxiter + 1):
-        g = -_compose(np.log(np.clip(w, 1e-13, None)), u)
-        gt = g - _span(model, model._moment_plan().moments(g))
-        gn = float(np.linalg.norm(gt))
-        if gn <= gtol:
-            break
-        alpha = 1.0 / max(1.0, gn)
-        for _ in range(40):
-            cand, eig = _affine_psd_repair(tau + alpha * gt, model, b)
-            wc = _eigh_blocks(cand, vectors=False)
-            # entropy is blind to clipped negative eigenvalues, so staying
-            # essentially inside the cone is part of the acceptance test
-            cand_ent = spectrum_entropy(wc)
-            if wc.min() >= -1e-12 and cand_ent > ent + 1e-14:
-                tau, ent = cand, cand_ent
-                w, u = eig or _eigh_blocks(tau)
-                break
-            alpha *= 0.5
-        else:
-            # tau did not move, so a next round would repeat this one trial
-            # for trial: the ascent stops, counting that round as taken
-            it = min(it + 1, maxiter)
-            break
-    return tau, (w, u), it
+# -------------------------------------------------------------- newton route
 
 
 def _face_newton(red: np.ndarray, c: np.ndarray, tol: float):
@@ -473,24 +396,27 @@ def _face_newton(red: np.ndarray, c: np.ndarray, tol: float):
     return pi, steps
 
 
-def _primal_solve(rho_x: np.ndarray, model: HierarchicalModel, b: np.ndarray, tol: float):
-    """Returns the projection as a block array, its iterations and
-    diagnostics; the ascent runs on block arrays, each face solve on one
-    dense r x r block."""
-    # the euclidean projection of rho onto the model span carries the same
-    # moments, so any PSD blend of the two is a feasible starting point
-    tau = _max_psd_blend(rho_x, _span(model, b))
-    tau, (w, u), ascent_iters = _entropy_ascent(tau, model, b, PRIMAL_STEPS)
-    info = {"ascent_iters": ascent_iters, "newton_iters": 0, "support_dim": model.shape.dim}
-    best, _ = _face_loop(w, u, SNAP_SCHEDULE, False, 1e-7, lambda red, c: _face_newton(red, c, tol),
-                         model, b, tol)
-    if best is None:
-        # no face cut from the ascent iterate carries the moments; report
-        # the raw iterate rather than failing outright
-        return tau, ascent_iters, info, None
-    pi, _, _, rank, newton_iters = best
-    info.update(newton_iters=newton_iters, support_dim=rank)
-    return pi, ascent_iters + newton_iters, info, None
+def _newton_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
+    """Returns the projection, its iterations and diagnostics; at the
+    interior exit the projection comes as its block eigenpairs instead.
+
+    Newton's method on the dual of the whole space, the face the cut at 0
+    keeps of the maximally mixed state; an answer that misses tol or is
+    rank-deficient is re-solved on faces peeled from it, as _dual_solve
+    peels.  The whole space is one d x d face, compressed from the (m, d, d)
+    stack, so a model past STACK_GUARD raises MemoryError."""
+    d = model.shape.dim
+    if model.n_elements * d * d > STACK_GUARD:
+        raise MemoryError(f"{model.n_elements} x {d} x {d} exceeds the materialization guard")
+    solve_face = partial(_face_newton, tol=tol)
+    _, _, p, u = _gibbs_of_zero(*model._moment_plan().blocks[:2])
+    (pi, resid, _), nit = _face_loop(p, u, (0.0,), solve_face, model, b, tol)
+    w, u = _eigh_blocks(0.5 * (pi + pi.conj().transpose(0, 2, 1)))
+    if resid <= tol and _support_size(w) == d:
+        return (w, u), nit, {"rounds": 0}, None
+    (pi, _, rounds), face_its = _face_loop(w, u, PEEL_SCHEDULE, solve_face, model, b, tol,
+                                           best=(pi, resid, 0))
+    return pi, nit + face_its, {"rounds": rounds}, None
 
 
 # ----------------------------------------------------------------- ipf route
@@ -548,15 +474,11 @@ def maxent_project(
 
     method "auto" picks a closed form when one exists (full family, or the
     independence family), iterative proportional fitting for classical
-    shapes, and otherwise the dual solver with a primal fallback.  Explicit
-    methods are honored strictly and raise when they do not apply.
-
-    The dual descent starts at theta = 0 from the closed form of the
-    maximally mixed state, with no eigendecomposition, and its first trial
-    is the exact Newton step theta = D b there (D the dimension, b the
-    target moments): the Hessian of log Z at theta = 0 on the orthonormal
-    traceless basis is I / D.  rho's entropy comes from rho.spectrum, which
-    validation fills.
+    shapes, and otherwise the dual solver, retried once by Newton's method
+    when it misses (not past STACK_GUARD, see _newton_solve); the answer
+    after a retry carries the dual's residual and iterations in
+    diagnostics["fallback_from"].  Explicit methods are honored strictly and
+    raise when they do not apply.
 
     The result is converged when the moment residual is at most tol; when
     the projection is rank-deficient, at most max(tol, BOUNDARY_TOL), with
@@ -578,13 +500,16 @@ def maxent_project(
         elif rho.shape.all_classical:
             method = "ipf"
         else:
-            method = "dual"
             result = _run(rho, model, "dual", tol)
-            if result.converged:
+            # the retry's whole-space face compresses the (m, d, d) stack
+            if result.converged or model.n_elements * rho.shape.dim ** 2 > STACK_GUARD:
                 return result
-            fallback = _run(rho, model, "primal", tol)
+            fallback = _run(rho, model, "newton", tol)
             # a converged answer wins; between two misses, the lower residual
-            return fallback if fallback.converged or fallback.residual < result.residual else result
+            out = fallback if fallback.converged or fallback.residual < result.residual else result
+            out.diagnostics["fallback_from"] = {"method": "dual", "residual": result.residual,
+                                                "iterations": result.iterations}
+            return out
     if method == "exact" and not full:
         raise ValueError("method 'exact' needs the full interaction set in the family")
     if method == "product" and not is_independence(hg):
@@ -612,10 +537,10 @@ def _run(rho, model, method, tol) -> ProjectionResult:
     elif method == "dual":
         out, iters, info, theta = _dual_solve(model, b, tol)
     else:
-        out, iters, info, theta = _primal_solve(rho_x, model, b, tol)
+        out, iters, info, theta = _newton_solve(model, b, tol)
 
     # one spectral pass: the state and its spectrum come from the route's
-    # last eigenpairs (the dual's interior exit) or from one eigendecomposition
+    # last eigenpairs (an interior exit) or from one eigendecomposition
     # of its answer's blocks, and one independent one of pi checks them
     eig = out if isinstance(out, tuple) else _eigh_blocks(0.5 * (out + out.conj().transpose(0, 2, 1)))
     x, w = _clean(*eig)

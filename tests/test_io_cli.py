@@ -177,7 +177,7 @@ class TestCLI:
         assert third == dict(first, state="c.json")
 
     def test_ck_ghz_pairwise(self, ghz_file, capsys):
-        code = main(["ck", "--state", ghz_file, "--k", "2", "--method", "primal"])
+        code = main(["ck", "--state", ghz_file, "--k", "2", "--method", "newton"])
         rep = _report(capsys)
         assert code == 0
         assert abs(rep["results"]["value"] - LOG2) < 1e-3

@@ -99,17 +99,17 @@ class TestClosedFormRoutes:
 
 class TestSolverAgreement:
     def test_triangle_on_full_rank_classical(self):
-        # dual, primal, and proportional fitting must land on the same point
+        # dual, Newton, and proportional fitting must land on the same point
         rng = np.random.default_rng(53)
         sh = SystemShape.bits(3)
         model = build_model(sh, hypergraph_k(3, 2))
         for _ in range(8):
             rho = random_density(sh, rng)
-            out = {m: maxent_project(rho, model, method=m) for m in ("dual", "ipf", "primal")}
+            out = {m: maxent_project(rho, model, method=m) for m in ("dual", "ipf", "newton")}
             assert all(r.converged for r in out.values())
             pd = {m: np.real(np.diag(r.state.matrix)) for m, r in out.items()}
             assert 0.5 * np.abs(pd["dual"] - pd["ipf"]).sum() < 1e-6
-            assert 0.5 * np.abs(pd["dual"] - pd["primal"]).sum() < 1e-6
+            assert 0.5 * np.abs(pd["dual"] - pd["newton"]).sum() < 1e-6
             dv = [r.divergence for r in out.values()]
             assert max(dv) - min(dv) < 1e-6
 
@@ -235,7 +235,7 @@ class TestBoundaryCases:
     def test_ghz_pairwise_projection(self):
         ghz = ghz_state(3)
         model = build_model(ghz.shape, hypergraph_k(3, 2))
-        for method in ("dual", "primal"):
+        for method in ("dual", "newton"):
             res = maxent_project(ghz, model, method=method)
             assert res.converged, (method, res.residual)
             assert abs(res.divergence - LOG2) < 1e-6, method
@@ -255,51 +255,66 @@ class TestBoundaryCases:
         assert res.divergence < 1e-9
         assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
 
-    def test_auto_retries_primal_when_dual_misses(self):
+    def test_auto_retries_newton_when_dual_misses(self):
         # rank-2 state whose pairwise projection the dual misses: its whole
         # descent ends above the interior tolerance on a support that is not
-        # rho's, and auto falls back to primal
+        # rho's, and auto falls back to newton, recording the miss
         sh = SystemShape.qubits(3)
-        rho = random_density(sh, np.random.default_rng(4), rank=2)
+        rho = random_density(sh, np.random.default_rng(1), rank=2)
         model = build_model(sh, hypergraph_k(3, 2))
         dual = maxent_project(rho, model, method="dual")
         assert not dual.converged
         assert INTERIOR_TOL < dual.residual < 1e-3
         res = maxent_project(rho, model)
-        assert res.method == "primal"
+        assert res.method == "newton"
         assert res.converged
         assert res.residual < 1e-9
+        assert res.diagnostics["fallback_from"] == {
+            "method": "dual", "residual": dual.residual, "iterations": dual.iterations,
+        }
 
-    def test_auto_retries_primal_when_the_dual_state_is_off(self):
+    def test_auto_retries_newton_when_the_dual_state_is_off(self):
         # rank-2 state whose pairwise projection is rho itself: the dual spends
-        # its budget on a chaotic descent that ends near the moments on a
-        # support that misses rho's, and auto must still return rho
+        # its budget on a descent that ends near the moments on a support
+        # that misses rho's, and auto must still return rho
         sh = SystemShape.qubits(3)
-        rho = random_density(sh, np.random.default_rng(4), rank=2)
+        rho = random_density(sh, np.random.default_rng(1), rank=2)
         model = build_model(sh, hypergraph_k(3, 2))
         assert not maxent_project(rho, model, method="dual").converged
         res = maxent_project(rho, model)
-        assert res.method == "primal"
+        assert res.method == "newton"
         assert res.converged
         assert res.divergence < 1e-9
         assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
 
-    def test_primal_builds_no_stack(self, no_dense_stack):
-        # the state above: the primal route's ascent, repair and face snaps
-        # all run through the model's moment plan
+    def test_newton_builds_no_stack(self, no_dense_stack):
+        # the state above: the newton route compresses its faces, the whole
+        # space among them, through the model's moment plan
         sh = SystemShape.qubits(3)
-        rho = random_density(sh, np.random.default_rng(4), rank=2)
+        rho = random_density(sh, np.random.default_rng(1), rank=2)
         model = build_model(sh, hypergraph_k(3, 2))
-        res = maxent_project(rho, model, method="primal")
+        res = maxent_project(rho, model, method="newton")
         assert res.converged
         assert res.divergence < 1e-9
         assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
+        assert model._stack is None
+
+    def test_auto_misses_a_state_pinned_by_a_second_reduction(self):
+        # rank-2 state whose pairwise projection is rho itself, on a 4-dim
+        # exposed face where the compressed constraints pin the state: both
+        # routes end unconverged, newton on support 4 with D = 0.1612
+        sh = SystemShape.qubits(3)
+        rho = random_density(sh, np.random.default_rng(4), rank=2)
+        res = maxent_project(rho, build_model(sh, hypergraph_k(3, 2)))
+        assert res.method == "newton" and not res.converged
+        assert res.diagnostics["support_dim"] == 4
+        assert abs(res.divergence - 0.1612) <= 1e-3
 
     def test_boundary_answer_off_the_projection_is_not_converged(self, monkeypatch):
         # the even-parity diagonal state has every pairwise moment of the
         # maximally mixed state, which is its own projection; a dual route
         # returning it matches the moments exactly and must still miss, and
-        # auto must prefer the converged primal answer over its lower residual
+        # auto must prefer the converged newton answer over its lower residual
         sh = SystemShape.qubits(3)
         rho = State(sh, np.eye(8) / 8)
         even = np.diag([0.25, 0, 0, 0.25, 0, 0.25, 0.25, 0]).astype(complex)
@@ -310,7 +325,7 @@ class TestBoundaryCases:
         assert dual.diagnostics["support_dim"] == 4
         assert not dual.converged
         res = maxent_project(rho, model)
-        assert res.method == "primal"
+        assert res.method == "newton"
         assert res.converged
         assert np.max(np.abs(res.state.matrix - rho.matrix)) < 1e-9
 
@@ -355,7 +370,7 @@ class TestBoundaryCases:
         sh = SystemShape.bits(3)
         rho = uniform_on(sh, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         model = build_model(sh, hypergraph_k(3, 2))
-        for method in ("dual", "primal"):
+        for method in ("dual", "newton"):
             res = maxent_project(rho, model, method=method)
             assert res.converged, method
             assert res.divergence <= 1e-9, method
@@ -389,6 +404,66 @@ class TestBoundaryCases:
         assert dec["converged"]
         assert len(dec["residuals"]) == 3 and dec["residuals"][-1] == 0.0
         assert max(dec["residuals"]) <= 1e-5
+
+
+class TestNewtonRoute:
+    """Newton's method on the dual of the whole space, then on faces peeled
+    from its answer."""
+
+    def test_ghz4_projection(self):
+        ghz = ghz_state(4)
+        res = maxent_project(ghz, build_model(ghz.shape, hypergraph_k(4, 2)), method="newton")
+        assert res.converged
+        assert res.diagnostics["support_dim"] == 2
+        assert abs(res.divergence - LOG2) <= 1e-9
+
+    @pytest.mark.parametrize("name, k", [("q4", 2), ("cqcq-2222", 3)])
+    def test_rank_two_states_match_the_dual(self, name, k):
+        # projections of rank-2 states, D = 1.027151 and 0.050343, on which
+        # the entropy ascent newton replaced ended near D = 0
+        shape, seed = {"q4": (SystemShape.qubits(4), 2),
+                       "cqcq-2222": (SystemShape((2, 2, 2, 2), ("c", "q", "c", "q")), 300)}[name]
+        rho = random_density(shape, np.random.default_rng(seed), rank=2)
+        model = build_model(shape, hypergraph_k(shape.N, k))
+        res, dual = (maxent_project(rho, model, method=m) for m in ("newton", "dual"))
+        assert res.converged and dual.converged
+        assert res.diagnostics["support_dim"] == dual.diagnostics["support_dim"]
+        assert abs(res.divergence - dual.divergence) <= 1e-6
+
+    def test_auto_does_not_certify_a_pure_answer_for_haar_pure_q5(self):
+        # the pairwise projection of this pure state has full rank and
+        # D = 0.418224; the state itself (D = 0) must not pass as converged
+        rho = random_pure(SystemShape.qubits(5), np.random.default_rng(0))
+        res = maxent_project(rho, build_model(rho.shape, hypergraph_k(5, 2)))
+        assert not (res.converged and res.divergence < 0.4)
+
+    @pytest.mark.parametrize("method", ["dual", "auto"])
+    def test_overflowed_direction_is_not_a_linalg_error(self, method):
+        # at tol = 1e-9 an L-BFGS direction of a face solve overflows; the
+        # descent drops its curvature pairs instead of passing NaNs to eigh
+        rho = random_pure(SystemShape.qubits(5), np.random.default_rng(0))
+        res = maxent_project(rho, build_model(rho.shape, hypergraph_k(5, 2)), method=method,
+                             tol=1e-9)
+        assert not res.converged
+        assert abs(res.divergence - 0.418224) <= 3e-6
+
+    def test_whole_space_past_the_stack_guard_raises(self):
+        shape = SystemShape.qubits(8)
+        model = build_model(shape, hypergraph_k(8, 2))
+        assert model.n_elements * shape.dim**2 > STACK_GUARD
+        with pytest.raises(MemoryError):
+            maxent_project(random_density(shape, np.random.default_rng(43)), model, method="newton")
+
+    def test_auto_skips_the_retry_past_the_stack_guard(self, monkeypatch):
+        # a dual miss on q8 comes back as it is: the retry could not run
+        shape = SystemShape.qubits(8)
+        model = build_model(shape, hypergraph_k(8, 2))
+        mixed = np.broadcast_to(np.eye(shape.dim) / shape.dim, (1, shape.dim, shape.dim))
+        monkeypatch.setattr(maxent, "_dual_solve", lambda *args: (mixed.astype(complex), 0, {}, None))
+        monkeypatch.setattr(maxent, "_newton_solve", lambda *args: pytest.fail("newton was run"))
+        res = maxent_project(random_density(shape, np.random.default_rng(43)), model)
+        assert res.method == "dual" and not res.converged
+        assert "fallback_from" not in res.diagnostics
 
 
 class TestSpectralPass:
@@ -436,7 +511,7 @@ class TestSpectralPass:
         assert dec["converged"]
         assert calls == []
 
-    @pytest.mark.parametrize("method", ["exact", "product", "ipf", "dual", "ghz-dual", "primal"])
+    @pytest.mark.parametrize("method", ["exact", "product", "ipf", "dual", "ghz-dual", "newton"])
     def test_outputs_revalidate(self, method):
         rng = np.random.default_rng(46)
         if method == "ghz-dual":
@@ -580,6 +655,14 @@ MIXED_SHAPES = {
     "qcq-322": SystemShape((3, 2, 2), ("q", "c", "q")),
 }
 
+# (state, seed, rank) -> Newton steps of the newton route at k = 2, on the
+# whole space and on the faces peeled from it; the q3 states end on their
+# 2-dim support, seed 3 already on the whole space
+NEWTON_STEPS = {
+    ("q3", 0, 2): 25, ("q3", 1, 2): 26, ("q3", 2, 2): 27, ("q3", 3, 2): 126,
+    ("qcq-222", 46, None): 5, ("qcq-222", 48, 3): 6, ("cqcq-2222", 300, 2): 6,
+}
+
 
 class TestMixedBlocks:
     """Mixed shapes diagonalize their d_Q x d_Q blocks, never a d x d matrix."""
@@ -608,6 +691,8 @@ class TestMixedBlocks:
             assert np.max(np.abs(gibbs_map(res.theta.hamiltonian(model)) - pi)) <= 1e-10
 
 
+    # the three tests below keep the name of the route that newton replaced
+
     def test_primal_builds_no_free_direction_basis(self, monkeypatch):
         # a rank-4 cq x 3 state at k = 2: the face holds all 64 dimensions, so
         # a complement of its 70 constraints in the 4096 real coordinates
@@ -623,31 +708,29 @@ class TestMixedBlocks:
         shape = SystemShape((2,) * 6, ("c", "q") * 3)
         rho = random_density(shape, np.random.default_rng(300), rank=4)
         model = build_model(shape, hypergraph_k(6, 2))
-        res = maxent_project(rho, model, method="primal")
+        res = maxent_project(rho, model, method="newton")
         dual = maxent_project(rho, model, method="dual")
         assert res.converged and dual.converged
         assert abs(res.divergence - dual.divergence) <= 1e-8
         assert np.max(np.abs(res.state.blocks - dual.state.blocks)) <= 1e-6
 
-    @pytest.mark.parametrize("name, seed, rank", [
-        *[("q3", seed, 2) for seed in range(5)],
-        ("qcq-222", 46, None), ("qcq-222", 48, 3), ("cqcq-2222", 300, 2),
-    ])
+    @pytest.mark.parametrize("name, seed, rank", list(NEWTON_STEPS))
     def test_primal_face_takes_few_newton_steps(self, name, seed, rank):
         shape = {"q3": SystemShape.qubits(3), "qcq-222": SystemShape((2, 2, 2), ("q", "c", "q")),
                  "cqcq-2222": SystemShape((2, 2, 2, 2), ("c", "q", "c", "q"))}[name]
         rho = random_density(shape, np.random.default_rng(seed), rank=rank)
-        res = maxent_project(rho, build_model(shape, hypergraph_k(shape.N, 2)), method="primal")
+        res = maxent_project(rho, build_model(shape, hypergraph_k(shape.N, 2)), method="newton")
         assert res.converged
-        assert res.diagnostics["newton_iters"] <= 10
+        assert res.iterations == NEWTON_STEPS[name, seed, rank]
 
     @pytest.mark.parametrize("rank, seed", [(None, 46), (3, 48)], ids=["full-rank", "rank-3"])
     def test_primal_builds_no_dense_matrix(self, rank, seed, no_dense_matrix):
-        # the ascent runs on the block array; only its face solves are dense r x r
+        # the whole-space face is one dense d x d block, lifted back onto the
+        # block array without a dense state
         shape = SystemShape((2, 2, 2), ("q", "c", "q"))
         rho = random_density(shape, np.random.default_rng(seed), rank=rank)
         model = build_model(shape, hypergraph_k(3, 2))
-        res = maxent_project(rho, model, method="primal")
+        res = maxent_project(rho, model, method="newton")
         dual = maxent_project(rho, model, method="dual")
         assert res.converged and res.residual <= INTERIOR_TOL
         assert dual.converged and abs(res.divergence - dual.divergence) <= 1e-7

@@ -132,8 +132,11 @@ def _projection_payload(res, scale: float) -> tuple[dict, dict]:
         "residual": res.residual,
         "iterations": res.iterations,
         "support_dim": res.diagnostics.get("support_dim"),
-        "relative_entropy_direct": res.diagnostics.get("relative_entropy_direct"),
     }
+    # entropies in the report's unit, as the divergence
+    for key in ("relative_entropy_direct", "gap"):
+        if key in res.diagnostics:
+            diagnostics[key] = res.diagnostics[key] / scale
     return results, diagnostics
 
 

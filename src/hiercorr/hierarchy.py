@@ -444,6 +444,30 @@ def full_model(shape: SystemShape) -> HierarchicalModel:
     return build_model(shape, hypergraph_k(shape.N, shape.N))
 
 
+# unit Gram spectra of read-only bases, by the ordered ids of their arrays;
+# each entry holds the arrays, so no id is reused while it lives
+_UNIT_SPECTRA: dict[tuple[int, ...], tuple[tuple[np.ndarray, ...], np.ndarray, float, float]] = {}
+
+
+def _unit_spectrum(basis) -> tuple[np.ndarray, float, float]:
+    """The Gram tr(A_k A_l) of a unit basis, its smallest eigenvalue clipped
+    at zero and its largest.  A basis whose arrays are all read-only cannot
+    change, so its entry is kept; a writable one is computed each time."""
+    key = tuple(map(id, basis))
+    hit = _UNIT_SPECTRA.get(key)
+    if hit is not None:
+        return hit[1:]
+    u = np.stack(basis).reshape(len(basis), -1)
+    # tr(A B) of hermitian A and B is real
+    g = (u.conj() @ u.T).real
+    w = np.linalg.eigvalsh(g)
+    out = g, max(w[0], 0.0), w[-1]
+    if not any(a.flags.writeable for a in basis):
+        g.setflags(write=False)
+        _UNIT_SPECTRA[key] = (tuple(basis), *out)
+    return out
+
+
 def numerical_basis_rank(model: HierarchicalModel) -> int:
     """Numerical rank of the constructed basis: the number of eigenvalues
     of the Gram matrix tr(B_k B_l) above 1e-8 times the largest, i.e.
@@ -459,18 +483,11 @@ def numerical_basis_rank(model: HierarchicalModel) -> int:
     pattern adds no rank) without a decomposition larger than a unit Gram.
     Otherwise a unit basis is dependent, and the m x m Gram of the distinct
     patterns is formed from the unit Grams and decomposed, up to
-    STACK_GUARD entries.
+    STACK_GUARD entries.  A unit basis of read-only arrays, as
+    unit_hermitian_basis shares them, has its Gram spectrum taken once per
+    process (_unit_spectrum), however many units and models share it.
     """
-    spectra = {}  # equal units share their basis elements: one Gram each
-    for basis in model.unit_bases:
-        key = tuple(map(id, basis))
-        if key not in spectra:
-            u = np.stack(basis).reshape(len(basis), -1)
-            # tr(A B) of hermitian A and B is real
-            g = (u.conj() @ u.T).real
-            w = np.linalg.eigvalsh(g)
-            spectra[key] = g, max(w[0], 0.0), w[-1]
-    grams, lows, highs = zip(*(spectra[tuple(map(id, basis))] for basis in model.unit_bases))
+    grams, lows, highs = zip(*map(_unit_spectrum, model.unit_bases))
     low, high = math.prod(lows), math.prod(highs)
     distinct = set(model.patterns)
     m = len(distinct)

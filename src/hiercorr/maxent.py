@@ -261,7 +261,8 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
     A search that fails, or a direction that overflows, drops the curvature
     pairs and retries along steepest descent.  Stops when the largest
     gradient entry is at most gtol, when an accepted step lowers the
-    objective by at most LBFGS_FTOL relative to its size, when no step
+    objective by at most LBFGS_FTOL relative to its size while the largest
+    gradient entry is at most 10 gtol (the route's tol), when no step
     along steepest descent decreases it, or after maxiter steps.  Returns
     theta, log Z, the Gibbs state at theta, its eigenpairs (p, u) as
     _gibbs_blocks gives them and the steps taken.
@@ -301,7 +302,9 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
             pairs = (pairs + [(s, y, 1.0 / sy)])[-LBFGS_MEMORY:]
         theta = theta + s
         f_old, f, g = f, f_new, g_new
-        if f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
+        # a stalled decrease ends the descent only near the route's tol
+        if (f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0)
+                and float(np.max(np.abs(g), initial=0.0)) <= 10.0 * gtol):
             break
     return theta, lz, pi, eig, nit
 
@@ -484,6 +487,9 @@ def maxent_project(
     the projection is rank-deficient, at most max(tol, BOUNDARY_TOL), with
     the divergence within ENTROPY_MATCH_TOL of the cross-check
     diagnostics["relative_entropy_direct"] (see _relative_entropy_direct).
+    At the dual's interior exit that value is log Z - theta . b - S(rho)
+    from the Gibbs parameters instead, and diagnostics["gap"] is its
+    distance from the divergence, the duality gap.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -541,7 +547,8 @@ def _run(rho, model, method, tol) -> ProjectionResult:
 
     # one spectral pass: the state and its spectrum come from the route's
     # last eigenpairs (an interior exit) or from one eigendecomposition
-    # of its answer's blocks, and one independent one of pi checks them
+    # of its answer's blocks; off the dual's interior exit, one independent
+    # one of pi checks them
     eig = out if isinstance(out, tuple) else _eigh_blocks(0.5 * (out + out.conj().transpose(0, 2, 1)))
     x, w = _clean(*eig)
     pi = State._trusted(shape, x)
@@ -549,7 +556,13 @@ def _run(rho, model, method, tol) -> ProjectionResult:
     support = _support_size(w)
     rho_entropy = spectrum_entropy(rho.spectrum)
     divergence = max(0.0, spectrum_entropy(w) - rho_entropy)
-    direct = _relative_entropy_direct(rho_x, rho_entropy, x)
+    if theta is None:
+        direct = _relative_entropy_direct(rho_x, rho_entropy, x)
+    else:
+        # log pi = theta . B - log Z at the interior Gibbs answer, so D(rho||pi)
+        # needs no eigh of pi, and its distance from S(pi) - S(rho) is the
+        # duality gap |theta . (<B>_pi - b)|
+        direct = max(0.0, theta.log_partition - float(theta.theta @ b[1:]) - rho_entropy)
     converged = resid <= tol
     if support < shape.dim:
         # the moments pin a boundary answer only loosely: a state far from the
@@ -558,6 +571,8 @@ def _run(rho, model, method, tol) -> ProjectionResult:
         converged = (resid <= max(tol, BOUNDARY_TOL)
                      and abs(direct - divergence) <= ENTROPY_MATCH_TOL)
     diagnostics = {**info, "support_dim": support, "relative_entropy_direct": direct}
+    if theta is not None:
+        diagnostics["gap"] = abs(direct - divergence)
     return ProjectionResult(
         state=pi,
         divergence=divergence,

@@ -265,6 +265,42 @@ class TestModelBasis:
         flat = np.stack([bad.element_matrix(j).reshape(-1) for j in range(bad.n_elements)])
         assert numerical_basis_rank(bad) == np.linalg.matrix_rank(flat) < model.dim_total
 
+    @pytest.mark.parametrize("order", [(0, 1, 2, 1), (0, 2, 1, 3)], ids=["repeat", "swap"])
+    def test_rearranged_canonical_basis_after_canonical_models(self, order):
+        # the unit spectra kept for the canonical arrays belong to their
+        # order: the same arrays rearranged are a basis of their own
+        models = [build_model(SystemShape.qubits(3), hypergraph_k(3, k)) for k in (1, 2, 3)]
+        for model in models:
+            assert numerical_basis_rank(model) == model.dim_total
+        model = models[1]
+        unit = model.unit_bases[0]
+        bad = dataclasses.replace(model, unit_bases=(tuple(unit[i] for i in order),)
+                                  + model.unit_bases[1:])
+        flat = np.stack([bad.element_matrix(j).reshape(-1) for j in range(bad.n_elements)])
+        assert numerical_basis_rank(bad) == np.linalg.matrix_rank(flat)
+
+    def test_unit_spectra_are_taken_once(self, count_decompositions, monkeypatch):
+        # 228 models on (2, 2, 2, 3), classical and quantum, share four unit
+        # bases: one eigvalsh each, however many models certify
+        monkeypatch.setattr(hierarchy, "_UNIT_SPECTRA", {})
+        calls = count_decompositions()
+        for kind in ("classical", "quantum"):
+            shape = SystemShape((2, 2, 2, 3), (kind,) * 4)
+            for hg in hierarchy.covering_hypergraphs(4):
+                assert numerical_basis_rank(build_model(shape, hg)) == model_dim(shape, hg)[0]
+        assert calls["eigvalsh"] == 4 and calls["eigh"] == 0
+
+    def test_writable_basis_is_not_kept(self, monkeypatch):
+        # a basis that can change under the same ids is computed every time
+        monkeypatch.setattr(hierarchy, "_UNIT_SPECTRA", {})
+        model = build_model(SystemShape.qubits(3), hypergraph_k(3, 2))
+        unit = [a.copy() for a in model.unit_bases[0]]
+        mine = dataclasses.replace(model, unit_bases=(tuple(unit),) + model.unit_bases[1:])
+        assert numerical_basis_rank(mine) == model.dim_total
+        unit[3][:] = unit[1]
+        assert numerical_basis_rank(mine) < model.dim_total
+        assert all(a is not unit[0] for entry in hierarchy._UNIT_SPECTRA.values() for a in entry[0])
+
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 3), (3, 3, 3, 3)], ids=["2223", "3333"])
     def test_rank_certified_from_the_unit_grams(self, sizes, no_dense_stack,
                                                 no_eigendecomposition):

@@ -209,6 +209,24 @@ class TestCLI:
         pi = GibbsParameters(theta, res["log_partition"]).state(model)
         assert np.max(np.abs(pi.matrix - state_from_dict(res["projection"]).matrix)) <= 1e-12
 
+    def test_project_bits_scale_the_direct_divergence(self, tmp_path, capsys):
+        # every entropy of the report is in its unit: on q3 seed 0 at k=2 the
+        # direct value was 0.248 nats beside a divergence of 0.358 bits
+        rho = random_density(SystemShape.qubits(3), np.random.default_rng(0))
+        path = tmp_path / "q3.json"
+        path.write_text(json.dumps(state_to_dict(rho)))
+        reps = {}
+        for unit in ("nats", "bits"):
+            assert main(["project", "--state", str(path), "--k", "2"]
+                        + (["--bits"] if unit == "bits" else [])) == 0
+            reps[unit] = _report(capsys)
+        nats, bits = (reps[u]["diagnostics"] for u in ("nats", "bits"))
+        assert reps["bits"]["results"]["divergence"] == reps["nats"]["results"]["divergence"] / LOG2
+        for key in ("relative_entropy_direct", "gap"):
+            assert bits[key] == nats[key] / LOG2
+        gap = abs(bits["relative_entropy_direct"] - reps["bits"]["results"]["divergence"])
+        assert bits["gap"] == pytest.approx(gap, rel=1e-6) and gap <= 1e-8
+
     def test_project_full_family_on_six_qubits(self, tmp_path, capsys):
         p = tmp_path / "q6.json"
         rho = random_density(SystemShape.qubits(6), np.random.default_rng(54))

@@ -23,6 +23,7 @@ from hiercorr.algebra import (
 )
 from hiercorr.hierarchy import (
     STACK_GUARD,
+    _MomentPlan,
     build_model,
     full_model,
     hypergraph_k,
@@ -155,6 +156,32 @@ class TestDualSolver:
         assert isinstance(res.theta, GibbsParameters)
         assert np.max(np.abs(res.theta.state(model).matrix - res.state.matrix)) <= 1e-10
         assert res.iterations <= 50
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_summation_order_does_not_stall_the_descent(self, order, monkeypatch):
+        # summing the rest axis of the moment plan one term at a time, equal
+        # in exact arithmetic, moves the last bits of every gradient; forward,
+        # the objective of rank-2 q4 seed 2 then stops decreasing at max |g|
+        # 1.45e-8, above tol, where a stall must not end the descent
+        def moments(self, x):
+            flat = np.ascontiguousarray(x, dtype=complex).reshape(-1)
+            ys = []
+            for grp in self.groups:
+                terms = np.moveaxis(flat[grp.pos], 2, 0)
+                if order == "reversed":
+                    terms = terms[::-1]
+                total = terms[0].copy()
+                for term in terms[1:]:
+                    total += term
+                ys.append(total.view(np.float64) @ grp.real.T)
+            return np.concatenate([y.reshape(-1) for y in ys])[self.slot]
+
+        monkeypatch.setattr(_MomentPlan, "moments", moments)
+        rho = random_density(SystemShape.qubits(4), np.random.default_rng(2), rank=2)
+        res = maxent_project(rho, build_model(rho.shape, hypergraph_k(4, 2)), method="dual")
+        assert res.converged and res.diagnostics["rounds"] == 0
+        assert res.diagnostics["support_dim"] == 16
+        assert abs(res.divergence - 1.027151307) <= 1e-8
 
     @pytest.mark.parametrize("blocks", [(1, 2), (1, 8), (1, 27), (1, 128), (4, 4), (8, 1)])
     def test_closed_form_start_is_the_gibbs_map_of_zero(self, blocks):
@@ -469,8 +496,9 @@ class TestNewtonRoute:
 class TestSpectralPass:
     def test_eigendecomposition_budget(self, count_decompositions, monkeypatch):
         # an interior dual projection diagonalizes each Gibbs iterate away
-        # from theta = 0, whose state is closed-form, and pi once more for
-        # the cross-check; rho's spectrum comes from its validation
+        # from theta = 0, whose state is closed-form, and nothing more: its
+        # D(rho||pi) comes from the Gibbs parameters, and rho's spectrum from
+        # its validation
         shape = SystemShape.qubits(5)
         model = build_model(shape, hypergraph_k(5, 2))
         rho = random_density(shape, np.random.default_rng(44))
@@ -481,8 +509,9 @@ class TestSpectralPass:
         res = maxent_project(rho, model, method="dual")
         assert res.converged and res.diagnostics["rounds"] == 0
         assert calls["gibbs"] >= res.iterations and not any(zero)
-        assert calls["eigh"] == calls["gibbs"] + 1
+        assert calls["eigh"] == calls["gibbs"]
         assert calls["eigvalsh"] == 0
+        assert res.diagnostics["gap"] <= INTERIOR_TOL
 
     def test_eigendecomposition_budget_on_a_face(self, count_decompositions):
         # a peeled dual projection cuts its faces from the last Gibbs
@@ -495,6 +524,39 @@ class TestSpectralPass:
         assert res.converged and res.diagnostics["rounds"] >= 1
         assert calls["eigh"] == calls["gibbs"] + 2
         assert calls["eigvalsh"] == 0
+        assert "gap" not in res.diagnostics
+
+    @pytest.mark.parametrize("name", ["q3", "q4", "q5", "q6", "t3", "cqcq-2222"])
+    def test_interior_divergence_from_the_gibbs_parameters(self, name):
+        # D(rho||pi) = log Z - theta . b - S(rho) at the interior exit agrees
+        # with the dense relative entropy, and the duality gap with it is
+        # below tol
+        shape = {"t3": SystemShape.quantum((3, 3, 3)),
+                 "cqcq-2222": SystemShape((2, 2, 2, 2), ("c", "q", "c", "q"))}.get(name)
+        shape = shape or SystemShape.qubits(int(name[1:]))
+        model = build_model(shape, hypergraph_k(shape.N, 2))
+        for seed in range(3):
+            rho = random_density(shape, np.random.default_rng(seed))
+            res = maxent_project(rho, model, method="dual")
+            assert res.converged and res.theta is not None
+            dense = relative_entropy(rho.matrix, res.state.matrix)
+            assert abs(res.diagnostics["relative_entropy_direct"] - dense) <= 1e-12
+            assert res.diagnostics["gap"] <= INTERIOR_TOL
+
+    @pytest.mark.parametrize("method", ["newton", "ipf", "product"])
+    def test_other_exits_keep_the_cross_check(self, method, count_decompositions):
+        # off the dual's interior exit pi is diagonalized once more, for
+        # relative_entropy_direct, and no gap is reported
+        shape = SystemShape.bits(3) if method == "ipf" else SystemShape.qubits(3)
+        rho = random_density(shape, np.random.default_rng(47))
+        model = build_model(shape, hypergraph_k(3, 1 if method == "product" else 2))
+        calls = count_decompositions()
+        res = maxent_project(rho, model, method=method)
+        assert res.converged and "gap" not in res.diagnostics
+        if not shape.all_classical:
+            assert calls["eigh"] >= calls["gibbs"] + 2
+        assert abs(res.diagnostics["relative_entropy_direct"]
+                   - relative_entropy(rho.matrix, res.state.matrix)) <= 1e-9
 
     def test_ladder_takes_rho_spectrum_once(self, monkeypatch):
         rho = random_density(SystemShape.qubits(4), np.random.default_rng(45))

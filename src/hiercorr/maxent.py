@@ -4,12 +4,10 @@ The projection of a state onto a family is the entropy maximizer among
 all states sharing the expectations of every basis element of the family.
 Five routes are implemented:
 
-* ``dual``: quasi-Newton descent in exponential-family coordinates, with
-  support peeling when the optimum sits on the boundary of the state space;
-  it starts at theta = 0 from the maximally mixed state in closed form and
-  takes the exact Newton step there as its first trial,
-* ``newton``: Newton's method on the dual with the exact Kubo-Mori Hessian,
-  on the whole space and then on faces peeled from its answer,
+* ``dual``: L-BFGS descent on the dual log Z(theta) - theta . b from the
+  maximally mixed state (theta = 0, in closed form, with the exact Newton
+  step as its first trial), then on faces peeled from a boundary answer,
+* ``newton``: the same descent along the exact Kubo-Mori Newton direction,
 * ``ipf``: iterative proportional fitting, classical shapes only,
 * ``product`` / ``exact``: closed forms for the independence family and
   for any family containing the full interaction set.
@@ -29,6 +27,7 @@ The input's spectrum is State.spectrum, taken when the state was validated.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import partial, reduce
 
 import numpy as np
@@ -157,12 +156,9 @@ def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, x: np.ndarra
 
 
 def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
-    """Orthonormalize a (possibly dependent) hermitian constraint stack.
-
-    Returns reduced orthonormal directions, their targets, and the
-    feasibility defect of the affine system on this space; the economy SVD
-    of the (m, r^2) constraint matrix suffices.
-    """
+    """Orthonormal directions spanning a (possibly dependent) hermitian
+    constraint stack (m, r, r), their targets, and the feasibility defect of
+    the affine system, from the economy SVD of the (m, r^2) matrix."""
     m, r, _ = dirs.shape
     vecs = hermitian_realvec(dirs)
     uu, ss, vt = np.linalg.svd(vecs, full_matrices=False)
@@ -176,32 +172,26 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------- face loop
 
 
-def _face_loop(w, u, cuts, solve_face, model, b, tol, best=None):
-    """Solve a projection on faces cut from an iterate, given by its block
-    eigenpairs (w, u) of _eigh_blocks (a cut at 0 keeps the whole space).
+def _face_loop(w, u, model, b, tol, best, newton: bool):
+    """Re-solve a projection on faces cut with PEEL_SCHEDULE from an
+    iterate, given by its block eigenpairs (w, u) of _eigh_blocks.
 
     Each cut keeps the eigenvectors above it times the largest eigenvalue
     as the columns of the d x r isometry q, by ascending eigenvalue.  Cuts
-    keeping no vector, or as many as a face already tried, are skipped, as
-    are faces whose constraints q^H B_k q (model.compress) miss the moments
-    by more than 1e-8 max(1, max |b|).  solve_face(red, c), given those
-    constraints as reduced, returns a block array over q's columns
-    (block j on columns j k .. j k + k - 1) and its iterations; the lift with
-    the lowest residual wins, stopping at tol.  The constraints span the
-    face's identity, so c is first pinned to trace one: along the identity
-    the face's dual log Z - t . c is then flat instead of linear.
-
-    best, a full-space record (state, residual, round) already in hand,
-    marks the full rank as tried.  Returns the best record (None if there
-    is none) and the iterations spent on faces.
+    keeping no vector, all d or as many as a face already tried are
+    skipped, as are faces whose constraints q^H B_k q (model.compress) miss
+    the moments by more than 1e-8 max(1, max |b|).  _face_solve works in
+    the face's block layout, r blocks of 1 x 1 when d_Q = 1 (q's columns
+    are configurations), else one r x r block; the lift with the lowest
+    residual wins, stopping at tol.  best is the whole-space record (state,
+    residual, round 0).  Returns the best record and the face iterations.
     """
-    d = model.shape.dim
     rows = _block_rows(model.shape)
     scale = max(float(w.max()), 1e-300)
     bound = 1e-8 * max(1.0, float(np.max(np.abs(b))))
-    tried = {0} if best is None else {0, d}
+    tried = {0, model.shape.dim}
     total = 0
-    for rounds, cut in enumerate(cuts, start=1):
+    for rounds, cut in enumerate(PEEL_SCHEDULE, start=1):
         q = _lift(w, u, model.shape, cut * scale)[0]
         r = q.shape[1]
         if r in tried:
@@ -210,19 +200,35 @@ def _face_loop(w, u, cuts, solve_face, model, b, tol, best=None):
         red, c, defect = _reduce_constraints(model.compress(q), b)
         if defect > bound:
             continue  # cut too deep, this face cannot carry the moments
-        # slope 1 - tr(x_ls) along the identity is a defect a descent would
-        # chase forever; moving c onto trace one makes that direction flat
+        # the constraints span the face's identity, along which the slope
+        # 1 - tr(x_ls) is a defect a descent would chase forever; moving c
+        # onto trace one makes that direction flat
         v = np.real(np.trace(red, axis1=1, axis2=2))
-        face, nit = solve_face(red, c + v * (1.0 - v @ c) / (v @ v))
+        red = np.real(np.diagonal(red, axis1=1, axis2=2))[..., None, None] if rows.shape[1] == 1 \
+            else red[:, None]
+        face, nit = _face_solve(red, c + v * (1.0 - v @ c) / (v @ v), tol, newton)
         total += nit
         qb = q[rows].reshape(*rows.shape, *face.shape[:2])  # q's rows by block, columns by face block
         pi = np.einsum("cajb,jbe,cdje->cad", qb, face, qb.conj(), optimize=True)  # q F q^H
         resid = _residual(pi, model, b)
-        if best is None or resid < best[1]:
+        if resid < best[1]:
             best = (pi, resid, rounds)
         if best[1] <= tol:
             break
     return best, total
+
+
+def _face_solve(red: np.ndarray, c: np.ndarray, tol: float, newton: bool):
+    """Minimize log tr exp(sum_k t_k R_k) - t . c over a face's constraints
+    red (m, n, k, k) in its block layout; returns the Gibbs state (n, k, k)
+    and the steps taken."""
+    hessian = partial(_kubo_mori, red) if newton else None
+    _, _, tau, _, nit = _dual_minimize(
+        lambda t: np.tensordot(t, red, axes=(0, 0)),
+        lambda x: np.real(np.tensordot(red, np.swapaxes(x, 1, 2), axes=3)),
+        c, red.shape[1:3], 0.1 * tol, DUAL_STEPS, hessian=hessian,
+    )
+    return tau, nit
 
 
 # ---------------------------------------------------------------- dual route
@@ -246,26 +252,43 @@ def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
+def _kubo_mori(s: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Kubo-Mori metric (Petz 2008) of the Gibbs state with block
+    eigenpairs (p, u) on directions s (m, n, k, k) in its block layout:
+    M_kl = Re sum conj(S~_k)_ab K_ab S~_l,ab over blocks and a, b, with
+    S~_k = U^H S_k U, K_ab = (p_a - p_b) / log(p_a / p_b), K_aa = p_a."""
+    # K_ab as p_hi (1 - exp(-x)) / x, x = |log p_a - log p_b|: no cancellation
+    lp = np.log(np.maximum(p, TINY))
+    x = np.abs(lp[:, :, None] - lp[:, None, :])
+    kernel = np.maximum(p[:, :, None], p[:, None, :]) * np.divide(-np.expm1(-x), x, out=np.ones_like(x),
+                                                                  where=x > 0)
+    # K > 0, so M = Re(C^H C) for C_k = sqrt(K) S~_k: one real c c^T over
+    # the (re, im) pairs of the C_k
+    c = (u.conj().transpose(0, 2, 1) @ s @ u * np.sqrt(kernel)).view(np.float64).reshape(len(s), -1)
+    return c @ c.T
+
+
 def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: float, maxiter: int,
-                   newton: bool = False):
-    """Minimize log Z(theta) - theta . targets by L-BFGS with backtracking.
+                   newton: bool = False, hessian=None):
+    """Minimize log Z(theta) - theta . targets with backtracking, by L-BFGS
+    or, given hessian, by Newton's method.
 
     hamiltonian(theta) is sum_k theta_k B_k as a block array of blocks =
     (n, k) blocks of k x k, and moments(x) the vector of tr(B_k x) of a block
     array, over the directions B_k the targets belong to.  The descent
-    starts at theta = 0, whose Gibbs state is the maximally mixed one
-    (_gibbs_of_zero, no eigendecomposition).  Its first trial step is
-    steepest descent of length 1, or with newton the exact Newton step
-    -D g, D = n k: on orthonormal traceless B_k the Hessian of log Z at
-    theta = 0, the Kubo-Mori metric of the maximally mixed state, is I / D.
-    A search that fails, or a direction that overflows, drops the curvature
-    pairs and retries along steepest descent.  Stops when the largest
-    gradient entry is at most gtol, when an accepted step lowers the
-    objective by at most LBFGS_FTOL relative to its size while the largest
-    gradient entry is at most 10 gtol (the route's tol), when no step
-    along steepest descent decreases it, or after maxiter steps.  Returns
-    theta, log Z, the Gibbs state at theta, its eigenpairs (p, u) as
-    _gibbs_blocks gives them and the steps taken.
+    starts at theta = 0, the maximally mixed state (_gibbs_of_zero, no
+    eigendecomposition).  hessian(p, u) is the Kubo-Mori metric M of the
+    B_k at the Gibbs eigenpairs (p, u); each step solves (M - m m^T) s = -g,
+    m the moments, by least squares.  Without it the first trial step is
+    steepest descent of length 1, or with newton -D g, D = n k: on
+    orthonormal traceless B_k the Hessian at theta = 0 is I / D.  A failed
+    search, or an overflowed direction, drops the curvature pairs and
+    retries along steepest descent.  Stops when the largest gradient entry
+    is at most gtol, when an accepted step lowers the objective by at most
+    LBFGS_FTOL relative to its size while that entry is at most 10 gtol
+    (the route's tol), when no step along steepest descent or Newton's
+    direction decreases it, or after maxiter steps.  Returns theta, log Z,
+    the Gibbs state at theta, its eigenpairs (p, u) and the steps taken.
     """
 
     def fg(theta):
@@ -280,7 +303,11 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
     nit = 0
     while nit < maxiter and float(np.max(np.abs(g), initial=0.0)) > gtol:
         with np.errstate(over="ignore", invalid="ignore"):
-            p = -dim * g if newton and nit == 0 else _lbfgs_direction(g, pairs)
+            if hessian is not None:
+                m = g + targets
+                p = np.linalg.lstsq(hessian(*eig) - np.outer(m, m), -g, rcond=None)[0]
+            else:
+                p = -dim * g if newton and nit == 0 else _lbfgs_direction(g, pairs)
             slope = float(g @ p)
         t = 1.0
         # a direction that overflowed fails the search outright
@@ -290,8 +317,8 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
                 break
             t *= 0.5
         else:
-            if not pairs:
-                break  # not even steepest descent decreases f: rounding floor
+            if hessian is not None or not pairs:
+                break  # not even the steepest or exact direction decreases f: rounding floor
             pairs = []  # forget the curvature estimate and retry
             continue
         nit += 1
@@ -309,117 +336,44 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
     return theta, lz, pi, eig, nit
 
 
-def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
+def _block_directions(model: HierarchicalModel) -> np.ndarray:
+    """The blocks (m - 1, n, k, k) of the non-identity B_k: model.compress of
+    the lifted eigenvectors of I / d, which order the columns block by
+    block.  Past STACK_GUARD it raises MemoryError."""
+    n, k = model._moment_plan().blocks[:2]
+    _, _, p, u = _gibbs_of_zero(n, k)
+    full = model.compress(_lift(p, u, model.shape, 0.0)[0])[1:].reshape(-1, n, k, n, k)
+    return np.einsum("mikil->mikl", full).copy()
+
+
+def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: bool):
     """Returns the projection as a block array, its iterations, diagnostics
-    and, at the interior exit, its Gibbs parameters; there the projection
-    comes as the eigenpairs (p, u) of the last Gibbs state instead."""
+    and, at the interior exit, Gibbs parameters; there the projection comes
+    as the eigenpairs (p, u) of the last Gibbs state instead.  The descent
+    runs on the whole space, then on faces peeled from an answer that
+    misses tol or is rank-deficient.  With newton every step takes the
+    exact direction, and the answer carries no parameters: it keeps its
+    independent cross-check."""
     d = model.shape.dim
     plan = model._moment_plan()
+    hessian = partial(_kubo_mori, _block_directions(model)) if newton else None
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
     theta, lz, pi, (p, u), nit = _dual_minimize(
         plan.hamiltonian, lambda x: plan.moments(x)[1:], b[1:], plan.blocks[:2], 0.1 * tol,
-        DUAL_STEPS, newton=True,
+        DUAL_STEPS, newton=True, hessian=hessian,
     )
     resid = _residual(pi, model, b)
     info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
     # an iterate with eigenvalues at kernel level is a boundary answer, however
-    # small its residual: only full support ends here with parameters
+    # small its residual: only full support ends here
     if resid <= tol and info["theta_max"] <= THETA_BLOWUP and _support_size(p) == d:
-        return (p, u), nit, info, GibbsParameters(theta.copy(), lz)
+        return (p, u), nit, info, None if newton else GibbsParameters(theta.copy(), lz)
 
-    # boundary regime: the optimum has a kernel and the parameters diverge.
-    # Peel off the eigenspace the iterate is abandoning and re-solve on the
-    # remaining support.
-    def solve_face(red, c):
-        # the face's block layout: r blocks of 1 x 1 when d_Q = 1 (q's columns
-        # are configurations), else one r x r block
-        red = np.real(np.diagonal(red, axis1=1, axis2=2))[..., None, None] if u.shape[-1] == 1 \
-            else red[:, None]
-        _, _, tau, _, face_it = _dual_minimize(
-            lambda t: np.tensordot(t, red, axes=(0, 0)),
-            lambda x: np.real(np.tensordot(red, np.swapaxes(x, 1, 2), axes=3)),
-            c, red.shape[1:3], 0.1 * tol, DUAL_STEPS,
-        )
-        return tau, face_it
-
-    (pi, _, info["rounds"]), face_its = _face_loop(p, u, PEEL_SCHEDULE, solve_face, model, b, tol,
-                                                   best=(pi, resid, 0))
+    # boundary regime: the optimum has a kernel and the parameters diverge;
+    # re-solve on the support left when the abandoned eigenspace is peeled
+    (pi, _, info["rounds"]), face_its = _face_loop(p, u, model, b, tol, (pi, resid, 0), newton)
     return pi, nit + face_its, info, None
-
-
-# -------------------------------------------------------------- newton route
-
-
-def _face_newton(red: np.ndarray, c: np.ndarray, tol: float):
-    """Newton's method on a face's dual: minimize f(t) = log tr exp(sum_k
-    t_k R_k) - t . c over the reduced constraints R_k (m, r, r) of one r x r
-    block, c pinned to trace one (see _face_loop).
-
-    The gradient is g_k = tr(R_k pi) - c_k at the Gibbs state pi = U diag(p)
-    U^H of sum_k t_k R_k, eigenvalues w.  The Hessian is the Kubo-Mori
-    metric of pi, H_kl = Re sum_ab conj(R~_k)_ab K_ab R~_l,ab - m_k m_l, with
-    R~_k = U^H R_k U, K_ab = (p_a - p_b) / (w_a - w_b), K_aa = p_a, and m_k =
-    tr(R_k pi).  Starts at t = 0 from the maximally mixed state; each step
-    solves H s = -g by least squares (the face's identity is flat) and
-    backtracks to sufficient decrease.  Stops when max |g| <= 0.1 tol, when
-    no step decreases f, or after DUAL_STEPS steps.  Returns the Gibbs state
-    as a (1, r, r) block array and the steps taken.
-    """
-    flat = red.reshape(len(red), -1)
-
-    def fg(t, gibbs=None):
-        pi, lz, p, u = gibbs or _gibbs_blocks(np.tensordot(t, red, axes=(0, 0))[None])
-        return lz - t @ c, np.real(flat @ pi[0].T.ravel()) - c, pi, p[0], u[0]
-
-    t = np.zeros(c.size)
-    f, g, pi, p, u = fg(t, _gibbs_of_zero(1, red.shape[-1]))
-    steps = 0
-    while steps < DUAL_STEPS and float(np.max(np.abs(g), initial=0.0)) > 0.1 * tol:
-        rt = (u.conj().T @ red @ u).reshape(len(red), -1)
-        # K_ab as p_hi (1 - exp(-x)) / x, x = |w_a - w_b|: no cancellation
-        lp = np.log(np.maximum(p, TINY))
-        x = np.abs(lp[:, None] - lp[None, :])
-        kernel = np.maximum.outer(p, p) * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
-        m = g + c
-        hess = np.real((rt.conj() * kernel.ravel()) @ rt.T) - np.outer(m, m)
-        step = np.linalg.lstsq(hess, -g, rcond=None)[0]
-        slope = float(g @ step)
-        s = 1.0
-        for _ in range(BACKTRACK_STEPS):
-            trial = fg(t + s * step)
-            if trial[0] <= f + ARMIJO_C1 * s * slope:
-                break
-            s *= 0.5
-        else:
-            break  # no step decreases f: the rounding floor
-        steps += 1
-        t = t + s * step
-        f, g, pi, p, u = trial
-    return pi, steps
-
-
-def _newton_solve(model: HierarchicalModel, b: np.ndarray, tol: float):
-    """Returns the projection, its iterations and diagnostics; at the
-    interior exit the projection comes as its block eigenpairs instead.
-
-    Newton's method on the dual of the whole space, the face the cut at 0
-    keeps of the maximally mixed state; an answer that misses tol or is
-    rank-deficient is re-solved on faces peeled from it, as _dual_solve
-    peels.  The whole space is one d x d face, compressed from the (m, d, d)
-    stack, so a model past STACK_GUARD raises MemoryError."""
-    d = model.shape.dim
-    if model.n_elements * d * d > STACK_GUARD:
-        raise MemoryError(f"{model.n_elements} x {d} x {d} exceeds the materialization guard")
-    solve_face = partial(_face_newton, tol=tol)
-    _, _, p, u = _gibbs_of_zero(*model._moment_plan().blocks[:2])
-    (pi, resid, _), nit = _face_loop(p, u, (0.0,), solve_face, model, b, tol)
-    w, u = _eigh_blocks(0.5 * (pi + pi.conj().transpose(0, 2, 1)))
-    if resid <= tol and _support_size(w) == d:
-        return (w, u), nit, {"rounds": 0}, None
-    (pi, _, rounds), face_its = _face_loop(w, u, PEEL_SCHEDULE, solve_face, model, b, tol,
-                                           best=(pi, resid, 0))
-    return pi, nit + face_its, {"rounds": rounds}, None
 
 
 # ----------------------------------------------------------------- ipf route
@@ -478,10 +432,11 @@ def maxent_project(
     method "auto" picks a closed form when one exists (full family, or the
     independence family), iterative proportional fitting for classical
     shapes, and otherwise the dual solver, retried once by Newton's method
-    when it misses (not past STACK_GUARD, see _newton_solve); the answer
-    after a retry carries the dual's residual and iterations in
+    when it misses (not past STACK_GUARD, see _block_directions); the
+    answer after a retry carries the dual's residual and iterations in
     diagnostics["fallback_from"].  Explicit methods are honored strictly and
-    raise when they do not apply.
+    raise when they do not apply; so does a tol that is not finite and
+    positive.
 
     The result is converged when the moment residual is at most tol; when
     the projection is rank-deficient, at most max(tol, BOUNDARY_TOL), with
@@ -493,6 +448,8 @@ def maxent_project(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if rho.shape != model.shape:
         raise ShapeError("state and model live on different shapes")
     hg = model.hypergraph
@@ -507,7 +464,7 @@ def maxent_project(
             method = "ipf"
         else:
             result = _run(rho, model, "dual", tol)
-            # the retry's whole-space face compresses the (m, d, d) stack
+            # the retry's Kubo-Mori directions compress the (m, d, d) stack
             if result.converged or model.n_elements * rho.shape.dim ** 2 > STACK_GUARD:
                 return result
             fallback = _run(rho, model, "newton", tol)
@@ -540,10 +497,8 @@ def _run(rho, model, method, tol) -> ProjectionResult:
         out, iters, info = _product(rho_x, shape), 0, {}
     elif method == "ipf":
         out, iters, info, theta = _ipf_solve(rho_x, model, tol)
-    elif method == "dual":
-        out, iters, info, theta = _dual_solve(model, b, tol)
     else:
-        out, iters, info, theta = _newton_solve(model, b, tol)
+        out, iters, info, theta = _dual_solve(model, b, tol, newton=method == "newton")
 
     # one spectral pass: the state and its spectrum come from the route's
     # last eigenpairs (an interior exit) or from one eigendecomposition

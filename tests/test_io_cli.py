@@ -489,6 +489,15 @@ class TestCLI:
         assert code == 0
         assert any("non-standard" in w for w in rep["diagnostics"]["warnings"])
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_out_of_range_tolerance_exits_2(self, ghz_file, tol, capsys):
+        # inf passed as converged after 0 iterations, 0 and -1 ran both
+        # routes to their step caps, nan ended after 0 iterations
+        code = main(["project", "--state", ghz_file, "--k", "2", f"--tol={tol}"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == "" and "tol must be finite and positive" in out.err
+
     def test_determinism(self, ghz_file, capsys):
         main(["theorem1", "--samples", "200"])
         first = _report(capsys)

@@ -3,9 +3,10 @@
 Every command prints a JSON report to stdout carrying the command name, the
 effective config, command-specific results, diagnostics, and wall time; the
 ``demo`` command prints a human pass/fail table instead.  Values are in nats
-unless ``--bits`` is given.  Exit codes: 0 success, 2 validation error,
-3 non-convergence.  Thread use follows the numpy conventions, so set
-OMP_NUM_THREADS to bound it.
+unless ``--bits`` is given.  Exit codes: 0 success, 1 a failed
+verification (``theorem1``, ``demo``), 2 validation error, 3 non-convergence.
+``python -m hiercorr`` runs the same commands.  Thread use follows the numpy
+conventions, so set OMP_NUM_THREADS to bound it.
 """
 
 import argparse

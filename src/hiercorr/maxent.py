@@ -336,14 +336,21 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
     return theta, lz, pi, eig, nit
 
 
+def _direction_entries(model: HierarchicalModel) -> int:
+    """Entries of _block_directions' stack, (m - 1) n k^2."""
+    return (model.n_elements - 1) * math.prod(model._moment_plan().blocks)
+
+
 def _block_directions(model: HierarchicalModel) -> np.ndarray:
-    """The blocks (m - 1, n, k, k) of the non-identity B_k: model.compress of
-    the lifted eigenvectors of I / d, which order the columns block by
-    block.  Past STACK_GUARD it raises MemoryError."""
-    n, k = model._moment_plan().blocks[:2]
-    _, _, p, u = _gibbs_of_zero(n, k)
-    full = model.compress(_lift(p, u, model.shape, 0.0)[0])[1:].reshape(-1, n, k, n, k)
-    return np.einsum("mikil->mikl", full).copy()
+    """The blocks (m - 1, n, k, k) of the non-identity B_k, each the moment
+    plan's hamiltonian of a unit parameter vector.  Past STACK_GUARD entries
+    it raises MemoryError."""
+    plan = model._moment_plan()
+    if _direction_entries(model) > STACK_GUARD:
+        n, k = plan.blocks[:2]
+        raise MemoryError(f"{model.n_elements - 1} x {n} x {k} x {k} block directions "
+                          "exceed the materialization guard")
+    return np.stack([plan.hamiltonian(e) for e in np.eye(model.n_elements - 1)])
 
 
 def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: bool):
@@ -464,8 +471,8 @@ def maxent_project(
             method = "ipf"
         else:
             result = _run(rho, model, "dual", tol)
-            # the retry's Kubo-Mori directions compress the (m, d, d) stack
-            if result.converged or model.n_elements * rho.shape.dim ** 2 > STACK_GUARD:
+            # the retry's Kubo-Mori directions are an (m - 1, n, k, k) stack
+            if result.converged or _direction_entries(model) > STACK_GUARD:
                 return result
             fallback = _run(rho, model, "newton", tol)
             # a converged answer wins; between two misses, the lower residual

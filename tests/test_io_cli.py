@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hiercorr
-from hiercorr import cli, maximizers
+from hiercorr import cli, demo, maximizers
 from hiercorr.algebra import ShapeError, State, SystemShape, gibbs_with_log_partition
 from hiercorr.cli import main
 from hiercorr.hierarchy import build_model, hypergraph_k, model_dim
@@ -143,15 +143,31 @@ def _report(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this hiercorr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hiercorr.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize("module", ["hiercorr", "hiercorr.cli"])
 def test_import_loads_no_scipy(module):
     # scipy is for the demo's oracle and the tests; the library runs on numpy
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hiercorr.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
+                         text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_module_runs_the_cli():
+    # python -m hiercorr exits with the command's code
+    env = _fresh_env()
+    out = subprocess.run([sys.executable, "-m", "hiercorr", "theorem1", "--samples", "10"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["command"] == "theorem1"
+    out = subprocess.run([sys.executable, "-m", "hiercorr", "dims", "--shape", "2,2", "--k", "0"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2 and out.stderr.startswith("error:")
 
 
 class TestCLI:
@@ -482,6 +498,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "[PASS] parity-kernel" in out
+
+    def test_demo_exits_1_on_a_failed_check(self, monkeypatch, capsys):
+        failing = [(name, (lambda: (False, "forced failure")) if name == "parity-kernel" else fn)
+                   for name, fn in demo.CRITERIA]
+        monkeypatch.setattr(demo, "CRITERIA", failing)
+        code = main(["demo", "--only", "parity-kernel"])
+        assert code == 1
+        assert "[FAIL] parity-kernel: forced failure" in capsys.readouterr().out
+
+    def test_theorem1_exits_1_on_a_failed_verification(self, monkeypatch, capsys):
+        verify = cli.verify_mutual_information_bound
+        monkeypatch.setattr(cli, "verify_mutual_information_bound",
+                            lambda **kw: {**verify(**kw), "violations": 1, "passed": False})
+        code = main(["theorem1", "--samples", "20"])
+        assert code == 1
+        assert _report(capsys)["results"]["verification"]["passed"] is False
 
     def test_nonstandard_tolerance_flagged(self, ghz_file, capsys):
         code = main(["ck", "--state", ghz_file, "--k", "1", "--tol", "0.1"])

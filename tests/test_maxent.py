@@ -499,6 +499,32 @@ class TestNewtonRoute:
         with pytest.raises(MemoryError):
             maxent_project(random_density(shape, np.random.default_rng(43)), model, method="newton")
 
+    def test_directions_take_only_the_diagonal_blocks(self):
+        # b10: the directions are 55 x 1024 x 1 x 1 entries, though the dense
+        # stack, 56 x 1024 x 1024, is past STACK_GUARD
+        shape = SystemShape.bits(10)
+        model = build_model(shape, hypergraph_k(10, 2))
+        assert model.n_elements * shape.dim**2 > STACK_GUARD
+        rho = random_density(shape, np.random.default_rng(0))
+        res, dual = (maxent_project(rho, model, method=m) for m in ("newton", "dual"))
+        assert res.converged and dual.converged
+        assert res.diagnostics["support_dim"] == shape.dim
+        assert abs(res.divergence - dual.divergence) <= 1e-8
+
+    def test_auto_retries_past_the_dense_stack_on_mixed_shapes(self, monkeypatch):
+        # nine bits and a qubit: m d^2 = 76 x 1024 x 1024 is past STACK_GUARD,
+        # the block directions (75 x 512 x 2 x 2) are not
+        shape = SystemShape((2,) * 10, ("c",) * 9 + ("q",))
+        model = build_model(shape, hypergraph_k(10, 2))
+        assert model.n_elements * shape.dim**2 > STACK_GUARD
+        mixed = np.broadcast_to(np.eye(2) / shape.dim, (shape.dim // 2, 2, 2))
+        solve = maxent._dual_solve
+        monkeypatch.setattr(maxent, "_dual_solve", lambda *args, newton: solve(*args, newton=True)
+                            if newton else (mixed.astype(complex), 0, {}, None))
+        res = maxent_project(random_density(shape, np.random.default_rng(0)), model)
+        assert res.method == "newton" and res.converged
+        assert res.diagnostics["fallback_from"]["method"] == "dual"
+
     def test_auto_skips_the_retry_past_the_stack_guard(self, monkeypatch):
         # a dual miss on q8 comes back as it is: the retry could not run
         shape = SystemShape.qubits(8)

@@ -23,6 +23,7 @@ from hiercorr.twoqubit import (
     is_physical_t,
     is_separable,
     mutual_information_bd,
+    sample_octahedra,
     sample_octahedron,
     separable_extreme_points,
     verify_mutual_information_bound,
@@ -231,13 +232,35 @@ def _nan_free(rows):
 
 
 class TestArrayPass:
-    def test_draws_keep_the_choice_stream(self):
-        for seed in range(5):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(200):
-                want = b.dirichlet(np.ones(4))[:3] * b.choice([-1.0, 1.0], size=3)
-                got = sample_octahedron(a)
-                assert got.tobytes() == want.tobytes()
+    def test_draws_read_seven_doubles_each_in_any_split(self):
+        n = 3000
+        want = []
+        rng = np.random.default_rng(0)
+        for _ in range(n):  # the stream as documented, one draw at a time in pure Python
+            u = rng.random(7).tolist()
+            e = [-math.log1p(-x) for x in u[:4]]
+            total = e[0] + e[1] + e[2] + e[3]
+            want.append([(-1.0 if v < 0.5 else 1.0) * x / total for x, v in zip(e[:3], u[4:])])
+        want = np.array(want)
+        assert sample_octahedra(np.random.default_rng(0), n).tobytes() == want.tobytes()
+        rng = np.random.default_rng(0)
+        assert np.array([sample_octahedron(rng) for _ in range(n)]).tobytes() == want.tobytes()
+        for chunk in (1, 7, 96, 2048):
+            rng = np.random.default_rng(0)
+            got = np.concatenate([sample_octahedra(rng, min(chunk, n - start))
+                                  for start in range(0, n, chunk)])
+            assert got.tobytes() == want.tobytes(), chunk
+
+    def test_draws_are_uniform_on_the_cross_polytope(self):
+        # |t|_1 <= r holds a volume fraction r^3: mean |t|_1 = 3/4 and
+        # P(|t|_1 <= 1/2) = 1/8; the eight sign octants are equally likely
+        t = sample_octahedra(np.random.default_rng(89), 400_000)
+        norm = np.abs(t).sum(axis=1)
+        octant = (t > 0) @ np.array([1, 2, 4])
+        assert np.all(np.abs(np.bincount(octant, minlength=8) / len(t) - 1 / 8) <= 0.003)
+        assert abs(norm.mean() - 0.75) <= 0.003
+        assert abs(np.mean(norm <= 0.5) - 1 / 8) <= 0.003
+        assert norm.max() <= 1.0
 
     def test_bell_from_t_matches_the_scalar_route_bitwise(self):
         rng = np.random.default_rng(87)

@@ -65,7 +65,6 @@ BOUNDARY_TOL = 1e-5
 # largest entropy defect |D(rho||pi) - (S(pi) - S(rho))| of a converged
 # boundary answer, D taken by the cross-check _relative_entropy_direct
 ENTROPY_MATCH_TOL = 1e-6
-THETA_BLOWUP = 1e3
 PEEL_SCHEDULE = (1e-4, 1e-6, 1e-8, 1e-10)
 # L-BFGS: correction pairs kept, relative decrease that ends the descent,
 # sufficient-decrease constant and trial steps of the backtracking search
@@ -359,8 +358,7 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: boo
     as the eigenpairs (p, u) of the last Gibbs state instead.  The descent
     runs on the whole space, then on faces peeled from an answer that
     misses tol or is rank-deficient.  With newton every step takes the
-    exact direction, and the answer carries no parameters: it keeps its
-    independent cross-check."""
+    exact direction."""
     d = model.shape.dim
     plan = model._moment_plan()
     hessian = partial(_kubo_mori, _block_directions(model)) if newton else None
@@ -371,11 +369,11 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: boo
         DUAL_STEPS, newton=True, hessian=hessian,
     )
     resid = _residual(pi, model, b)
-    info = {"rounds": 0, "support_dim": d, "theta_max": float(np.max(np.abs(theta), initial=0.0))}
+    info = {"rounds": 0}
     # an iterate with eigenvalues at kernel level is a boundary answer, however
     # small its residual: only full support ends here
-    if resid <= tol and info["theta_max"] <= THETA_BLOWUP and _support_size(p) == d:
-        return (p, u), nit, info, None if newton else GibbsParameters(theta.copy(), lz)
+    if resid <= tol and _support_size(p) == d:
+        return (p, u), nit, info, GibbsParameters(theta, lz)
 
     # boundary regime: the optimum has a kernel and the parameters diverge;
     # re-solve on the support left when the abandoned eigenspace is peeled
@@ -449,9 +447,9 @@ def maxent_project(
     the projection is rank-deficient, at most max(tol, BOUNDARY_TOL), with
     the divergence within ENTROPY_MATCH_TOL of the cross-check
     diagnostics["relative_entropy_direct"] (see _relative_entropy_direct).
-    At the dual's interior exit that value is log Z - theta . b - S(rho)
-    from the Gibbs parameters instead, and diagnostics["gap"] is its
-    distance from the divergence, the duality gap.
+    At the interior exit of dual and newton that value is
+    log Z - theta . b - S(rho) from the Gibbs parameters instead, and
+    diagnostics["gap"] is its distance from the divergence, the duality gap.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -507,24 +505,24 @@ def _run(rho, model, method, tol) -> ProjectionResult:
     else:
         out, iters, info, theta = _dual_solve(model, b, tol, newton=method == "newton")
 
-    # one spectral pass: the state and its spectrum come from the route's
-    # last eigenpairs (an interior exit) or from one eigendecomposition
-    # of its answer's blocks; off the dual's interior exit, one independent
-    # one of pi checks them
-    eig = out if isinstance(out, tuple) else _eigh_blocks(0.5 * (out + out.conj().transpose(0, 2, 1)))
-    x, w = _clean(*eig)
-    pi = State._trusted(shape, x)
-    resid = _residual(x, model, b)
-    support = _support_size(w)
+    # one spectral pass: an interior exit hands over its last Gibbs
+    # eigenpairs with theta; any other answer is diagonalized once, block by
+    # block, to clip it onto the state space
     rho_entropy = spectrum_entropy(rho.spectrum)
-    divergence = max(0.0, spectrum_entropy(w) - rho_entropy)
     if theta is None:
+        x, w = _clean(*_eigh_blocks(0.5 * (out + out.conj().transpose(0, 2, 1))))
+        # one independent eigendecomposition of pi cross-checks D
         direct = _relative_entropy_direct(rho_x, rho_entropy, x)
     else:
+        x, w = _clean(*out)
         # log pi = theta . B - log Z at the interior Gibbs answer, so D(rho||pi)
         # needs no eigh of pi, and its distance from S(pi) - S(rho) is the
         # duality gap |theta . (<B>_pi - b)|
         direct = max(0.0, theta.log_partition - float(theta.theta @ b[1:]) - rho_entropy)
+    pi = State._trusted(shape, x)
+    resid = _residual(x, model, b)
+    support = _support_size(w)
+    divergence = max(0.0, spectrum_entropy(w) - rho_entropy)
     converged = resid <= tol
     if support < shape.dim:
         # the moments pin a boundary answer only loosely: a state far from the

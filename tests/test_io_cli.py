@@ -207,16 +207,21 @@ class TestCLI:
         assert np.max(np.abs(pi.matrix - np.eye(8) / 8.0)) < 1e-9
         assert rep["diagnostics"]["residual"] <= 1e-8
 
-    def test_project_interior_reports_gibbs_parameters(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method, route", [("auto", "dual"), ("newton", "newton")],
+                             ids=["auto", "newton"])
+    def test_project_interior_reports_gibbs_parameters(self, method, route, tmp_path, capsys):
         rho = random_density(SystemShape.qubits(3), np.random.default_rng(7))
         path = tmp_path / "q3.json"
         path.write_text(json.dumps(state_to_dict(rho)))
-        code = main(["project", "--state", str(path), "--k", "2", "--tol", "1e-9"])
+        code = main(["project", "--state", str(path), "--k", "2", "--tol", "1e-9",
+                     "--method", method])
         rep = _report(capsys)
         assert code == 0
         res = rep["results"]
-        assert res["method"] == "dual" and res["converged"] is True
+        assert res["method"] == route and res["converged"] is True
         assert rep["config"]["tol"] == 1e-9 and rep["diagnostics"]["residual"] <= 1e-9
+        diag = rep["diagnostics"]
+        assert diag["gap"] == abs(diag["relative_entropy_direct"] - res["divergence"])
         assert "warnings" not in rep["diagnostics"]  # a tighter tolerance is standard
         model = build_model(rho.shape, hypergraph_k(3, 2))
         theta = np.array(res["theta"])

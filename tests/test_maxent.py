@@ -257,6 +257,23 @@ class TestDualSolver:
         assert np.max(np.abs(res.theta.state(model).matrix - res.state.matrix)) <= 1e-10
         assert model._stack is None
 
+    @pytest.mark.parametrize("method", ["dual", "newton"])
+    def test_strong_field_on_many_bits_takes_the_interior_exit(self, method):
+        # an element's entries scale as 1 / sqrt(d / d_A), so an ordinary
+        # full-support answer on 14 bits needs |theta_k| > 1e3: the Gibbs
+        # state with theta_1 = 1100 (p_min / p_max = 3.4e-8) must end at the
+        # interior exit, not on a face whose 16384 x 8192 isometry would not fit
+        shape = SystemShape.bits(14)
+        model = build_model(shape, hypergraph_k(14, 1))
+        theta = np.zeros(model.n_elements - 1)
+        theta[0] = 1100.0
+        rho = GibbsParameters(theta, 0.0).state(model)
+        res = maxent_project(rho, model, method=method)
+        assert res.converged and res.diagnostics["rounds"] == 0
+        assert res.diagnostics["support_dim"] == shape.dim
+        assert res.theta is not None and abs(res.theta.theta[0]) > 1e3
+        assert res.diagnostics["relative_entropy_direct"] <= 1e-7
+
 
 class TestBoundaryCases:
     def test_ghz_pairwise_projection(self):
@@ -538,9 +555,10 @@ class TestNewtonRoute:
 
 
 class TestSpectralPass:
-    def test_eigendecomposition_budget(self, count_decompositions, monkeypatch):
-        # an interior dual projection diagonalizes each Gibbs iterate away
-        # from theta = 0, whose state is closed-form, and nothing more: its
+    @pytest.mark.parametrize("method", ["dual", "newton"])
+    def test_eigendecomposition_budget(self, method, count_decompositions, monkeypatch):
+        # an interior projection diagonalizes each Gibbs iterate away from
+        # theta = 0, whose state is closed-form, and nothing more: its
         # D(rho||pi) comes from the Gibbs parameters, and rho's spectrum from
         # its validation
         shape = SystemShape.qubits(5)
@@ -550,7 +568,7 @@ class TestSpectralPass:
         zero = []
         gibbs = maxent._gibbs_blocks
         monkeypatch.setattr(maxent, "_gibbs_blocks", lambda h: zero.append(not h.any()) or gibbs(h))
-        res = maxent_project(rho, model, method="dual")
+        res = maxent_project(rho, model, method=method)
         assert res.converged and res.diagnostics["rounds"] == 0
         assert calls["gibbs"] >= res.iterations and not any(zero)
         assert calls["eigh"] == calls["gibbs"]
@@ -570,8 +588,12 @@ class TestSpectralPass:
         assert calls["eigvalsh"] == 0
         assert "gap" not in res.diagnostics
 
-    @pytest.mark.parametrize("name", ["q3", "q4", "q5", "q6", "t3", "cqcq-2222"])
-    def test_interior_divergence_from_the_gibbs_parameters(self, name):
+    @pytest.mark.parametrize(
+        "name, method",
+        [pytest.param(name, method, id=name if method == "dual" else f"{name}-{method}")
+         for method in ("dual", "newton") for name in ("q3", "q4", "q5", "q6", "t3", "cqcq-2222")],
+    )
+    def test_interior_divergence_from_the_gibbs_parameters(self, name, method):
         # D(rho||pi) = log Z - theta . b - S(rho) at the interior exit agrees
         # with the dense relative entropy, and the duality gap with it is
         # below tol
@@ -581,18 +603,17 @@ class TestSpectralPass:
         model = build_model(shape, hypergraph_k(shape.N, 2))
         for seed in range(3):
             rho = random_density(shape, np.random.default_rng(seed))
-            res = maxent_project(rho, model, method="dual")
+            res = maxent_project(rho, model, method=method)
             assert res.converged and res.theta is not None
             dense = relative_entropy(rho.matrix, res.state.matrix)
             assert abs(res.diagnostics["relative_entropy_direct"] - dense) <= 1e-12
             assert res.diagnostics["gap"] <= INTERIOR_TOL
 
-    @pytest.mark.parametrize("method", ["newton", "ipf", "product"])
+    @pytest.mark.parametrize("method", ["ipf", "product"])
     def test_other_exits_keep_the_cross_check(self, method, count_decompositions):
-        # off the dual's interior exit pi is diagonalized once more, for
-        # relative_entropy_direct, and no gap is reported: newton's interior
-        # exit hands over its last Gibbs eigenpairs, so that is its one eigh
-        # beyond the Gibbs maps; product's answer is diagonalized in _clean too
+        # off the interior exit pi is diagonalized once more, for
+        # relative_entropy_direct, and no gap is reported; product's answer
+        # is diagonalized in _clean too
         shape = SystemShape.bits(3) if method == "ipf" else SystemShape.qubits(3)
         rho = random_density(shape, np.random.default_rng(47))
         model = build_model(shape, hypergraph_k(3, 1 if method == "product" else 2))
@@ -600,7 +621,7 @@ class TestSpectralPass:
         res = maxent_project(rho, model, method=method)
         assert res.converged and "gap" not in res.diagnostics
         if not shape.all_classical:
-            assert calls["eigh"] == calls["gibbs"] + {"newton": 1, "product": 2}[method]
+            assert calls["eigh"] == 2
         assert abs(res.diagnostics["relative_entropy_direct"]
                    - relative_entropy(rho.matrix, res.state.matrix)) <= 1e-9
 
@@ -632,8 +653,8 @@ class TestSpectralPass:
         res = maxent_project(rho, build_model(rho.shape, hypergraph_k(rho.shape.N, k)),
                              method=method)
         assert res.converged and res.method == method
-        # the mixed-shape dual takes the interior exit, the GHZ one peels
-        assert (res.theta is not None) == (method == "dual" and rho.shape.N == 3)
+        # the mixed-shape dual and newton take the interior exit, the GHZ dual peels
+        assert (res.theta is not None) == (method in ("dual", "newton") and rho.shape.N == 3)
         again = State(rho.shape, res.state.matrix)
         assert np.max(np.abs(again.matrix - res.state.matrix)) <= 1e-15
         assert abs(res.divergence - res.diagnostics["relative_entropy_direct"]) <= 1e-8

@@ -438,14 +438,13 @@ def von_neumann_entropy(state) -> float:
     return spectrum_entropy(_spectrum(_as_matrix(state)[None]))
 
 
-def _eigen_weights(rho_x: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues (n, k) of a block array x (see _eigh_blocks) and the
-    weight of the block array rho_x on each eigenvector, the diagonal of
-    v^H rho v block by block; a 1 x 1 block is its own eigenvalue."""
-    w, v = _eigh_blocks(x)
-    if x.shape[-1] == 1:
-        return w, rho_x[:, 0].real
-    return w, np.add.reduce(v.conj() * (rho_x @ v), axis=1).real
+def _weights(rho_x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The weight (n, k) of the block array rho_x on each column of the
+    block eigenvectors v (n, k, k) of _eigh_blocks, the diagonal of
+    v^H rho v block by block; a 1 x 1 block's eigenvector is 1."""
+    if v.shape[-1] == 1:
+        return rho_x[:, 0].real
+    return np.add.reduce(v.conj() * (rho_x @ v), axis=1).real
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -464,7 +463,8 @@ def relative_entropy(rho, sigma) -> float:
         rho_w = None
     if r.shape != s.shape:
         raise ShapeError(f"operands have shapes {r.shape[1:]} and {s.shape[1:]}")
-    ws, diag = (a.ravel() for a in _eigen_weights(r, s))
+    ws, v = _eigh_blocks(s)
+    ws, diag = ws.ravel(), _weights(r, v).ravel()
     thr = SUPPORT_RTOL * max(float(ws.max()), 1e-300)
     kernel = ws < thr
     if kernel.any() and float(np.sum(diag[kernel])) > KERNEL_MASS_TOL:

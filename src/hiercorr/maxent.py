@@ -6,7 +6,7 @@ Five routes are implemented:
 
 * ``dual``: L-BFGS descent on the dual log Z(theta) - theta . b from the
   maximally mixed state (theta = 0, in closed form, with the exact Newton
-  step as its first trial), then on faces peeled from a boundary answer,
+  step as its first trial), then on one face peeled from a boundary answer,
 * ``newton``: the same descent along the exact Kubo-Mori Newton direction,
 * ``ipf``: iterative proportional fitting, classical shapes only,
 * ``product`` / ``exact``: closed forms for the independence family and
@@ -20,7 +20,8 @@ the projection is a limit of the exponential family).
 States and Hamiltonians live in the block layout of algebra.block_layout,
 one d_Q x d_Q block per configuration of the classical units, and every
 spectral step is one batched eigendecomposition of the blocks (1 x 1 blocks,
-all-classical shapes, take none).
+all-classical shapes, take none).  Every route hands over its answer as
+block eigenpairs, so the post-solve checks diagonalize nothing.
 The input's spectrum is State.spectrum, taken when the state was validated.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -39,12 +40,12 @@ from .algebra import (
     SystemShape,
     _block_rows,
     _compose,
-    _eigen_weights,
     _eigh_blocks,
     _gibbs_blocks,
     _gibbs_of_zero,
     _lift,
     _marginal_blocks,
+    _weights,
     hermitian_realvec,
     marginal,
     realvec_hermitian,
@@ -66,6 +67,9 @@ BOUNDARY_TOL = 1e-5
 # boundary answer, D taken by the cross-check _relative_entropy_direct
 ENTROPY_MATCH_TOL = 1e-6
 PEEL_SCHEDULE = (1e-4, 1e-6, 1e-8, 1e-10)
+# relative eigenvalue cut of a reported support (support_dim) and of the
+# interior exit
+SUPPORT_CUT = 1e-9
 # L-BFGS: correction pairs kept, relative decrease that ends the descent,
 # sufficient-decrease constant and trial steps of the backtracking search
 LBFGS_MEMORY = 10
@@ -118,40 +122,40 @@ class ProjectionResult:
 
 def _clean(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The state of block eigenpairs (w, u), w clipped at zero (a move toward
-    the feasible cone) and scaled to sum to one, and its ascending spectrum."""
+    the feasible cone) and scaled to sum to one, and those eigenvalues."""
     w = np.maximum(w, 0.0)
     s = w.sum()
     if s <= 0.0:
         raise ConvergenceError("projection collapsed to the zero matrix")
     w = w / s
     x = _compose(w, u)
-    return 0.5 * (x + x.conj().transpose(0, 2, 1)), np.sort(w, axis=None)
+    return 0.5 * (x + x.conj().transpose(0, 2, 1)), w
 
 
 def _residual(x: np.ndarray, model: HierarchicalModel, b: np.ndarray) -> float:
     return float(np.abs(model._moment_plan().moments(x) - b).max())
 
 
-def _support_size(w: np.ndarray, rtol: float = 1e-9) -> int:
-    """Eigenvalues of a spectrum above rtol times the largest."""
-    return int(np.count_nonzero(w > rtol * max(float(w.max()), 1e-300)))
+def _support_size(w: np.ndarray) -> int:
+    """Eigenvalues of a spectrum above SUPPORT_CUT times the largest."""
+    return int(np.count_nonzero(w > SUPPORT_CUT * max(float(w.max()), 1e-300)))
 
 
-def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, x: np.ndarray) -> float:
-    """D(rho||pi) = -S(rho) - tr(rho log pi) from an eigendecomposition of
-    pi's blocks of its own.
+def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, w: np.ndarray,
+                             u: np.ndarray) -> float:
+    """D(rho||pi) = -S(rho) - tr(rho log pi) from the block eigenpairs (w, u)
+    of pi, through rho's weights on pi's eigenvectors (algebra._weights).
 
-    The cross-check of a projection: the divergence is S(pi) - S(rho) from
-    the spectrum the solve left, this is D from an independent
-    diagonalization of pi.  Eigenvalues of pi are floored at the smallest
-    normal double, so tiny positive ones keep their exact logarithm (a
-    fitting limit with an entry of 4e-11 stays finite), while mass of rho on
-    pi's kernel weighs about 708 per unit instead of making D infinite.
-    rho_x and x are block arrays (see algebra._eigen_weights).
+    The cross-check of a boundary projection: the divergence is the entropy
+    difference S(pi) - S(rho), this is D from the operator log pi, so the
+    two agree only when rho lives on pi's support.  Eigenvalues of pi are
+    floored at the smallest normal double, so tiny positive ones keep their
+    exact logarithm (a fitting limit with an entry of 4e-11 stays finite),
+    while mass of rho on pi's kernel weighs about 708 per unit instead of
+    making D infinite.
     """
-    w, r = _eigen_weights(rho_x, x)
     logs = np.log(np.maximum(w, TINY))
-    return max(0.0, -rho_entropy - float(r.ravel() @ logs.ravel()))
+    return max(0.0, -rho_entropy - float(_weights(rho_x, u).ravel() @ logs.ravel()))
 
 
 def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
@@ -171,25 +175,24 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------- face loop
 
 
-def _face_loop(w, u, model, b, tol, best, newton: bool):
-    """Re-solve a projection on faces cut with PEEL_SCHEDULE from an
-    iterate, given by its block eigenpairs (w, u) of _eigh_blocks.
+def _face_loop(w, u, model, b, tol, newton: bool):
+    """Re-solve a projection on the first face cut with PEEL_SCHEDULE from
+    an iterate, given by its block eigenpairs (w, u) of _eigh_blocks.
 
     Each cut keeps the eigenvectors above it times the largest eigenvalue
     as the columns of the d x r isometry q, by ascending eigenvalue.  Cuts
-    keeping no vector, all d or as many as a face already tried are
+    keeping no vector, all d or as many as a cut already refused are
     skipped, as are faces whose constraints q^H B_k q (model.compress) miss
-    the moments by more than 1e-8 max(1, max |b|).  _face_solve works in
-    the face's block layout, r blocks of 1 x 1 when d_Q = 1 (q's columns
-    are configurations), else one r x r block; the lift with the lowest
-    residual wins, stopping at tol.  best is the whole-space record (state,
-    residual, round 0).  Returns the best record and the face iterations.
+    the moments by more than 1e-8 max(1, max |b|); the first face left, the
+    smallest, is solved.  _face_solve works in the face's block layout, r
+    blocks of 1 x 1 when d_Q = 1 (q's columns are configurations), else one
+    r x r block.  Returns the lift q F q^H of its answer, the 1-based index
+    of its cut and its steps, or None, 0, 0 when no face carries the moments.
     """
     rows = _block_rows(model.shape)
     scale = max(float(w.max()), 1e-300)
     bound = 1e-8 * max(1.0, float(np.max(np.abs(b))))
     tried = {0, model.shape.dim}
-    total = 0
     for rounds, cut in enumerate(PEEL_SCHEDULE, start=1):
         q = _lift(w, u, model.shape, cut * scale)[0]
         r = q.shape[1]
@@ -206,26 +209,19 @@ def _face_loop(w, u, model, b, tol, best, newton: bool):
         red = np.real(np.diagonal(red, axis1=1, axis2=2))[..., None, None] if rows.shape[1] == 1 \
             else red[:, None]
         face, nit = _face_solve(red, c + v * (1.0 - v @ c) / (v @ v), tol, newton)
-        total += nit
         qb = q[rows].reshape(*rows.shape, *face.shape[:2])  # q's rows by block, columns by face block
-        pi = np.einsum("cajb,jbe,cdje->cad", qb, face, qb.conj(), optimize=True)  # q F q^H
-        resid = _residual(pi, model, b)
-        if resid < best[1]:
-            best = (pi, resid, rounds)
-        if best[1] <= tol:
-            break
-    return best, total
+        return np.einsum("cajb,jbe,cdje->cad", qb, face, qb.conj(), optimize=True), rounds, nit
+    return None, 0, 0
 
 
 def _face_solve(red: np.ndarray, c: np.ndarray, tol: float, newton: bool):
     """Minimize log tr exp(sum_k t_k R_k) - t . c over a face's constraints
     red (m, n, k, k) in its block layout; returns the Gibbs state (n, k, k)
     and the steps taken."""
-    hessian = partial(_kubo_mori, red) if newton else None
     _, _, tau, _, nit = _dual_minimize(
         lambda t: np.tensordot(t, red, axes=(0, 0)),
         lambda x: np.real(np.tensordot(red, np.swapaxes(x, 1, 2), axes=3)),
-        c, red.shape[1:3], 0.1 * tol, DUAL_STEPS, hessian=hessian,
+        c, red.shape[1:3], tol, red if newton else None,
     )
     return tau, nit
 
@@ -267,27 +263,26 @@ def _kubo_mori(s: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return c @ c.T
 
 
-def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: float, maxiter: int,
-                   newton: bool = False, hessian=None):
+def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, tol: float, directions=None):
     """Minimize log Z(theta) - theta . targets with backtracking, by L-BFGS
-    or, given hessian, by Newton's method.
+    or, given the stack directions (m, n, k, k) of the B_k, by Newton's method.
 
     hamiltonian(theta) is sum_k theta_k B_k as a block array of blocks =
     (n, k) blocks of k x k, and moments(x) the vector of tr(B_k x) of a block
-    array, over the directions B_k the targets belong to.  The descent
-    starts at theta = 0, the maximally mixed state (_gibbs_of_zero, no
-    eigendecomposition).  hessian(p, u) is the Kubo-Mori metric M of the
-    B_k at the Gibbs eigenpairs (p, u); each step solves (M - m m^T) s = -g,
-    m the moments, by least squares.  Without it the first trial step is
-    steepest descent of length 1, or with newton -D g, D = n k: on
-    orthonormal traceless B_k the Hessian at theta = 0 is I / D.  A failed
-    search, or an overflowed direction, drops the curvature pairs and
-    retries along steepest descent.  Stops when the largest gradient entry
-    is at most gtol, when an accepted step lowers the objective by at most
-    LBFGS_FTOL relative to its size while that entry is at most 10 gtol
-    (the route's tol), when no step along steepest descent or Newton's
-    direction decreases it, or after maxiter steps.  Returns theta, log Z,
-    the Gibbs state at theta, its eigenpairs (p, u) and the steps taken.
+    array.  The descent starts at theta = 0, the maximally mixed state
+    (_gibbs_of_zero, no eigendecomposition).  A Newton step solves
+    (M - m m^T) s = -g by least squares, M the Kubo-Mori metric at the Gibbs
+    eigenpairs and m the moments.  L-BFGS's first trial is -D g, D = n k:
+    where the B_k are orthonormal and g has no component along the identity
+    (traceless B_k, or a face whose targets are pinned to trace one), the
+    Hessian at theta = 0 acts on g as I / D, so this is the exact Newton
+    step.  A failed search, or an overflowed direction, drops the curvature
+    pairs and retries along steepest descent.  Stops when the largest
+    gradient entry is at most 0.1 tol, when an accepted step lowers the
+    objective by at most LBFGS_FTOL relative to its size while that entry
+    is at most tol, when no step along steepest descent or Newton's
+    direction decreases it, or after DUAL_STEPS steps.  Returns theta,
+    log Z, the Gibbs state at theta, its eigenpairs (p, u) and the steps.
     """
 
     def fg(theta):
@@ -298,15 +293,16 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
     pi, lz, *eig = _gibbs_of_zero(*blocks)
     f, g = lz, moments(pi) - targets
     dim = blocks[0] * blocks[1]
+    gtol = 0.1 * tol
     pairs = []
     nit = 0
-    while nit < maxiter and float(np.max(np.abs(g), initial=0.0)) > gtol:
+    while nit < DUAL_STEPS and float(np.max(np.abs(g), initial=0.0)) > gtol:
         with np.errstate(over="ignore", invalid="ignore"):
-            if hessian is not None:
+            if directions is not None:
                 m = g + targets
-                p = np.linalg.lstsq(hessian(*eig) - np.outer(m, m), -g, rcond=None)[0]
+                p = np.linalg.lstsq(_kubo_mori(directions, *eig) - np.outer(m, m), -g, rcond=None)[0]
             else:
-                p = -dim * g if newton and nit == 0 else _lbfgs_direction(g, pairs)
+                p = -dim * g if nit == 0 else _lbfgs_direction(g, pairs)
             slope = float(g @ p)
         t = 1.0
         # a direction that overflowed fails the search outright
@@ -316,7 +312,7 @@ def _dual_minimize(hamiltonian, moments, targets: np.ndarray, blocks, gtol: floa
                 break
             t *= 0.5
         else:
-            if hessian is not None or not pairs:
+            if directions is not None or not pairs:
                 break  # not even the steepest or exact direction decreases f: rounding floor
             pairs = []  # forget the curvature estimate and retry
             continue
@@ -353,32 +349,32 @@ def _block_directions(model: HierarchicalModel) -> np.ndarray:
 
 
 def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: bool):
-    """Returns the projection as a block array, its iterations, diagnostics
-    and, at the interior exit, Gibbs parameters; there the projection comes
-    as the eigenpairs (p, u) of the last Gibbs state instead.  The descent
-    runs on the whole space, then on faces peeled from an answer that
-    misses tol or is rank-deficient.  With newton every step takes the
-    exact direction."""
-    d = model.shape.dim
+    """Returns the block eigenpairs of the projection, its iterations,
+    diagnostics and, at the interior exit, Gibbs parameters.  The descent
+    runs on the whole space, then on one face peeled from an answer that
+    misses tol or is rank-deficient, whose answer replaces the last Gibbs
+    state when its residual is lower; that boundary answer is diagonalized
+    once.  With newton every step takes the exact direction."""
     plan = model._moment_plan()
-    hessian = partial(_kubo_mori, _block_directions(model)) if newton else None
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
     theta, lz, pi, (p, u), nit = _dual_minimize(
-        plan.hamiltonian, lambda x: plan.moments(x)[1:], b[1:], plan.blocks[:2], 0.1 * tol,
-        DUAL_STEPS, newton=True, hessian=hessian,
+        plan.hamiltonian, lambda x: plan.moments(x)[1:], b[1:], plan.blocks[:2], tol,
+        _block_directions(model) if newton else None,
     )
     resid = _residual(pi, model, b)
-    info = {"rounds": 0}
     # an iterate with eigenvalues at kernel level is a boundary answer, however
     # small its residual: only full support ends here
-    if resid <= tol and _support_size(p) == d:
-        return (p, u), nit, info, GibbsParameters(theta, lz)
+    if resid <= tol and _support_size(p) == model.shape.dim:
+        return (p, u), nit, {"rounds": 0}, GibbsParameters(theta, lz)
 
     # boundary regime: the optimum has a kernel and the parameters diverge;
     # re-solve on the support left when the abandoned eigenspace is peeled
-    (pi, _, info["rounds"]), face_its = _face_loop(p, u, model, b, tol, (pi, resid, 0), newton)
-    return pi, nit + face_its, info, None
+    face, rounds, face_its = _face_loop(p, u, model, b, tol, newton)
+    if face is None or _residual(face, model, b) >= resid:
+        face, rounds = pi, 0
+    face = 0.5 * (face + face.conj().transpose(0, 2, 1))
+    return _eigh_blocks(face), nit + face_its, {"rounds": rounds}, None
 
 
 # ----------------------------------------------------------------- ipf route
@@ -386,7 +382,8 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: boo
 
 def _ipf_solve(x: np.ndarray, model: HierarchicalModel, tol: float):
     """Fit the marginals of the (d, 1, 1) block array x on each maximal set in turn (the
-    moment plan's order) by rescaling each of its cells; the gap is over all marginals per sweep."""
+    moment plan's order) by rescaling each of its cells; the gap is over all marginals per sweep.
+    The fit comes back as block eigenpairs, its (d, 1) vector with eigenvectors 1."""
     if not model.shape.all_classical:
         raise ShapeError("iterative proportional fitting needs an all-classical shape")
     cells = model._moment_plan().cells
@@ -405,22 +402,25 @@ def _ipf_solve(x: np.ndarray, model: HierarchicalModel, tol: float):
         tiled[:] = q
         if float(np.abs(np.bincount(cells.ravel(), tiled.ravel()) - target).max()) <= 0.1 * tol:
             break
-    return q.reshape(-1, 1, 1), sweeps, {"sweeps": sweeps}, None
+    return (q.reshape(-1, 1), np.ones((q.size, 1, 1))), sweeps, {"sweeps": sweeps}, None
 
 
 def _block_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block Kronecker product of block arrays (c, k, k) and (n, j, j):
+    """Block Kronecker product of block arrays (c, k, l) and (n, j, i):
     block c n + e is a_c (x) b_e."""
-    (c, k, _), (n, j, _) = a.shape, b.shape
-    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(c * n, k * j, k * j)
+    (c, k, l), (n, j, i) = a.shape, b.shape
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(c * n, k * j, l * i)
 
 
-def _product(x: np.ndarray, shape: SystemShape) -> np.ndarray:
-    """Product of the unit marginals of the block array x: their block
-    Kronecker product in unit order, which puts classical digits into the
-    block index and quantum ones into the index within a block, as
-    block_layout orders them."""
-    return reduce(_block_kron, (_marginal_blocks(x, shape, [i]) for i in range(shape.N)))
+def _product(x: np.ndarray, shape: SystemShape):
+    """Block eigenpairs of the product of the unit marginals of the block
+    array x: the block Kronecker products of the marginals' eigenpairs in
+    unit order, which puts classical digits into the block index and
+    quantum ones into the index within a block, as block_layout orders them."""
+    def kron(a, b):
+        return _block_kron(a[0][..., None], b[0][..., None])[..., 0], _block_kron(a[1], b[1])
+
+    return reduce(kron, (_eigh_blocks(_marginal_blocks(x, shape, [i])) for i in range(shape.N)))
 
 
 # --------------------------------------------------------------- public API
@@ -499,30 +499,27 @@ def _run(rho, model, method, tol) -> ProjectionResult:
     b = model._moment_plan().moments(rho_x)
     theta = None
     if method == "product":
-        out, iters, info = _product(rho_x, shape), 0, {}
+        eig, iters, info = _product(rho_x, shape), 0, {}
     elif method == "ipf":
-        out, iters, info, theta = _ipf_solve(rho_x, model, tol)
+        eig, iters, info, theta = _ipf_solve(rho_x, model, tol)
     else:
-        out, iters, info, theta = _dual_solve(model, b, tol, newton=method == "newton")
+        eig, iters, info, theta = _dual_solve(model, b, tol, newton=method == "newton")
 
-    # one spectral pass: an interior exit hands over its last Gibbs
-    # eigenpairs with theta; any other answer is diagonalized once, block by
-    # block, to clip it onto the state space
+    # every route hands over the block eigenpairs of its answer, so nothing
+    # here diagonalizes: the eigenvalues are clipped onto the state space
     rho_entropy = spectrum_entropy(rho.spectrum)
+    x, w = _clean(*eig)
     if theta is None:
-        x, w = _clean(*_eigh_blocks(0.5 * (out + out.conj().transpose(0, 2, 1))))
-        # one independent eigendecomposition of pi cross-checks D
-        direct = _relative_entropy_direct(rho_x, rho_entropy, x)
+        direct = _relative_entropy_direct(rho_x, rho_entropy, w, eig[1])
     else:
-        x, w = _clean(*out)
         # log pi = theta . B - log Z at the interior Gibbs answer, so D(rho||pi)
-        # needs no eigh of pi, and its distance from S(pi) - S(rho) is the
-        # duality gap |theta . (<B>_pi - b)|
+        # needs no eigenvectors of pi, and its distance from S(pi) - S(rho) is
+        # the duality gap |theta . (<B>_pi - b)|
         direct = max(0.0, theta.log_partition - float(theta.theta @ b[1:]) - rho_entropy)
     pi = State._trusted(shape, x)
     resid = _residual(x, model, b)
     support = _support_size(w)
-    divergence = max(0.0, spectrum_entropy(w) - rho_entropy)
+    divergence = max(0.0, spectrum_entropy(np.sort(w, axis=None)) - rho_entropy)
     converged = resid <= tol
     if support < shape.dim:
         # the moments pin a boundary answer only loosely: a state far from the

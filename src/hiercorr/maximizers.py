@@ -26,10 +26,9 @@ from .algebra import (
     hermitian_realvec,
 )
 from .hierarchy import HierarchicalModel, Hypergraph, build_model, model_dim
-from .maxent import _support_size, maxent_project
+from .maxent import SUPPORT_CUT, _support_size, maxent_project
 
 SNAP_EPS = 1e-12
-RANK_RTOL = 1e-9
 # a trial step is taken when it raises the divergence by more than this
 RISE_MARGIN = 1e-14
 
@@ -61,7 +60,7 @@ def check_exponential_form(rho: State, model: HierarchicalModel) -> float:
     a certificate: it vanishes exactly on such states.
     """
     w, u = _eigh_blocks(rho.blocks)
-    q, w = _lift(w, u, rho.shape, RANK_RTOL * max(float(w.max()), 1e-300))
+    q, w = _lift(w, u, rho.shape, SUPPORT_CUT * max(float(w.max()), 1e-300))
     a = hermitian_realvec(model.compress(q)).T
     y = hermitian_realvec(np.diag(np.log(w)))
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
@@ -248,7 +247,7 @@ def search_local_maximizers(
                 MaximizerRecord(
                     value=val,
                     state=state,
-                    support_dim=_support_size(state.spectrum, RANK_RTOL),
+                    support_dim=_support_size(state.spectrum),
                     exp_residual=check_exponential_form(state, model),
                     hits=1,
                 )

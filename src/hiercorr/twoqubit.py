@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .algebra import State, SystemShape, _checked_states
+from .algebra import State, SystemShape
 from .states import bell_vector
 
 I2 = np.eye(2, dtype=complex)
@@ -89,8 +89,11 @@ def is_physical_t(t) -> bool:
 
 
 def _bell_batch(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra (n, 4) and validated block arrays (n, 1, 4, 4) of correlation
-    vectors t of shape (n, 3); bell_from_t is the case n = 1."""
+    """Spectra (n, 4) and block arrays (n, 1, 4, 4) of correlation vectors t
+    of shape (n, 3); bell_from_t is the case n = 1.  The matrices are
+    hermitian with trace one as assembled, and the check of the Bell-line
+    weights, which are their eigenvalues, is stricter than PSD_ATOL, so
+    they need no further validation."""
     rho = _assemble(t)
     # <b_j|rho|b_j> as one vector-matrix and one vector-vector product per
     # matrix and line, so every sample rounds as a single one does
@@ -104,7 +107,7 @@ def _bell_batch(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"correlation vector {bad.tolist()} is outside the state space")
     lam = np.clip(lam, 0.0, None)
     lam = lam / lam.sum(axis=1, keepdims=True)
-    return lam, _checked_states(rho[:, None])[0]
+    return lam, 0.5 * (rho + rho.conj().swapaxes(-1, -2))[:, None]
 
 
 def bell_from_t(t) -> BellDiagonal:

@@ -18,7 +18,6 @@ from hiercorr.algebra import (
     hermitian_realvec,
     marginal,
     relative_entropy,
-    to_blocks,
     von_neumann_entropy,
 )
 from hiercorr.hierarchy import (
@@ -34,7 +33,6 @@ from hiercorr.maxent import (
     GibbsParameters,
     _dual_minimize,
     _face_solve,
-    _lbfgs_direction,
     _reduce_constraints,
     chain_step_divergence,
     correlation_decomposition,
@@ -49,6 +47,18 @@ from hiercorr.maximizers import check_exponential_form, search_local_maximizers
 from hiercorr.states import ghz_state, random_density, random_pure, uniform_on
 
 LOG2 = math.log(2.0)
+
+
+def _trace_pinned_face(rng):
+    """Seeded constraints on a 4 x 4 face, its identity among them, reduced
+    by _reduce_constraints, and targets from a full-rank state moved onto
+    trace one as the face loop moves them; returns them and the traces v."""
+    g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    dirs = np.concatenate([g + np.transpose(g.conj(), (0, 2, 1)), np.eye(4)[None]])
+    tau = random_density(SystemShape.qubits(2), rng).matrix
+    red, c, _ = _reduce_constraints(dirs, np.real(np.einsum("kij,ji->k", dirs, tau)))
+    v = np.real(np.trace(red, axis1=1, axis2=2))
+    return red, c + v * (1.0 - v @ c) / (v @ v), v
 
 
 class TestClosedFormRoutes:
@@ -192,11 +202,10 @@ class TestDualSolver:
         for a, b in zip(got[::2] + got[3:], want[::2] + want[3:]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("newton", [True, False], ids=["interior", "face-step"])
-    def test_closed_form_start_takes_the_old_first_trial(self, newton):
+    def test_closed_form_start_takes_the_old_first_trial(self, monkeypatch):
         # the first trial theta from the closed-form start is the one the
-        # descent took from the Gibbs map of zero: -D g there, or the unit
-        # steepest step of the face solves
+        # descent took from the Gibbs map of zero: -D g there
+        monkeypatch.setattr(maxent, "DUAL_STEPS", 1)
         shape = SystemShape.qubits(4)
         model = build_model(shape, hypergraph_k(4, 2))
         plan = model._moment_plan()
@@ -207,15 +216,39 @@ class TestDualSolver:
             trials.append(theta.copy())
             return plan.hamiltonian(theta)
 
-        _dual_minimize(hamiltonian, lambda x: plan.moments(x)[1:], b[1:], plan.blocks[:2], 1e-9, 1,
-                       newton=newton)
+        _dual_minimize(hamiltonian, lambda x: plan.moments(x)[1:], b[1:], plan.blocks[:2], 1e-8)
         g = plan.moments(_gibbs_blocks(plan.hamiltonian(np.zeros(b.size - 1)))[0])[1:] - b[1:]
-        old = -shape.dim * g if newton else _lbfgs_direction(g, [])
-        assert np.array_equal(trials[0], old)
+        assert np.array_equal(trials[0], -shape.dim * g)
 
-    def test_exact_first_step_near_the_maximally_mixed_state(self):
+    def test_face_descent_starts_with_the_newton_step(self, monkeypatch):
+        # on a face whose targets are pinned to trace one the gradient at
+        # theta = 0 has no component along the face identity, so the first
+        # L-BFGS trial -r g is the exact Newton step there
+        monkeypatch.setattr(maxent, "DUAL_STEPS", 1)
+        red, c, v = _trace_pinned_face(np.random.default_rng(67))
+        red = red[:, None]
+        trials = []
+
+        def hamiltonian(t):
+            trials.append(t.copy())
+            return np.tensordot(t, red, axes=(0, 0))
+
+        def moments(x):
+            return np.real(np.tensordot(red, np.swapaxes(x, 1, 2), axes=3))
+
+        _dual_minimize(hamiltonian, moments, c, (1, 4), 1e-10)
+        pi, _, p, u = _gibbs_of_zero(1, 4)
+        grad = moments(pi) - c
+        assert abs(v @ grad) <= 1e-14
+        assert np.array_equal(trials[0], -4 * grad)
+        m = moments(pi)
+        newton = np.linalg.lstsq(maxent._kubo_mori(red, p, u) - np.outer(m, m), -grad, rcond=None)[0]
+        assert np.max(np.abs(trials[0] - newton)) <= 1e-12
+
+    def test_exact_first_step_near_the_maximally_mixed_state(self, monkeypatch):
         # within 1e-3 of I/d the Newton step from theta = 0 is accepted whole
         # and cuts the gradient by far more than 100x
+        monkeypatch.setattr(maxent, "DUAL_STEPS", 1)
         shape = SystemShape.qubits(4)
         d = shape.dim
         sigma = random_density(shape, np.random.default_rng(49))
@@ -230,7 +263,7 @@ class TestDualSolver:
             return plan.hamiltonian(theta)
 
         theta, _, pi, _, nit = _dual_minimize(hamiltonian, lambda x: plan.moments(x)[1:], b[1:],
-                                              plan.blocks[:2], 1e-12, 1, newton=True)
+                                              plan.blocks[:2], 1e-11)
         assert nit == 1 and len(trials) == 1
         assert np.max(np.abs(theta - d * b[1:])) <= 1e-15
         g0 = np.max(np.abs(b[1:]))
@@ -361,15 +394,18 @@ class TestBoundaryCases:
         # auto must prefer the converged newton answer over its lower residual
         sh = SystemShape.qubits(3)
         rho = State(sh, np.eye(8) / 8)
-        even = np.diag([0.25, 0, 0, 0.25, 0, 0.25, 0.25, 0]).astype(complex)
+        even = (np.array([[0.25, 0, 0, 0.25, 0, 0.25, 0.25, 0]]), np.eye(8, dtype=complex)[None])
         model = build_model(sh, hypergraph_k(3, 2))
         solve = maxent._dual_solve
         monkeypatch.setattr(maxent, "_dual_solve", lambda *args, newton: solve(*args, newton=True)
-                            if newton else (to_blocks(even, sh), 0, {}, None))
+                            if newton else (even, 0, {}, None))
         dual = maxent_project(rho, model, method="dual")
         assert dual.residual < 1e-12
         assert dual.diagnostics["support_dim"] == 4
         assert not dual.converged
+        # -S(rho) - tr(rho log pi) = -log 8 + log(4) / 2 - log(TINY) / 2: rho's
+        # mass 1/2 on pi's kernel costs 354.2 nats, against D = 0
+        assert abs(dual.diagnostics["relative_entropy_direct"] - 352.8) <= 0.1
         res = maxent_project(rho, model)
         assert res.method == "newton"
         assert res.converged
@@ -493,6 +529,18 @@ class TestNewtonRoute:
         assert not res.converged
         assert abs(res.divergence - 0.418224) <= 3e-6
 
+    def test_dual_miss_solves_one_face(self, monkeypatch):
+        # the state above: the whole-space dual misses, and only the first
+        # face that carries the moments is solved (wider faces were solved
+        # after it, and never turned a miss into a converged answer)
+        solve, faces = maxent._face_solve, []
+        monkeypatch.setattr(maxent, "_face_solve",
+                            lambda *args: faces.append(args[0].shape) or solve(*args))
+        rho = random_pure(SystemShape.qubits(5), np.random.default_rng(0))
+        res = maxent_project(rho, build_model(rho.shape, hypergraph_k(5, 2)), method="dual", tol=1e-9)
+        assert not res.converged
+        assert len(faces) == 1
+
     def test_full_rank_target_takes_no_svd(self, monkeypatch):
         # the whole space runs in the model's own coordinates: no (m, d^2)
         # constraint matrix is reduced, and a full-rank answer peels no face
@@ -534,10 +582,11 @@ class TestNewtonRoute:
         shape = SystemShape((2,) * 10, ("c",) * 9 + ("q",))
         model = build_model(shape, hypergraph_k(10, 2))
         assert model.n_elements * shape.dim**2 > STACK_GUARD
-        mixed = np.broadcast_to(np.eye(2) / shape.dim, (shape.dim // 2, 2, 2))
+        mixed = (np.full((shape.dim // 2, 2), 1.0 / shape.dim),
+                 np.broadcast_to(np.eye(2, dtype=complex), (shape.dim // 2, 2, 2)))
         solve = maxent._dual_solve
         monkeypatch.setattr(maxent, "_dual_solve", lambda *args, newton: solve(*args, newton=True)
-                            if newton else (mixed.astype(complex), 0, {}, None))
+                            if newton else (mixed, 0, {}, None))
         res = maxent_project(random_density(shape, np.random.default_rng(0)), model)
         assert res.method == "newton" and res.converged
         assert res.diagnostics["fallback_from"]["method"] == "dual"
@@ -546,9 +595,9 @@ class TestNewtonRoute:
         # a dual miss on q8 comes back as it is: the retry could not run
         shape = SystemShape.qubits(8)
         model = build_model(shape, hypergraph_k(8, 2))
-        mixed = np.broadcast_to(np.eye(shape.dim) / shape.dim, (1, shape.dim, shape.dim))
+        mixed = (np.full((1, shape.dim), 1.0 / shape.dim), np.eye(shape.dim, dtype=complex)[None])
         monkeypatch.setattr(maxent, "_dual_solve", lambda *args, newton: pytest.fail("newton was run")
-                            if newton else (mixed.astype(complex), 0, {}, None))
+                            if newton else (mixed, 0, {}, None))
         res = maxent_project(random_density(shape, np.random.default_rng(43)), model)
         assert res.method == "dual" and not res.converged
         assert "fallback_from" not in res.diagnostics
@@ -576,15 +625,15 @@ class TestSpectralPass:
         assert res.diagnostics["gap"] <= INTERIOR_TOL
 
     def test_eigendecomposition_budget_on_a_face(self, count_decompositions):
-        # a peeled dual projection cuts its faces from the last Gibbs
+        # a peeled dual projection cuts its face from the last Gibbs
         # iterate's eigenpairs; beyond the Gibbs maps it diagonalizes only the
-        # face answer (in _clean) and pi for the cross-check
+        # face answer, whose eigenpairs serve the clip and the cross-check
         ghz = ghz_state(7)
         model = build_model(ghz.shape, hypergraph_k(7, 2))
         calls = count_decompositions()
         res = maxent_project(ghz, model, method="dual")
         assert res.converged and res.diagnostics["rounds"] >= 1
-        assert calls["eigh"] == calls["gibbs"] + 2
+        assert calls["eigh"] == calls["gibbs"] + 1
         assert calls["eigvalsh"] == 0
         assert "gap" not in res.diagnostics
 
@@ -610,18 +659,21 @@ class TestSpectralPass:
             assert res.diagnostics["gap"] <= INTERIOR_TOL
 
     @pytest.mark.parametrize("method", ["ipf", "product"])
-    def test_other_exits_keep_the_cross_check(self, method, count_decompositions):
-        # off the interior exit pi is diagonalized once more, for
-        # relative_entropy_direct, and no gap is reported; product's answer
-        # is diagonalized in _clean too
+    def test_other_exits_keep_the_cross_check(self, method, monkeypatch):
+        # off the interior exit no gap is reported, and relative_entropy_direct
+        # reads rho's weights on the eigenvectors the route hands over: ipf's
+        # vector takes no eigendecomposition, product diagonalizes only its
+        # unit marginals, never a d x d matrix
         shape = SystemShape.bits(3) if method == "ipf" else SystemShape.qubits(3)
         rho = random_density(shape, np.random.default_rng(47))
         model = build_model(shape, hypergraph_k(3, 1 if method == "product" else 2))
-        calls = count_decompositions()
+        eigh, shapes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: shapes.append(np.shape(a))
+                            or eigh(a, *args, **kwargs))
         res = maxent_project(rho, model, method=method)
+        monkeypatch.undo()  # the dense reference below diagonalizes
         assert res.converged and "gap" not in res.diagnostics
-        if not shape.all_classical:
-            assert calls["eigh"] == 2
+        assert shapes == ([] if shape.all_classical else [(1, 2, 2)] * 3)
         assert abs(res.diagnostics["relative_entropy_direct"]
                    - relative_entropy(rho.matrix, res.state.matrix)) <= 1e-9
 
@@ -1031,13 +1083,7 @@ class TestFaceNewton:
         # seeded constraints on a 4 x 4 face, with its identity among them,
         # whose answer is full rank: exact Newton and the dual's L-BFGS face
         # solve must land on the same Gibbs state
-        rng = np.random.default_rng(66)
-        g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-        dirs = np.concatenate([g + np.transpose(g.conj(), (0, 2, 1)), np.eye(4)[None]])
-        tau = random_density(SystemShape.qubits(2), rng).matrix
-        red, c, _ = _reduce_constraints(dirs, np.real(np.einsum("kij,ji->k", dirs, tau)))
-        v = np.real(np.trace(red, axis1=1, axis2=2))
-        c = c + v * (1.0 - v @ c) / (v @ v)  # the face loop's trace pin
+        red, c, _ = _trace_pinned_face(np.random.default_rng(66))
         face, steps = _face_solve(red[:, None], c, 1e-10, newton=True)
         pi, _ = _face_solve(red[:, None], c, 1e-10, newton=False)
         assert face.shape == (1, 4, 4)

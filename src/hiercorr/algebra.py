@@ -213,28 +213,27 @@ def _algebra_element(matrix, shape: SystemShape, what: str) -> np.ndarray:
     return mat
 
 
-def _checked_states(x: np.ndarray, hermitized: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """State's checks on a stack (n, d_C, d_Q, d_Q) of block arrays, in order:
-    hermitian (skipped when the caller has hermitized x), unit trace, no
-    eigenvalue below PSD_ATOL, the eigenvalues taken block by block (a 1 x 1
-    block is its own).  Returns the hermitized stack and its block
-    eigenvalues (n, d_C, d_Q), ascending within each block."""
+def _checked_state(x: np.ndarray, hermitized: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """State's checks on a block array (d_C, d_Q, d_Q), in order: hermitian
+    (skipped when the caller has hermitized x), unit trace, no eigenvalue
+    below PSD_ATOL, the eigenvalues taken block by block (a 1 x 1 block is
+    its own).  Returns the hermitized array and its block eigenvalues
+    (d_C, d_Q), ascending within each block."""
     if not hermitized:
         adj = x.conj().swapaxes(-1, -2)
         herm = abs(x - adj).max()
         if herm > HERMITIAN_ATOL:
             raise ShapeError(f"state is not hermitian: max deviation {herm:.2e}")
         x = 0.5 * (x + adj)
-    _, d_c, k, _ = x.shape
-    tr = x.diagonal(0, 2, 3).real.sum(axis=(1, 2))
-    bad = abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * d_c * k)
-    if bad.any():
-        raise ShapeError(f"state trace is {tr[bad.argmax()]!r}, expected 1")
-    w = _eigh_blocks(x.reshape(-1, k, k), vectors=False)
+    d_c, k, _ = x.shape
+    tr = float(x.diagonal(0, 1, 2).real.sum())
+    if abs(tr - 1.0) > max(TRACE_ATOL, 1e-12 * d_c * k):
+        raise ShapeError(f"state trace is {tr!r}, expected 1")
+    w = _eigh_blocks(x, vectors=False)
     wmin = w.min()
     if wmin < PSD_ATOL:
         raise ShapeError(f"state has eigenvalue {wmin:.2e} below {PSD_ATOL:.0e}")
-    return x, w.reshape(-1, d_c, k)
+    return x, w
 
 
 @dataclass(frozen=True, init=False)
@@ -252,8 +251,7 @@ class State:
 
     def __init__(self, shape: SystemShape, matrix):
         x = to_blocks(_algebra_element(matrix, shape, "state"), shape)
-        x, w = _checked_states(x[None], hermitized=True)
-        self._store(shape, x[0], w)
+        self._store(shape, *_checked_state(x, hermitized=True))
 
     def _store(self, shape: SystemShape, x: np.ndarray, w: np.ndarray | None = None) -> None:
         """Keep the block array x, read-only; its block eigenvalues w, when
@@ -279,8 +277,7 @@ class State:
     @classmethod
     def _of_blocks(cls, shape: SystemShape, x: np.ndarray) -> "State":
         """The state of a block array, through the constructor's checks."""
-        x, w = _checked_states(x[None])
-        return cls._trusted(shape, x[0], w)
+        return cls._trusted(shape, *_checked_state(x))
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -66,7 +66,8 @@ BOUNDARY_TOL = 1e-5
 # largest entropy defect |D(rho||pi) - (S(pi) - S(rho))| of a converged
 # boundary answer, D taken by the cross-check _relative_entropy_direct
 ENTROPY_MATCH_TOL = 1e-6
-PEEL_SCHEDULE = (1e-4, 1e-6, 1e-8, 1e-10)
+# relative eigenvalue cut of the face peeled from a boundary answer
+PEEL_CUT = 1e-4
 # relative eigenvalue cut of a reported support (support_dim) and of the
 # interior exit
 SUPPORT_CUT = 1e-9
@@ -158,6 +159,9 @@ def _relative_entropy_direct(rho_x: np.ndarray, rho_entropy: float, w: np.ndarra
     return max(0.0, -rho_entropy - float(_weights(rho_x, u).ravel() @ logs.ravel()))
 
 
+# --------------------------------------------------------------- face solve
+
+
 def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
     """Orthonormal directions spanning a (possibly dependent) hermitian
     constraint stack (m, r, r), their targets, and the feasibility defect of
@@ -170,48 +174,6 @@ def _reduce_constraints(dirs: np.ndarray, targets: np.ndarray):
     x_ls = vt[:rank].T @ c
     defect = float(np.max(np.abs(vecs @ x_ls - targets)))
     return realvec_hermitian(vt[:rank], r), c, defect
-
-
-# ---------------------------------------------------------------- face loop
-
-
-def _face_loop(w, u, model, b, tol, newton: bool):
-    """Re-solve a projection on the first face cut with PEEL_SCHEDULE from
-    an iterate, given by its block eigenpairs (w, u) of _eigh_blocks.
-
-    Each cut keeps the eigenvectors above it times the largest eigenvalue
-    as the columns of the d x r isometry q, by ascending eigenvalue.  Cuts
-    keeping no vector, all d or as many as a cut already refused are
-    skipped, as are faces whose constraints q^H B_k q (model.compress) miss
-    the moments by more than 1e-8 max(1, max |b|); the first face left, the
-    smallest, is solved.  _face_solve works in the face's block layout, r
-    blocks of 1 x 1 when d_Q = 1 (q's columns are configurations), else one
-    r x r block.  Returns the lift q F q^H of its answer, the 1-based index
-    of its cut and its steps, or None, 0, 0 when no face carries the moments.
-    """
-    rows = _block_rows(model.shape)
-    scale = max(float(w.max()), 1e-300)
-    bound = 1e-8 * max(1.0, float(np.max(np.abs(b))))
-    tried = {0, model.shape.dim}
-    for rounds, cut in enumerate(PEEL_SCHEDULE, start=1):
-        q = _lift(w, u, model.shape, cut * scale)[0]
-        r = q.shape[1]
-        if r in tried:
-            continue
-        tried.add(r)
-        red, c, defect = _reduce_constraints(model.compress(q), b)
-        if defect > bound:
-            continue  # cut too deep, this face cannot carry the moments
-        # the constraints span the face's identity, along which the slope
-        # 1 - tr(x_ls) is a defect a descent would chase forever; moving c
-        # onto trace one makes that direction flat
-        v = np.real(np.trace(red, axis1=1, axis2=2))
-        red = np.real(np.diagonal(red, axis1=1, axis2=2))[..., None, None] if rows.shape[1] == 1 \
-            else red[:, None]
-        face, nit = _face_solve(red, c + v * (1.0 - v @ c) / (v @ v), tol, newton)
-        qb = q[rows].reshape(*rows.shape, *face.shape[:2])  # q's rows by block, columns by face block
-        return np.einsum("cajb,jbe,cdje->cad", qb, face, qb.conj(), optimize=True), rounds, nit
-    return None, 0, 0
 
 
 def _face_solve(red: np.ndarray, c: np.ndarray, tol: float, newton: bool):
@@ -351,10 +313,12 @@ def _block_directions(model: HierarchicalModel) -> np.ndarray:
 def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: bool):
     """Returns the block eigenpairs of the projection, its iterations,
     diagnostics and, at the interior exit, Gibbs parameters.  The descent
-    runs on the whole space, then on one face peeled from an answer that
-    misses tol or is rank-deficient, whose answer replaces the last Gibbs
-    state when its residual is lower; that boundary answer is diagonalized
-    once.  With newton every step takes the exact direction."""
+    runs on the whole space, then, for an answer that misses tol or is
+    rank-deficient, on one face: the span of its eigenvectors above
+    PEEL_CUT times the largest eigenvalue.  The face answer replaces the
+    last Gibbs state when its residual is lower (diagnostics["rounds"] 1,
+    else 0); that boundary answer is diagonalized once.  With newton every
+    step takes the exact direction."""
     plan = model._moment_plan()
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
@@ -368,13 +332,32 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: boo
     if resid <= tol and _support_size(p) == model.shape.dim:
         return (p, u), nit, {"rounds": 0}, GibbsParameters(theta, lz)
 
-    # boundary regime: the optimum has a kernel and the parameters diverge;
-    # re-solve on the support left when the abandoned eigenspace is peeled
-    face, rounds, face_its = _face_loop(p, u, model, b, tol, newton)
-    if face is None or _residual(face, model, b) >= resid:
-        face, rounds = pi, 0
-    face = 0.5 * (face + face.conj().transpose(0, 2, 1))
-    return _eigh_blocks(face), nit + face_its, {"rounds": rounds}, None
+    # boundary regime: the optimum has a kernel and the parameters diverge.
+    # The face (columns of the d x r isometry q) is skipped when it is the
+    # whole space, or when its constraints q^H B_k q (model.compress) miss
+    # the moments by more than 1e-8 max(1, max |b|)
+    x, rounds = pi, 0
+    q = _lift(p, u, model.shape, PEEL_CUT * float(p.max()))[0]
+    if q.shape[1] < model.shape.dim:
+        red, c, defect = _reduce_constraints(model.compress(q), b)
+        if defect <= 1e-8 * max(1.0, float(np.max(np.abs(b)))):
+            # the constraints span the face's identity, along which the slope
+            # 1 - tr(x_ls) is a defect a descent would chase forever; moving c
+            # onto trace one makes that direction flat.  The face's block
+            # layout is r blocks of 1 x 1 when d_Q = 1 (q's columns are
+            # configurations), else one r x r block
+            rows = _block_rows(model.shape)
+            v = np.real(np.trace(red, axis1=1, axis2=2))
+            red = np.real(np.diagonal(red, axis1=1, axis2=2))[..., None, None] if rows.shape[1] == 1 \
+                else red[:, None]
+            face, face_its = _face_solve(red, c + v * (1.0 - v @ c) / (v @ v), tol, newton)
+            nit += face_its
+            qb = q[rows].reshape(*rows.shape, *face.shape[:2])  # q's rows by block, columns by face block
+            face = np.einsum("cajb,jbe,cdje->cad", qb, face, qb.conj(), optimize=True)
+            if _residual(face, model, b) < resid:
+                x, rounds = face, 1
+    x = 0.5 * (x + x.conj().transpose(0, 2, 1))
+    return _eigh_blocks(x), nit, {"rounds": rounds}, None
 
 
 # ----------------------------------------------------------------- ipf route

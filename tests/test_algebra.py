@@ -35,6 +35,8 @@ from hiercorr.states import (
     ghz_state,
     maximally_mixed,
     random_density,
+    random_pure,
+    uniform_on,
 )
 
 
@@ -678,3 +680,36 @@ class TestHelpers:
         assert np.array_equal(back, np.stack([realvec_hermitian(v, 3) for v in vecs]))
         assert np.allclose(back, stack, atol=1e-12)
         assert realvec_hermitian(vecs[:0], 3).shape == (0, 3, 3)
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: State.from_probabilities(SystemShape.bits(3), np.full(7, 1 / 7)),
+         ShapeError, "expected 8 probabilities"),
+        (lambda: State.from_probabilities(SystemShape.bits(2), [0.6, 0.6, -0.1, -0.1]),
+         ShapeError, "negative probability"),
+        (lambda: State.pure(SystemShape.qubits(3), np.ones(7)), ShapeError, "length 8"),
+        (lambda: State.pure(SystemShape.qubits(2), np.zeros(4)), ShapeError, "zero vector"),
+        (lambda: ghz_state(3).probabilities(), ShapeError, "all-classical"),
+        (lambda: State(SystemShape((2, 2), ("c", "q")), np.eye(4) / 4).probabilities(),
+         ShapeError, "all-classical"),
+        (lambda: relative_entropy(ghz_state(3), ghz_state(4)), ShapeError, "operands have shapes"),
+        (lambda: relative_entropy(np.eye(2) / 2, np.eye(4) / 4), ShapeError, "operands have shapes"),
+        (lambda: gibbs_map(np.array([[0.0, 1.0], [0.0, 0.0]])), ValueError, "hermitian operand"),
+    ], ids=["probabilities-length", "probabilities-negative", "pure-length", "pure-zero",
+            "probabilities-of-qubits", "probabilities-of-cq", "relative-entropy-states",
+            "relative-entropy-arrays", "gibbs-non-hermitian"])
+    def test_algebra(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda rng: uniform_on(SystemShape.qubits(2), [(0, 0)]), "all-classical"),
+        (lambda rng: random_pure(SystemShape.bits(2), rng), "all-quantum"),
+        (lambda rng: random_pure(SystemShape((2, 2), ("c", "q")), rng), "all-quantum"),
+        (lambda rng: random_density(SystemShape.qubits(2), rng, rank=0), r"rank 0 outside 1\.\.4"),
+        (lambda rng: random_density(SystemShape.bits(2), rng, rank=5), r"rank 5 outside 1\.\.4"),
+    ], ids=["uniform-on-qubits", "pure-on-bits", "pure-on-cq", "density-rank-0", "density-rank-5"])
+    def test_states(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call(np.random.default_rng(0))

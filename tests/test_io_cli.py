@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -447,6 +448,44 @@ class TestCLI:
         code = main(["ck", "--state", str(tmp_path / "nope.json"), "--k", "1"])
         capsys.readouterr()
         assert code == 2
+
+    # refused input: exit 2 and an error line naming the cause; "{ghz}" is
+    # a GHZ_3 state file, "{qubits}" a quantum shape file and "{broken}" a
+    # shape file that is not JSON
+    @pytest.mark.parametrize("argv, message", [
+        (["ck", "--state", "{ghz}", "--k", "5"], r"--k must lie in 1\.\.3"),
+        (["feasibility", "--shape", "{qubits}", "--k", "2", "--exhaustive"], "needs a classical shape"),
+        (["toric", "--shape", "{qubits}", "--k", "2"], "defined for classical shapes"),
+        (["feasibility", "--shape", "2,2,2", "--k", "2"], "give --support or --exhaustive"),
+        (["feasibility", "--shape", "2,2,2", "--k", "2", "--support", "10,010"], "needs 3 digits"),
+        (["bell", "--t", "0.1,0.1,0.1", "--lambda", "0.25,0.25,0.25,0.25"], "exactly one of --t"),
+        (["bell"], "exactly one of --t"),
+        (["bell", "--lambda", "0.2,0.2,0.2,0.2"], "probability vector"),
+        (["bell", "--lambda", "0.5,0.5,0.5,-0.5"], "probability vector"),
+        (["bell", "--lambda", "a,b,c,d"], "cannot parse --lambda"),
+        (["dims", "--shape", "{broken}"], "not valid JSON"),
+        (["dims", "--shape", "{missing}"], "cannot read shape file"),
+    ], ids=["ck-k-out-of-range", "feasibility-quantum-shape", "toric-quantum-shape",
+            "feasibility-no-support", "support-wrong-length", "bell-both-charts", "bell-no-chart",
+            "lambda-off-the-simplex", "lambda-negative", "lambda-not-numbers", "shape-not-json",
+            "shape-missing"])
+    def test_refused_input_exits_2(self, argv, message, ghz_file, tmp_path, capsys):
+        files = {"ghz": ghz_file, "qubits": tmp_path / "q3.json", "broken": tmp_path / "broken.json",
+                 "missing": tmp_path / "missing.json"}
+        files["qubits"].write_text(json.dumps(shape_to_dict(SystemShape.qubits(3))))
+        files["broken"].write_text("{")
+        code = main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
+        assert re.search(message, captured.err), captured.err
+
+    def test_unphysical_correlations_exit_0(self, capsys):
+        # t = (1, 1, 1) lies outside the tetrahedron: reported, not refused
+        code = main(["bell", "--t", "1,1,1"])
+        rep = _report(capsys)
+        assert code == 0
+        assert rep["results"] == {"t": [1.0, 1.0, 1.0], "physical": False}
 
     # each flag belongs to the commands that read it
     @pytest.mark.parametrize("argv", [

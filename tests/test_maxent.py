@@ -52,7 +52,7 @@ LOG2 = math.log(2.0)
 def _trace_pinned_face(rng):
     """Seeded constraints on a 4 x 4 face, its identity among them, reduced
     by _reduce_constraints, and targets from a full-rank state moved onto
-    trace one as the face loop moves them; returns them and the traces v."""
+    trace one as _dual_solve moves them; returns them and the traces v."""
     g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
     dirs = np.concatenate([g + np.transpose(g.conj(), (0, 2, 1)), np.eye(4)[None]])
     tau = random_density(SystemShape.qubits(2), rng).matrix
@@ -521,25 +521,56 @@ class TestNewtonRoute:
 
     @pytest.mark.parametrize("method", ["dual", "auto"])
     def test_overflowed_direction_is_not_a_linalg_error(self, method):
-        # at tol = 1e-9 an L-BFGS direction of a face solve overflows; the
-        # descent drops its curvature pairs instead of passing NaNs to eigh
+        # at tol = 1e-9 an L-BFGS direction of a face solve once overflowed
+        # into eigh; face descents now start at -D g and no direction here
+        # overflows (test_non_finite_direction_drops_the_pairs covers the
+        # guard), but the miss must still come back as a result
         rho = random_pure(SystemShape.qubits(5), np.random.default_rng(0))
         res = maxent_project(rho, build_model(rho.shape, hypergraph_k(5, 2)), method=method,
                              tol=1e-9)
         assert not res.converged
         assert abs(res.divergence - 0.418224) <= 3e-6
 
-    def test_dual_miss_solves_one_face(self, monkeypatch):
-        # the state above: the whole-space dual misses, and only the first
-        # face that carries the moments is solved (wider faces were solved
-        # after it, and never turned a miss into a converged answer)
+    def test_non_finite_direction_drops_the_pairs(self, monkeypatch):
+        # an overflowed L-BFGS direction fails its search outright: the
+        # descent forgets its curvature pairs and goes on from steepest
+        # descent, passing no NaN to eigh
+        direction, held = maxent._lbfgs_direction, []
+
+        def overflowing(g, pairs):
+            held.append(len(pairs))
+            return np.full_like(g, np.inf) if len(held) == 3 else direction(g, pairs)
+
+        monkeypatch.setattr(maxent, "_lbfgs_direction", overflowing)
+        rho = random_density(SystemShape.qubits(3), np.random.default_rng(0))
+        res = maxent_project(rho, build_model(rho.shape, hypergraph_k(3, 2)), method="dual")
+        assert held[2] > 0 and held[3] == 0
+        assert res.converged and res.diagnostics["rounds"] == 0
+
+    def test_dual_miss_solves_no_face(self, monkeypatch):
+        # Haar-pure q5 seed 0 at tol = 1e-9: the whole-space dual misses, and
+        # its face at PEEL_CUT misses the moments, so no face is solved
         solve, faces = maxent._face_solve, []
         monkeypatch.setattr(maxent, "_face_solve",
                             lambda *args: faces.append(args[0].shape) or solve(*args))
         rho = random_pure(SystemShape.qubits(5), np.random.default_rng(0))
         res = maxent_project(rho, build_model(rho.shape, hypergraph_k(5, 2)), method="dual", tol=1e-9)
         assert not res.converged
-        assert len(faces) == 1
+        assert faces == [] and res.diagnostics["rounds"] == 0
+
+    def test_whole_space_answer_stands_below_one_cut(self, monkeypatch):
+        # Haar-pure q5 seed 3: the whole-space Newton answer (D = 0.7983667)
+        # is peeled once, at PEEL_CUT of its largest eigenvalue, and no
+        # deeper face replaces it
+        lift, floors = maxent._lift, []
+        monkeypatch.setattr(maxent, "_lift",
+                            lambda w, *args: floors.append((args[-1], float(w.max()))) or lift(w, *args))
+        rho = random_pure(SystemShape.qubits(5), np.random.default_rng(3))
+        res = maxent_project(rho, build_model(rho.shape, hypergraph_k(5, 2)), method="newton")
+        [(floor, top)] = floors
+        assert floor == maxent.PEEL_CUT * top
+        assert res.diagnostics["rounds"] == 0
+        assert abs(res.divergence - 0.7983667) <= 1e-7
 
     def test_full_rank_target_takes_no_svd(self, monkeypatch):
         # the whole space runs in the model's own coordinates: no (m, d^2)
@@ -1040,6 +1071,18 @@ class TestValidation:
         for model in (build_model(rho.shape, hypergraph_k(3, 2)), full_model(rho.shape)):
             with pytest.raises(ValueError, match="tol must be finite and positive"):
                 maxent_project(rho, model, tol=tol)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda rho: maxent_project(rho, build_model(SystemShape.qubits(4), hypergraph_k(4, 2))),
+         ShapeError, "different shapes"),
+        (lambda rho: maxent_project(rho, build_model(SystemShape.bits(3), hypergraph_k(3, 2))),
+         ShapeError, "different shapes"),
+        (lambda rho: chain_step_divergence(rho, 1), ValueError, r"2\.\.3, got 1"),
+        (lambda rho: chain_step_divergence(rho, 4), ValueError, r"2\.\.3, got 4"),
+    ], ids=["project-on-more-units", "project-on-bits", "chain-k-below", "chain-k-above"])
+    def test_input_guards(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(ghz_state(3))
 
     def test_k_range(self):
         rng = np.random.default_rng(63)

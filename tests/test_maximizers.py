@@ -178,6 +178,15 @@ class TestSearch:
         values = [r.value for r in rep.records]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("shape, model_shape", [
+        (SystemShape.qubits(3), SystemShape.bits(3)),
+        (SystemShape.bits(2), SystemShape.bits(3)),
+    ], ids=["other-kind", "other-size"])
+    def test_model_of_another_shape_is_refused(self, shape, model_shape):
+        model = build_model(model_shape, hypergraph_k(3, 2))
+        with pytest.raises(ValueError, match="built on a different shape"):
+            search_local_maximizers(shape, model, n_restarts=1)
+
     def test_seed_reproducibility(self):
         a = search_local_maximizers(SystemShape.bits(2), hypergraph_k(2, 1),
                                     n_restarts=4, seed=15)

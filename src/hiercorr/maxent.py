@@ -311,14 +311,12 @@ def _block_directions(model: HierarchicalModel) -> np.ndarray:
 
 
 def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: bool):
-    """Returns the block eigenpairs of the projection, its iterations,
-    diagnostics and, at the interior exit, Gibbs parameters.  The descent
-    runs on the whole space, then, for an answer that misses tol or is
-    rank-deficient, on one face: the span of its eigenvectors above
-    PEEL_CUT times the largest eigenvalue.  The face answer replaces the
-    last Gibbs state when its residual is lower (diagnostics["rounds"] 1,
-    else 0); that boundary answer is diagonalized once.  With newton every
-    step takes the exact direction."""
+    """Returns the block eigenpairs of the projection, its iterations, diagnostics and,
+    at the interior exit, Gibbs parameters.  The descent runs on the whole space, then, for
+    an answer that misses tol or is rank-deficient, on one face: the span of its eigenvectors
+    above PEEL_CUT times the largest eigenvalue.  The face answer replaces the last Gibbs
+    state when its residual is lower (diagnostics["rounds"] 1, else 0); that boundary answer
+    is diagonalized once.  With newton every step takes the exact direction."""
     plan = model._moment_plan()
     # interior descent through the model's local moment maps; element 0 is
     # the identity, fixed by normalization
@@ -332,20 +330,18 @@ def _dual_solve(model: HierarchicalModel, b: np.ndarray, tol: float, newton: boo
     if resid <= tol and _support_size(p) == model.shape.dim:
         return (p, u), nit, {"rounds": 0}, GibbsParameters(theta, lz)
 
-    # boundary regime: the optimum has a kernel and the parameters diverge.
-    # The face (columns of the d x r isometry q) is skipped when it is the
-    # whole space, or when its constraints q^H B_k q (model.compress) miss
-    # the moments by more than 1e-8 max(1, max |b|)
+    # boundary regime: the optimum has a kernel and the parameters diverge.  The face
+    # (columns of the d x r isometry q) is skipped when it is the whole space, or when
+    # its constraints q^H B_k q (model.compress) miss the moments by over 1e-8 max(1, max |b|)
     x, rounds = pi, 0
     q = _lift(p, u, model.shape, PEEL_CUT * float(p.max()))[0]
     if q.shape[1] < model.shape.dim:
         red, c, defect = _reduce_constraints(model.compress(q), b)
         if defect <= 1e-8 * max(1.0, float(np.max(np.abs(b)))):
-            # the constraints span the face's identity, along which the slope
-            # 1 - tr(x_ls) is a defect a descent would chase forever; moving c
-            # onto trace one makes that direction flat.  The face's block
-            # layout is r blocks of 1 x 1 when d_Q = 1 (q's columns are
-            # configurations), else one r x r block
+            # the constraints span the face's identity, along which the slope 1 - tr(x_ls)
+            # is a defect a descent would chase forever; moving c onto trace one makes that
+            # direction flat.  The face's block layout is r blocks of 1 x 1 when d_Q = 1
+            # (q's columns are configurations), else one r x r block
             rows = _block_rows(model.shape)
             v = np.real(np.trace(red, axis1=1, axis2=2))
             red = np.real(np.diagonal(red, axis1=1, axis2=2))[..., None, None] if rows.shape[1] == 1 \
@@ -429,7 +425,9 @@ def maxent_project(
     The result is converged when the moment residual is at most tol; when
     the projection is rank-deficient, at most max(tol, BOUNDARY_TOL), with
     the divergence within ENTROPY_MATCH_TOL of the cross-check
-    diagnostics["relative_entropy_direct"] (see _relative_entropy_direct).
+    diagnostics["relative_entropy_direct"] (see _relative_entropy_direct)
+    and, for a whole-space dual or newton iterate past tol, no eigenvalue
+    between SUPPORT_CUT and PEEL_CUT times the largest.
     At the interior exit of dual and newton that value is
     log Z - theta . b - S(rho) from the Gibbs parameters instead, and
     diagnostics["gap"] is its distance from the divergence, the duality gap.
@@ -507,9 +505,11 @@ def _run(rho, model, method, tol) -> ProjectionResult:
     if support < shape.dim:
         # the moments pin a boundary answer only loosely: a state far from the
         # projection can sit within BOUNDARY_TOL of them, so it must also meet
-        # the identity D(rho||pi) = S(pi) - S(rho) of the projection
-        converged = (resid <= max(tol, BOUNDARY_TOL)
-                     and abs(direct - divergence) <= ENTROPY_MATCH_TOL)
+        # the identity D(rho||pi) = S(pi) - S(rho) of the projection; a
+        # whole-space iterate (rounds 0) past tol must have split its spectrum
+        converged = (resid <= max(tol, BOUNDARY_TOL) and abs(direct - divergence) <= ENTROPY_MATCH_TOL
+                     and (info.get("rounds") != 0 or resid <= tol
+                          or support == np.count_nonzero(w > PEEL_CUT * w.max())))
     diagnostics = {**info, "support_dim": support, "relative_entropy_direct": direct}
     if theta is not None:
         diagnostics["gap"] = abs(direct - divergence)

@@ -521,10 +521,8 @@ class TestNewtonRoute:
 
     @pytest.mark.parametrize("method", ["dual", "auto"])
     def test_overflowed_direction_is_not_a_linalg_error(self, method):
-        # at tol = 1e-9 an L-BFGS direction of a face solve once overflowed
-        # into eigh; face descents now start at -D g and no direction here
-        # overflows (test_non_finite_direction_drops_the_pairs covers the
-        # guard), but the miss must still come back as a result
+        # at tol = 1e-9 the projection (D = 0.418224) is missed, and the miss
+        # comes back as an unconverged result
         rho = random_pure(SystemShape.qubits(5), np.random.default_rng(0))
         res = maxent_project(rho, build_model(rho.shape, hypergraph_k(5, 2)), method=method,
                              tol=1e-9)
@@ -571,6 +569,31 @@ class TestNewtonRoute:
         assert floor == maxent.PEEL_CUT * top
         assert res.diagnostics["rounds"] == 0
         assert abs(res.divergence - 0.7983667) <= 1e-7
+
+    @pytest.mark.parametrize("method", ["dual", "newton", "auto"])
+    def test_unsplit_whole_space_answer_is_not_converged(self, method):
+        # psi = GHZ_3 + 1e-2 v is its own pairwise projection (D = 0, support
+        # 1).  The whole-space iterate misses tol on support 2, its second
+        # eigenvalue between SUPPORT_CUT and PEEL_CUT times the largest, and
+        # its one-vector face misses the moments: no converged answer
+        ghz = np.zeros(8, complex)
+        ghz[0] = ghz[-1] = 2**-0.5
+        rng = np.random.default_rng(1)
+        rho = State.pure(SystemShape.qubits(3), ghz + 1e-2 * (rng.normal(size=8) + 1j * rng.normal(size=8)))
+        res = maxent_project(rho, build_model(rho.shape, hypergraph_k(3, 2)), method=method)
+        assert res.diagnostics["rounds"] == 0 and res.diagnostics["support_dim"] == 2
+        assert res.residual > INTERIOR_TOL and not res.converged
+
+    def test_auto_retries_an_unsplit_dual_answer(self):
+        # rank-2 q3 seed 2 is its own pairwise projection (support 2); dual
+        # stops on the whole space on support 3, short of tol, and newton
+        # finds the projection on its face
+        rho = random_density(SystemShape.qubits(3), np.random.default_rng(2), rank=2)
+        model = build_model(rho.shape, hypergraph_k(3, 2))
+        dual, auto = (maxent_project(rho, model, method=m) for m in ("dual", "auto"))
+        assert not dual.converged and dual.diagnostics["support_dim"] == 3
+        assert auto.converged and auto.method == "newton" and auto.diagnostics["rounds"] == 1
+        assert auto.diagnostics["support_dim"] == 2 and auto.divergence <= 1e-9
 
     def test_full_rank_target_takes_no_svd(self, monkeypatch):
         # the whole space runs in the model's own coordinates: no (m, d^2)
@@ -663,7 +686,7 @@ class TestSpectralPass:
         model = build_model(ghz.shape, hypergraph_k(7, 2))
         calls = count_decompositions()
         res = maxent_project(ghz, model, method="dual")
-        assert res.converged and res.diagnostics["rounds"] >= 1
+        assert res.converged and res.diagnostics["rounds"] == 1
         assert calls["eigh"] == calls["gibbs"] + 1
         assert calls["eigvalsh"] == 0
         assert "gap" not in res.diagnostics
